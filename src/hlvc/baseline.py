@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 from scipy.special import expit
 
-from .binn import NumericError
+from .binn import NumericError, _as_multi_hot
 
 
 @dataclasses.dataclass
@@ -69,20 +69,6 @@ def predict(params: LogRegParams, x) -> np.ndarray:
         raise NumericError("non-finite logistic scores")
     probs = expit(z)
     return probs[0] if squeeze else probs
-
-
-def _as_multi_hot(positives, shape) -> np.ndarray:
-    if isinstance(positives, np.ndarray) and positives.shape == tuple(shape):
-        return positives.astype(np.float64, copy=False)
-    if len(shape) != 1:
-        raise ValueError("batched labels must be a multi-hot (B, C) array")
-    z = np.zeros(shape, dtype=np.float64)
-    idx = np.asarray(list(positives), dtype=np.int64)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= shape[0]:
-            raise IndexError(f"label index out of range for {shape[0]} classes")
-        z[idx] = 1.0
-    return z
 
 
 def loss_grad(

@@ -316,7 +316,11 @@ def _fit_normalizer(cfg: RunConfig, features: np.ndarray):
 
 def _load_features(records, mode: str) -> np.ndarray:
     include_audio = mode == "rgb+audio"
-    return np.stack([video_feature(rec, include_audio) for rec in records])
+    features = np.stack([video_feature(rec, include_audio) for rec in records])
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"record {records[bad[0]].video_id!r} has non-finite features")
+    return features
 
 
 def _check_records(records, hierarchy) -> None:

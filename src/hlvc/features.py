@@ -10,7 +10,6 @@ never need to be fully materialized twice.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -24,7 +23,7 @@ NORMALIZER_KINDS = ("znorm", "pca")
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numeric routine exhausted its budget before converging."""
+    """LAPACK's eigensolver failed to converge; the CLI maps it to exit 3."""
 
 
 def mean_pool(frames) -> np.ndarray:
@@ -135,20 +134,13 @@ def fit_znorm(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) 
     return NormalizerStats("znorm", mean, scale, epsilon=epsilon, l2_after=l2_after)
 
 
-def fit_pca_whitening(
-    data,
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    l2_after: bool = True,
-    rel_tol: float = 1e-10,
-    max_sweeps: int = 50,
-) -> NormalizerStats:
+def fit_pca_whitening(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) -> NormalizerStats:
     """Fit a PCA whitening transform in one streaming pass.
 
     The covariance is accumulated shifted by the first sample for stability,
-    then diagonalized with jacobi_eigh. Whitening rows are eigenvectors
-    scaled by 1/sqrt(eigenvalue + epsilon), eigenvalues clamped at zero and
-    sorted in decreasing order.
+    then diagonalized by LAPACK through jacobi_eigh. Whitening rows are
+    eigenvectors scaled by 1/sqrt(eigenvalue + epsilon), eigenvalues clamped
+    at zero and sorted in decreasing order.
     """
     count = 0
     shift = None
@@ -181,7 +173,7 @@ def fit_pca_whitening(
     mean_shifted = s1 / count
     cov = s2 / count - np.outer(mean_shifted, mean_shifted)
     cov = (cov + cov.T) / 2.0
-    eigvals, eigvecs = jacobi_eigh(cov, rel_tol=rel_tol, max_sweeps=max_sweeps)
+    eigvals, eigvecs = jacobi_eigh(cov)
     inv_std = 1.0 / np.sqrt(np.maximum(eigvals, 0.0) + epsilon)
     transform = eigvecs.T * inv_std[:, None]
     return NormalizerStats(
@@ -204,72 +196,27 @@ def apply_normalizer(stats: NormalizerStats, x) -> np.ndarray:
     return out
 
 
-def jacobi_eigh(matrix, *, rel_tol: float = 1e-10, max_sweeps: int = 50):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+# Named for its original algorithm: bench/tracer.py wraps features.jacobi_eigh by name.
+def jacobi_eigh(matrix):
+    """Eigen-decomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Sweeps rotate away each off-diagonal pair in turn until the off-diagonal
-    Frobenius norm drops below rel_tol times the diagonal norm. Returns
-    (eigenvalues, eigenvectors) in decreasing eigenvalue order, eigenvectors
-    as columns with a deterministic sign (largest-magnitude entry positive).
+    Returns (eigenvalues, eigenvectors) in decreasing eigenvalue order,
+    eigenvectors as columns with a deterministic sign (largest-magnitude
+    entry positive).
 
-    Raises ConvergenceError when the sweep budget runs out.
+    Raises ConvergenceError when LAPACK fails to converge.
     """
-    a = np.array(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(1.0, np.abs(a).max())):
         raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
-    v = np.eye(n)
-
-    def converged() -> bool:
-        # Norms taken on the elements themselves: differencing full and
-        # diagonal sums would cancel catastrophically near convergence.
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        on = np.linalg.norm(np.diag(a))
-        return off == 0.0 or off <= rel_tol * on
-
-    for _ in range(max_sweeps):
-        if converged():
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 5e-309 * abs(diff):
-                    # Rotation angle would underflow; the element is already
-                    # negligible at any realistic tolerance.
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                if apq == 0.0:
-                    continue
-                theta = diff / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                v[:, p] = c * vec_p - s * v[:, q]
-                v[:, q] = s * vec_p + c * v[:, q]
-    else:
-        if not converged():
-            raise ConvergenceError(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
-            )
-
-    eigvals = np.diag(a).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = v[:, order]
-    # Fix signs so results do not depend on rotation history.
-    flips = np.sign(eigvecs[np.abs(eigvecs).argmax(axis=0), np.arange(n)])
+    try:
+        eigvals, eigvecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge: {exc}") from None
+    eigvals = eigvals[::-1]
+    eigvecs = eigvecs[:, ::-1]
+    flips = np.sign(eigvecs[np.abs(eigvecs).argmax(axis=0), np.arange(a.shape[0])])
     flips[flips == 0] = 1.0
     return eigvals, eigvecs * flips

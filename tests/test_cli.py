@@ -138,6 +138,28 @@ class TestExitCodes:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_non_finite_feature_is_data_error_naming_video(self, dataset, tmp_path, capsys):
+        records = read_shard(dataset / "train.shard")
+        records[5].pooled[3] = np.nan
+        bad = tmp_path / "nan.shard"
+        write_shard(bad, records)
+        culprit = repr(records[5].video_id)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "5")) == 0
+        capsys.readouterr()
+        runs = [
+            ["train", "--vocab", str(dataset / "vocab.txt"), "--train", str(bad),
+             "--out", str(tmp_path / "o.ckpt"), "--model", "logreg", "--iters", "5",
+             "--norm", norm]
+            for norm in ("znorm", "pca")
+        ]
+        runs.append(["evaluate", "--ckpt", str(ckpt), "--vocab", str(dataset / "vocab.txt"),
+                     "--shard", str(bad), "--out", str(tmp_path / "rep")])
+        for argv in runs:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "data error" in err and culprit in err and "non-finite" in err
+
     def test_mismatched_vocab_is_data_error(self, dataset, tmp_path):
         out = tmp_path / "m.ckpt"
         assert main(train_args(dataset, out, "--model", "logreg", "--iters", "5")) == 0

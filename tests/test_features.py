@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hlvc.cli import main
 from hlvc.features import (
     DEFAULT_EPSILON,
     L2_FLOOR,
@@ -197,10 +198,24 @@ class TestJacobiEigh:
         with pytest.raises(ValueError):
             jacobi_eigh(np.zeros((2, 3)))
 
-    def test_budget_exhaustion_raises(self):
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
+    def test_lapack_failure_raises_convergence_error(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--num-verticals", "3",
+                     "--num-entities", "6", "--dim", "4", "--num-train", "40",
+                     "--num-val", "10"]) == 0
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError):
-            jacobi_eigh(a, max_sweeps=0)
+            jacobi_eigh(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        capsys.readouterr()
+        code = main(["train", "--vocab", str(data / "vocab.txt"),
+                     "--train", str(data / "train.shard"), "--out", str(tmp_path / "o.ckpt"),
+                     "--model", "logreg", "--norm", "pca", "--iters", "1"])
+        assert code == 3
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_input_not_mutated(self):
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
