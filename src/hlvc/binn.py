@@ -211,15 +211,6 @@ def _as_batch(params: BinnParams, x) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def project(params: BinnParams, x, t: int) -> np.ndarray:
-    """Projection of the input into layer t's label space."""
-    xb, squeeze = _as_batch(params, x)
-    if not (0 <= t < params.num_layers):
-        raise IndexError(f"layer index {t} out of range")
-    out = xb @ params.proj_w[t].T + params.proj_b[t]
-    return out[0] if squeeze else out
-
-
 def forward(params: BinnParams, x) -> BinnActivations:
     """Run both chains; accepts one vector (D,) or a batch (B, D).
 
@@ -366,5 +357,21 @@ def backward(params: BinnParams, x, positives) -> tuple[float, BinnGradients]:
 
 
 def predict(params: BinnParams, x) -> list:
-    """Per-layer label probabilities for one vector or a batch."""
-    return forward(params, x).p
+    """Per-layer label probabilities for one vector (D,) or a batch (B, D).
+
+    Every pre-activation is affine in the input (the chains are linear and
+    the sigmoid comes last), so one ``forward`` over the origin and the D
+    unit vectors reads off each layer's exact map a_t = x @ A_t + c_t: c_t
+    is the origin's row and A_t the unit rows minus it. The batch then costs
+    one matrix product per layer.
+    """
+    xb, squeeze = _as_batch(params, x)
+    basis = forward(params, np.vstack([np.zeros(params.dim), np.eye(params.dim)])).a
+    probs = []
+    for t, a_basis in enumerate(basis):
+        a = xb @ (a_basis[1:] - a_basis[0])
+        a += a_basis[0]
+        if not np.isfinite(a).all():
+            raise NumericError(f"non-finite activation in layer {t}")
+        probs.append(expit(a, out=a))
+    return [p[0] for p in probs] if squeeze else probs

@@ -496,31 +496,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _restore_model(ckpt: Checkpoint, hierarchy, dim: int):
-    cfg_model = ckpt.config.get("model")
-    params_tensors, _, _ = _split_adam_tensors(ckpt.tensors)
-    if cfg_model == "binn":
-        return binn.BinnParams.from_tensors(hierarchy.sizes, dim, params_tensors)
-    if cfg_model == "logreg":
-        model = baseline.LogRegParams.from_tensors(params_tensors)
-        if model.num_classes != hierarchy.sizes[-1] or model.dim != dim:
-            raise ValueError("checkpoint weights do not match vocabulary/features")
-        return model
-    raise ValueError(f"checkpoint has unknown model {cfg_model!r}")
-
-
-def _layer_scores(ckpt: Checkpoint, model, hierarchy, x: np.ndarray) -> dict:
-    """Per-layer label probabilities, chunked to bound memory."""
+def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
+    """Per-layer label probabilities from the checkpoint's model."""
+    model = ckpt.config.get("model")
+    tensors, _, _ = _split_adam_tensors(ckpt.tensors)
+    if model == "binn":
+        params = binn.BinnParams.from_tensors(hierarchy.sizes, x.shape[1], tensors)
+        return dict(enumerate(binn.predict(params, x)))
+    if model != "logreg":
+        raise ValueError(f"checkpoint has unknown model {model!r}")
+    params = baseline.LogRegParams.from_tensors(tensors)
+    if params.num_classes != hierarchy.sizes[-1] or params.dim != x.shape[1]:
+        raise ValueError("checkpoint weights do not match vocabulary/features")
     m = hierarchy.num_layers
-    chunks = [x[i : i + 4096] for i in range(0, x.shape[0], 4096)]
-    if ckpt.config.get("model") == "binn":
-        per_layer = [[] for _ in range(m)]
-        for chunk in chunks:
-            probs = binn.predict(model, chunk)
-            for t in range(m):
-                per_layer[t].append(probs[t])
-        return {t: np.concatenate(per_layer[t]) for t in range(m)}
-    probs = np.concatenate([baseline.predict(model, chunk) for chunk in chunks])
+    probs = baseline.predict(params, x)
     scores = {m - 1: probs}
     if m >= 2:
         scores[m - 2] = hierarchy.induce_vertical_scores(probs)
@@ -529,6 +518,9 @@ def _layer_scores(ckpt: Checkpoint, model, hierarchy, x: np.ndarray) -> dict:
 
 def _prepare_eval(args):
     ckpt = load_checkpoint(args.ckpt)
+    top_k = args.top_k if args.top_k is not None else int(ckpt.config.get("top_k", 20))
+    if top_k < 1:
+        raise UsageError(f"top_k must be at least 1, got {top_k}")
     hierarchy = load_vocabulary(args.vocab)
     if list(ckpt.config.get("layer_sizes", [])) != list(hierarchy.sizes):
         raise ValueError("checkpoint layer sizes do not match the vocabulary")
@@ -544,19 +536,19 @@ def _prepare_eval(args):
     if ckpt.normalizer is None:
         raise ValueError("checkpoint carries no normalizer")
     x = apply_normalizer(ckpt.normalizer, features)
-    model = _restore_model(ckpt, hierarchy, features.shape[1])
-    scores = _layer_scores(ckpt, model, hierarchy, x)
-    return ckpt, hierarchy, records, scores
+    return hierarchy, records, _layer_scores(ckpt, hierarchy, x), top_k
 
 
 def cmd_evaluate(args) -> int:
-    ckpt, hierarchy, records, scores = _prepare_eval(args)
-    top_k = args.top_k if args.top_k is not None else int(ckpt.config.get("top_k", 20))
-    if top_k < 1:
-        raise UsageError(f"top_k must be at least 1, got {top_k}")
+    hierarchy, records, scores, top_k = _prepare_eval(args)
     os.makedirs(args.out, exist_ok=True)
     for t in sorted(scores):
         layer = hierarchy.layers[t]
+        unlabeled = next((rec for rec in records if not rec.labels[t].size), None)
+        if unlabeled is not None:
+            raise ValueError(
+                f"record {unlabeled.video_id!r} has no {layer.name} labels; PERR is undefined"
+            )
         pred = PredictionSet(scores[t], [rec.labels[t] for rec in records])
         report = evaluate(pred, layer=layer.name, top_k=top_k)
         base = os.path.join(args.out, f"eval_{layer.name}")
@@ -572,10 +564,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ckpt, hierarchy, records, scores = _prepare_eval(args)
-    top_k = args.top_k if args.top_k is not None else int(ckpt.config.get("top_k", 20))
-    if top_k < 1:
-        raise UsageError(f"top_k must be at least 1, got {top_k}")
+    hierarchy, records, scores, top_k = _prepare_eval(args)
     lines = []
     for i, rec in enumerate(records):
         for t in sorted(scores):

@@ -120,22 +120,31 @@ class TestForward:
     def test_nonfinite_activation_rejected(self):
         params = binn.init_params([2, 3], 4, seed=6)
         params.proj_w[0][:] = 1e308
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-            binn.forward(params, np.full(4, 1e4))
+        x = np.full(4, 1e4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                binn.forward(params, x)
+            with pytest.raises(NumericError):
+                binn.predict(params, x)
 
     def test_wrong_input_dim_rejected(self):
         params = binn.init_params([2, 3], 4, seed=7)
         with pytest.raises(ValueError):
             binn.forward(params, np.zeros(5))
 
-    def test_project_matches_affine(self):
-        params = binn.init_params([2, 3], 4, seed=8)
-        x = np.random.default_rng(8).normal(size=4)
-        np.testing.assert_allclose(
-            binn.project(params, x, 1), params.proj_w[1] @ x + params.proj_b[1]
-        )
-        with pytest.raises(IndexError):
-            binn.project(params, x, 2)
+    def test_predict_matches_forward(self):
+        rng = np.random.default_rng(8)
+        params = binn.init_params([2, 3, 4], 5, seed=8)
+        for name, tensor in params.tensors().items():
+            if name.startswith(("proj_b", "fwd_b", "bwd_b", "agg_")):
+                tensor[...] = rng.normal(size=tensor.shape)
+        for x in (rng.normal(size=(7, 5)), rng.normal(size=5)):
+            want = binn.forward(params, x).p
+            got = binn.predict(params, x)
+            assert len(got) == 3
+            for t in range(3):
+                assert got[t].shape == want[t].shape
+                np.testing.assert_allclose(got[t], want[t], rtol=0, atol=1e-9)
 
 
 class TestInit:

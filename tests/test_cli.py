@@ -160,6 +160,21 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "data error" in err and culprit in err and "non-finite" in err
 
+    def test_unlabeled_video_is_data_error_naming_video(self, dataset, tmp_path, capsys):
+        records = read_shard(dataset / "val.shard")
+        records[2].labels[1] = np.zeros(0, dtype=np.int64)
+        bad = tmp_path / "unlabeled.shard"
+        write_shard(bad, records)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "5")) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--ckpt", str(ckpt), "--vocab", str(dataset / "vocab.txt"),
+                     "--shard", str(bad), "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "data error" in err and repr(records[2].video_id) in err
+        assert "entities" in err and "video 2 " not in err
+
     def test_mismatched_vocab_is_data_error(self, dataset, tmp_path):
         out = tmp_path / "m.ckpt"
         assert main(train_args(dataset, out, "--model", "logreg", "--iters", "5")) == 0

@@ -134,26 +134,38 @@ class TestZnorm:
         np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-10)
 
 
+def known_spectrum(rng, eigvals):
+    """Q diag(eigvals) Q^T for a random orthogonal Q (from QR): a matrix whose
+    spectrum is known without calling an eigensolver."""
+    n = len(eigvals)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return q @ np.diag(eigvals) @ q.T
+
+
+def eig_atol(eigvals) -> float:
+    """c * eps * ||A||_2: the Weyl bound of a backward-stable eigensolver."""
+    return 10 * len(eigvals) * np.finfo(np.float64).eps * np.abs(eigvals).max()
+
+
 class TestJacobiEigh:
-    def test_matches_lapack_on_random_spd(self):
+    def test_recovers_known_spectrum_spd(self):
         rng = np.random.default_rng(7)
         for n in (2, 5, 16, 33):
-            b = rng.normal(size=(n, n))
-            a = b @ b.T + np.eye(n)
+            lam = rng.uniform(0.5, 10.0, size=n)
+            a = known_spectrum(rng, lam)
             vals, vecs = jacobi_eigh(a)
-            ref = np.linalg.eigvalsh(a)[::-1]
-            np.testing.assert_allclose(vals, ref, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(vals, np.sort(lam)[::-1], rtol=0, atol=eig_atol(lam))
             # reconstruction and orthonormality pin the eigenvectors
             np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-9)
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
 
     def test_indefinite_matrix(self):
         rng = np.random.default_rng(8)
-        b = rng.normal(size=(10, 10))
-        a = (b + b.T) / 2.0
+        lam = rng.uniform(-5.0, 5.0, size=10)
+        a = known_spectrum(rng, lam)
         vals, vecs = jacobi_eigh(a)
-        assert (np.diff(vals) <= 1e-12).all()  # decreasing order
-        np.testing.assert_allclose(vals, np.linalg.eigvalsh(a)[::-1], atol=1e-10)
+        assert (np.diff(vals) <= 0).all()  # decreasing order
+        np.testing.assert_allclose(vals, np.sort(lam)[::-1], rtol=0, atol=eig_atol(lam))
         np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-9)
 
     def test_diagonal_matrix_is_fixed_point(self):
@@ -171,24 +183,19 @@ class TestJacobiEigh:
         assert (peaks > 0).all()
 
     def test_near_degenerate_eigenvalues(self):
-        # eigenvalues 1, 1+1e-9: rotations must still settle
-        q, _ = np.linalg.qr(np.random.default_rng(10).normal(size=(4, 4)))
-        a = q @ np.diag([1.0, 1.0 + 1e-9, 0.5, 2.0]) @ q.T
+        # eigenvalues 1 and 1+1e-9 must stay apart
+        a = known_spectrum(np.random.default_rng(10), [1.0, 1.0 + 1e-9, 0.5, 2.0])
         vals, vecs = jacobi_eigh(a)
         np.testing.assert_allclose(sorted(vals), [0.5, 1.0, 1.0 + 1e-9, 2.0], rtol=1e-12)
         np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-12)
 
     def test_wide_dynamic_range(self):
-        # stopping rule is off_F <= rel_tol * diag_F, so small eigenvalues
-        # are only pinned to within a Weyl bound of rel_tol * ||A||
-        a = np.diag([1e12, 1.0, 1e-12])
-        rng = np.random.default_rng(11)
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        m = q @ a @ q.T
+        # a backward-stable solver pins each eigenvalue only to within
+        # c * eps * ||A||, so the small ones are checked absolutely
+        lam = np.array([1e12, 1.0, 1e-12])
+        m = known_spectrum(np.random.default_rng(11), lam)
         vals, vecs = jacobi_eigh(m)
-        assert abs(vals[0] - 1e12) < 1e-6 * 1e12
-        weyl = 2.0 * 1e-10 * np.linalg.norm(np.diag(m))
-        np.testing.assert_allclose(vals, np.linalg.eigvalsh(m)[::-1], atol=weyl)
+        np.testing.assert_allclose(vals, lam, rtol=0, atol=eig_atol(lam))
         assert abs(vals.sum() - np.trace(m)) < 1e-9 * np.trace(m)
         assert np.abs(vecs @ np.diag(vals) @ vecs.T - m).max() < 1e-9 * 1e12
 
