@@ -125,37 +125,23 @@ class BinnActivations:
 
 
 @dataclasses.dataclass
-class BinnGradients:
-    """Loss gradients, mirroring BinnParams plus the input-feature gradient."""
+class BinnGradients(BinnParams):
+    """Loss gradients under BinnParams' fields, plus the input-feature gradient."""
 
-    dim: int
-    sizes: tuple[int, ...]
-    proj_w: list
-    proj_b: list
-    fwd_v: list
-    fwd_h: list
-    fwd_b: list
-    bwd_v: list
-    bwd_h: list
-    bwd_b: list
-    agg_fwd_u: list
-    agg_bwd_u: list
-    agg_b: list
     x: np.ndarray = None
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Parameter gradients under the same names as BinnParams.tensors()."""
-        return dict(_tensor_items(self, len(self.sizes)))
+
+# Both gate vectors start here so the two directions begin evenly mixed.
+GATE_INIT = 0.5
 
 
-def init_params(layers, dim: int, seed: int, gate_init: float = 0.5) -> BinnParams:
+def init_params(layers, dim: int, seed: int) -> BinnParams:
     """Deterministic initialization for a given seed.
 
     Weight matrices draw from the uniform Glorot range
     +-sqrt(6 / (fan_in + fan_out)) in a fixed order (projections, then the
     forward chain, then the backward chain, layer by layer). Biases start at
-    zero and both gate vectors at ``gate_init`` so the two directions begin
-    evenly mixed.
+    zero and both gate vectors at GATE_INIT.
     """
     sizes = _layer_sizes(layers)
     if dim < 1:
@@ -193,8 +179,8 @@ def init_params(layers, dim: int, seed: int, gate_init: float = 0.5) -> BinnPara
         bwd_v=bwd_v,
         bwd_h=bwd_h,
         bwd_b=[np.zeros(n) for n in sizes],
-        agg_fwd_u=[np.full(n, gate_init) for n in sizes],
-        agg_bwd_u=[np.full(n, gate_init) for n in sizes],
+        agg_fwd_u=[np.full(n, GATE_INIT) for n in sizes],
+        agg_bwd_u=[np.full(n, GATE_INIT) for n in sizes],
         agg_b=[np.zeros(n) for n in sizes],
     )
 
@@ -299,11 +285,8 @@ def backward(params: BinnParams, x, positives) -> tuple[float, BinnGradients]:
             z.append(_as_multi_hot(positives[t], (params.sizes[t],))[None, :])
         else:
             z.append(_as_multi_hot(positives[t], acts.a[t].shape))
-    loss_value = 0.0
-    g_a = []
-    for t in range(m):
-        loss_value += float((np.logaddexp(0.0, acts.a[t]) - z[t] * acts.a[t]).sum())
-        g_a.append(acts.p[t] - z[t])
+    loss_value = loss(acts, z)
+    g_a = [acts.p[t] - z[t] for t in range(m)]
 
     # Chain gradients: forward chain feeds later layers, so walk it backward;
     # the backward chain feeds earlier layers, so walk it forward.
@@ -323,17 +306,7 @@ def backward(params: BinnParams, x, positives) -> tuple[float, BinnGradients]:
     grads = BinnGradients(
         dim=params.dim,
         sizes=params.sizes,
-        proj_w=[None] * m,
-        proj_b=[None] * m,
-        fwd_v=[None] * m,
-        fwd_h=[None] * m,
-        fwd_b=[None] * m,
-        bwd_v=[None] * m,
-        bwd_h=[None] * m,
-        bwd_b=[None] * m,
-        agg_fwd_u=[None] * m,
-        agg_bwd_u=[None] * m,
-        agg_b=[None] * m,
+        **{field: [None] * m for field, _ in _TENSOR_FIELDS},
     )
     g_x = np.zeros_like(xb)
     for t in range(m):

@@ -13,6 +13,7 @@ import dataclasses
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -50,8 +51,8 @@ MODEL_DEFAULTS = {
     "logreg": {"lr": 0.01, "iters": 35000},
 }
 
-_ADAM_M_PREFIX = "adam.m."
-_ADAM_V_PREFIX = "adam.v."
+# Training-state names of the Adam moments: "adam.m.<param>" and "adam.v.<param>".
+_ADAM_PREFIX = "adam."
 
 
 class UsageError(Exception):
@@ -116,36 +117,14 @@ class RunConfig:
             raise UsageError(f"top_k must be at least 1, got {self.top_k}")
 
 
-_RUN_FIELD_TYPES = {
-    "model": str,
-    "features": str,
-    "norm": str,
-    "l2": bool,
-    "lr": float,
-    "iters": int,
-    "batch_size": int,
-    "weight_decay": float,
-    "decay_factor": float,
-    "decay_every": int,
-    "epsilon": float,
-    "seed": int,
-    "log_every": int,
-    "top_k": int,
-}
-
-_SYNTH_FIELD_TYPES = {
-    "num_verticals": int,
-    "num_entities": int,
-    "max_parents": int,
-    "dim": int,
-    "audio_dim": int,
-    "mean_entities_per_video": float,
-    "noise_std": float,
-    "prototype_scale": float,
-    "num_train": int,
-    "num_val": int,
-    "seed": int,
-}
+def _field_types(cls) -> dict:
+    """Field name -> type of a settings dataclass, with ``X | None`` read as X."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for field in dataclasses.fields(cls):
+        args = [a for a in typing.get_args(hints[field.name]) if a is not type(None)]
+        types[field.name] = args[0] if args else hints[field.name]
+    return types
 
 
 def parse_config_file(path) -> dict:
@@ -189,18 +168,24 @@ def _coerce(key: str, value: str, typ):
         ) from None
 
 
-def _merge_config(defaults, field_types: dict, config_path, flag_values: dict):
-    """defaults < config file < explicitly passed flags."""
-    merged = dataclasses.asdict(defaults)
-    if config_path is not None:
-        for key, value in parse_config_file(config_path).items():
-            if key not in field_types:
+def _config_from_args(cls, args):
+    """defaults < config file < explicitly passed flags, then validated."""
+    types = _field_types(cls)
+    merged = dataclasses.asdict(cls())
+    if args.config is not None:
+        for key, value in parse_config_file(args.config).items():
+            if key not in types:
                 raise UsageError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, value, field_types[key])
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    return type(defaults)(**merged)
+            merged[key] = _coerce(key, value, types[key])
+    for key in types:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    cfg = cls(**merged)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return cfg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,32 +195,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_run_flags(sub) -> None:
+def _add_config_flags(sub, cls) -> None:
+    """``--config`` plus one ``--flag`` per field of the settings dataclass."""
     sub.add_argument("--config", default=None, help="key = value settings file")
-    sub.add_argument("--model", choices=sorted(MODEL_DEFAULTS), default=None)
-    sub.add_argument("--features", choices=["rgb", "rgb+audio"], default=None)
-    sub.add_argument("--norm", choices=["znorm", "pca"], default=None)
-    sub.add_argument(
-        "--l2", action=argparse.BooleanOptionalAction, default=None,
-        help="L2-normalize features after the fitted transform",
-    )
-    sub.add_argument("--lr", type=float, default=None)
-    sub.add_argument("--iters", type=int, default=None)
-    sub.add_argument("--batch-size", type=int, default=None)
-    sub.add_argument("--weight-decay", type=float, default=None)
-    sub.add_argument("--decay-factor", type=float, default=None)
-    sub.add_argument("--decay-every", type=int, default=None)
-    sub.add_argument("--epsilon", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--log-every", type=int, default=None)
-    sub.add_argument("--top-k", type=int, default=None)
-
-
-def _run_config_from_args(args) -> RunConfig:
-    flags = {key: getattr(args, key, None) for key in _RUN_FIELD_TYPES}
-    cfg = _merge_config(RunConfig(), _RUN_FIELD_TYPES, args.config, flags)
-    cfg.validate()
-    return cfg
+    for key, typ in _field_types(cls).items():
+        flag = "--" + key.replace("_", "-")
+        if typ is bool:
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            sub.add_argument(flag, type=typ, default=None)
 
 
 def build_parser() -> _Parser:
@@ -244,15 +212,13 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default=None)
-    for key, typ in _SYNTH_FIELD_TYPES.items():
-        p.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None)
+    _add_config_flags(p, SynthConfig)
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("fit-norm", help="fit a feature normalizer only")
     p.add_argument("--train", required=True, help="training shard")
     p.add_argument("--out", required=True, help="output checkpoint")
-    _add_run_flags(p)
+    _add_config_flags(p, RunConfig)
     p.set_defaults(func=cmd_fit_norm)
 
     p = subs.add_parser("train", help="train a model")
@@ -261,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output checkpoint")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--log", default=None, help="also write loss lines to this file")
-    _add_run_flags(p)
+    _add_config_flags(p, RunConfig)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("evaluate", help="compute metrics for a checkpoint")
@@ -284,12 +250,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_synth(args) -> int:
-    flags = {key: getattr(args, key, None) for key in _SYNTH_FIELD_TYPES}
-    try:
-        cfg = _merge_config(SynthConfig(), _SYNTH_FIELD_TYPES, args.config, flags)
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _config_from_args(SynthConfig, args)
     hierarchy, train, val = synth_generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     vocab_path = os.path.join(args.out, "vocab.txt")
@@ -339,7 +300,7 @@ def _check_records(records, hierarchy) -> None:
 
 
 def cmd_fit_norm(args) -> int:
-    cfg = _run_config_from_args(args)
+    cfg = _config_from_args(RunConfig, args)
     records = read_shard(args.train)
     features = _load_features(records, cfg.features)
     stats = _fit_normalizer(cfg, features)
@@ -358,67 +319,83 @@ def _multi_hot_matrix(records, layer: int, size: int) -> np.ndarray:
     return z
 
 
-def _split_adam_tensors(tensors: dict):
-    params = {}
-    m = {}
-    v = {}
-    for name, arr in tensors.items():
-        if name.startswith(_ADAM_M_PREFIX):
-            m[name[len(_ADAM_M_PREFIX):]] = arr
-        elif name.startswith(_ADAM_V_PREFIX):
-            v[name[len(_ADAM_V_PREFIX):]] = arr
-        else:
-            params[name] = arr
-    return params, m, v
+def _load_inputs(shard, hierarchy, features: str, ckpt: Checkpoint | None = None):
+    """A shard's records and raw features, checked against the vocabulary and,
+    when a checkpoint is given, against its layer sizes, feature dim and
+    normalizer."""
+    if ckpt is not None and list(ckpt.config.get("layer_sizes", [])) != list(hierarchy.sizes):
+        raise ValueError("checkpoint layer sizes do not match the vocabulary")
+    records = read_shard(shard)
+    if not records:
+        raise ValueError(f"shard {shard} is empty")
+    _check_records(records, hierarchy)
+    x = _load_features(records, features)
+    if ckpt is not None:
+        if x.shape[1] != ckpt.config.get("feature_dim"):
+            raise ValueError(
+                f"shard feature dim {x.shape[1]} does not match checkpoint "
+                f"feature dim {ckpt.config.get('feature_dim')}"
+            )
+        if ckpt.normalizer is None:
+            raise ValueError("checkpoint carries no normalizer")
+    return records, x
+
+
+def _init_params(model: str, hierarchy, dim: int, seed: int):
+    """Fresh parameters of the named model family for this vocabulary and dim."""
+    if model == "binn":
+        return binn.init_params(hierarchy.sizes, dim, seed)
+    if model == "logreg":
+        return baseline.init_params(hierarchy.sizes[-1], dim)
+    raise ValueError(f"checkpoint has unknown model {model!r}")
+
+
+def _restore(state: dict, stored: dict) -> None:
+    """Copy checkpoint arrays into ``state`` in place; names and shapes must match."""
+    if set(stored) != set(state):
+        missing = sorted(set(state) - set(stored))
+        extra = sorted(set(stored) - set(state))
+        raise ValueError(
+            f"checkpoint tensors do not match the model: missing {missing}, extra {extra}"
+        )
+    for name, arr in state.items():
+        if stored[name].shape != arr.shape:
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {stored[name].shape}, "
+                f"expected {arr.shape}"
+            )
+        arr[...] = stored[name]
 
 
 def cmd_train(args) -> int:
-    resume_ckpt: Checkpoint | None = None
-    if args.resume is not None:
-        resume_ckpt = load_checkpoint(args.resume)
-        stored = {
-            k: v for k, v in resume_ckpt.config.items() if k in _RUN_FIELD_TYPES
-        }
-        cfg = RunConfig(**stored)
-        if args.iters is not None:
-            cfg = dataclasses.replace(cfg, iters=args.iters)
-        cfg.validate()
-    else:
-        cfg = _run_config_from_args(args)
-    cfg = cfg.resolved()
-
     if args.vocab is None or args.train is None:
         raise UsageError("train requires --vocab and --train")
-    hierarchy = load_vocabulary(args.vocab)
-    records = read_shard(args.train)
-    if not records:
-        raise ValueError(f"training shard {args.train} is empty")
-    _check_records(records, hierarchy)
-    features = _load_features(records, cfg.features)
-    dim = int(features.shape[1])
-
-    if resume_ckpt is not None:
-        if resume_ckpt.config.get("feature_dim") != dim:
-            raise ValueError(
-                f"checkpoint feature dim {resume_ckpt.config.get('feature_dim')} "
-                f"does not match shard dim {dim}"
-            )
-        if list(resume_ckpt.config.get("layer_sizes", [])) != list(hierarchy.sizes):
-            raise ValueError("checkpoint layer sizes do not match the vocabulary")
-        if resume_ckpt.normalizer is None:
-            raise ValueError("resume checkpoint carries no normalizer")
-        stats = resume_ckpt.normalizer
+    resume = None
+    if args.resume is None:
+        cfg = _config_from_args(RunConfig, args)
     else:
-        stats = _fit_normalizer(cfg, features)
+        resume = load_checkpoint(args.resume)
+        fields = _field_types(RunConfig)
+        cfg = RunConfig(**{k: v for k, v in resume.config.items() if k in fields})
+        try:
+            cfg.validate()
+        except UsageError as exc:
+            raise ValueError(f"checkpoint {args.resume}: {exc}") from None
+        if args.iters is not None:
+            cfg = dataclasses.replace(cfg, iters=args.iters)
+            cfg.validate()
+    cfg = cfg.resolved()
+
+    hierarchy = load_vocabulary(args.vocab)
+    records, features = _load_inputs(args.train, hierarchy, cfg.features, resume)
+    dim = int(features.shape[1])
+    stats = resume.normalizer if resume is not None else _fit_normalizer(cfg, features)
     x_all = apply_normalizer(stats, features)
 
     targets = [
         _multi_hot_matrix(records, t, size) for t, size in enumerate(hierarchy.sizes)
     ]
-    if cfg.model == "binn":
-        params = binn.init_params(hierarchy.sizes, dim, cfg.seed)
-    else:
-        params = baseline.init_params(hierarchy.sizes[-1], dim)
+    params = _init_params(cfg.model, hierarchy, dim, cfg.seed)
     tensors = params.tensors()
     adam = optim.init_adam(
         tensors,
@@ -427,17 +404,15 @@ def cmd_train(args) -> int:
         decay_factor=cfg.decay_factor,
         decay_every=cfg.decay_every,
     )
-    if resume_ckpt is not None:
-        stored_params, stored_m, stored_v = _split_adam_tensors(resume_ckpt.tensors)
-        if set(stored_params) != set(tensors):
-            raise ValueError("checkpoint tensors do not match the model")
-        for name in tensors:
-            if tensors[name].shape != stored_params[name].shape:
-                raise ValueError(f"checkpoint tensor {name!r} has the wrong shape")
-            tensors[name][...] = stored_params[name]
-            adam.m[name][...] = stored_m[name]
-            adam.v[name][...] = stored_v[name]
-        adam.step = resume_ckpt.step
+    # The whole training state by checkpoint name; every entry shares storage
+    # with the parameters or the Adam moments.
+    state = dict(tensors)
+    for name in tensors:
+        state[f"{_ADAM_PREFIX}m.{name}"] = adam.m[name]
+        state[f"{_ADAM_PREFIX}v.{name}"] = adam.v[name]
+    if resume is not None:
+        _restore(state, resume.tensors)
+        adam.step = resume.step
 
     log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
 
@@ -485,13 +460,7 @@ def cmd_train(args) -> int:
             "layer_names": [layer.name for layer in hierarchy.layers],
         }
     )
-    out_tensors = dict(tensors)
-    for name in tensors:
-        out_tensors[_ADAM_M_PREFIX + name] = adam.m[name]
-        out_tensors[_ADAM_V_PREFIX + name] = adam.v[name]
-    save_checkpoint(
-        args.out, step=adam.step, config=config, tensors=out_tensors, normalizer=stats
-    )
+    save_checkpoint(args.out, step=adam.step, config=config, tensors=state, normalizer=stats)
     print(f"trained {cfg.model} for {adam.step} steps; wrote {args.out}")
     return EXIT_OK
 
@@ -499,15 +468,13 @@ def cmd_train(args) -> int:
 def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
     """Per-layer label probabilities from the checkpoint's model."""
     model = ckpt.config.get("model")
-    tensors, _, _ = _split_adam_tensors(ckpt.tensors)
+    params = _init_params(model, hierarchy, x.shape[1], seed=0)
+    _restore(
+        params.tensors(),
+        {k: v for k, v in ckpt.tensors.items() if not k.startswith(_ADAM_PREFIX)},
+    )
     if model == "binn":
-        params = binn.BinnParams.from_tensors(hierarchy.sizes, x.shape[1], tensors)
         return dict(enumerate(binn.predict(params, x)))
-    if model != "logreg":
-        raise ValueError(f"checkpoint has unknown model {model!r}")
-    params = baseline.LogRegParams.from_tensors(tensors)
-    if params.num_classes != hierarchy.sizes[-1] or params.dim != x.shape[1]:
-        raise ValueError("checkpoint weights do not match vocabulary/features")
     m = hierarchy.num_layers
     probs = baseline.predict(params, x)
     scores = {m - 1: probs}
@@ -522,19 +489,9 @@ def _prepare_eval(args):
     if top_k < 1:
         raise UsageError(f"top_k must be at least 1, got {top_k}")
     hierarchy = load_vocabulary(args.vocab)
-    if list(ckpt.config.get("layer_sizes", [])) != list(hierarchy.sizes):
-        raise ValueError("checkpoint layer sizes do not match the vocabulary")
-    records = read_shard(args.shard)
-    if not records:
-        raise ValueError(f"shard {args.shard} is empty")
-    _check_records(records, hierarchy)
-    features = _load_features(records, ckpt.config.get("features", "rgb"))
-    if features.shape[1] != ckpt.config.get("feature_dim"):
-        raise ValueError(
-            f"shard feature dim {features.shape[1]} does not match checkpoint"
-        )
-    if ckpt.normalizer is None:
-        raise ValueError("checkpoint carries no normalizer")
+    records, features = _load_inputs(
+        args.shard, hierarchy, ckpt.config.get("features", "rgb"), ckpt
+    )
     x = apply_normalizer(ckpt.normalizer, features)
     return hierarchy, records, _layer_scores(ckpt, hierarchy, x), top_k
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 import zlib
 
@@ -172,12 +173,28 @@ def write_shard(path, records) -> None:
     body = bytearray(struct.pack("<Q", len(records)))
     for rec in records:
         body += _encode_record(rec)
-    crc = zlib.crc32(bytes(body))
-    with open(path, "wb") as fh:
-        fh.write(SHARD_MAGIC)
-        fh.write(struct.pack("<H", SHARD_VERSION))
-        fh.write(body)
-        fh.write(struct.pack("<I", crc))
+    _write_file(path, SHARD_MAGIC, SHARD_VERSION, body)
+
+
+def _write_file(path, magic: bytes, version: int, body: bytearray) -> None:
+    """Write magic, version, body and the body's CRC32 to ``path`` atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one rename: a crash mid-write leaves the previous
+    file intact, and the temporary file is removed on failure.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<H", version))
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Cursor:
@@ -319,12 +336,7 @@ def save_checkpoint(path, *, step: int, config: dict, tensors, normalizer=None) 
         for dim in arr.shape:
             body += struct.pack("<I", dim)
         body += arr.astype(code).tobytes()
-    crc = zlib.crc32(bytes(body))
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(body)
-        fh.write(struct.pack("<I", crc))
+    _write_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, body)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -108,30 +108,57 @@ def _iter_rows(data):
             yield row
 
 
-def fit_znorm(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) -> NormalizerStats:
-    """Fit per-dimension standardization in one streaming pass (Welford).
+def _shifted_moments(data, diagonal: bool):
+    """One streaming pass of moment sums over rows shifted by the first row.
 
-    Variance is the population variance (divide by N). Needs at least two
-    samples; dimensions with standard deviation below epsilon are clamped to
-    epsilon so constant dimensions map to zero.
+    Returns (count, shift, s1, s2): s1 sums the shifted rows and s2 their
+    outer products, or only their squares when ``diagonal``. Rows are summed
+    in blocks of 512, so a block costs a few array operations, not one per row.
     """
     count = 0
-    mean = None
-    m2 = None
+    shift = s1 = s2 = None
+    buf: list[np.ndarray] = []
+
+    def drain() -> None:
+        nonlocal s1, s2
+        if buf:
+            block = np.stack(buf)
+            s1 += block.sum(axis=0)
+            s2 += (block * block).sum(axis=0) if diagonal else block.T @ block
+            buf.clear()
+
     for row in _iter_rows(data):
         row = row.astype(np.float64, copy=False)
-        if mean is None:
-            mean = np.zeros_like(row)
-            m2 = np.zeros_like(row)
+        if shift is None:
+            shift = row.copy()
+            d = row.shape[0]
+            s1 = np.zeros(d)
+            s2 = np.zeros(d) if diagonal else np.zeros((d, d))
         count += 1
-        delta = row - mean
-        mean = mean + delta / count
-        m2 = m2 + delta * (row - mean)
+        buf.append(row - shift)
+        if len(buf) >= 512:
+            drain()
+    drain()
     if count < 2:
         raise ValueError(f"need at least 2 samples to fit a normalizer, got {count}")
-    std = np.sqrt(m2 / count)
-    scale = np.maximum(std, epsilon)
-    return NormalizerStats("znorm", mean, scale, epsilon=epsilon, l2_after=l2_after)
+    return count, shift, s1, s2
+
+
+def fit_znorm(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) -> NormalizerStats:
+    """Fit per-dimension standardization in one streaming pass.
+
+    Variance is the population variance (divide by N), from sums shifted by
+    the first sample for stability. Needs at least two samples; dimensions
+    with standard deviation below epsilon are clamped to epsilon so constant
+    dimensions map to zero.
+    """
+    count, shift, s1, s2 = _shifted_moments(data, diagonal=True)
+    mean_shifted = s1 / count
+    var = np.maximum(s2 / count - mean_shifted * mean_shifted, 0.0)
+    scale = np.maximum(np.sqrt(var), epsilon)
+    return NormalizerStats(
+        "znorm", shift + mean_shifted, scale, epsilon=epsilon, l2_after=l2_after
+    )
 
 
 def fit_pca_whitening(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) -> NormalizerStats:
@@ -142,34 +169,7 @@ def fit_pca_whitening(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool 
     eigenvectors scaled by 1/sqrt(eigenvalue + epsilon), eigenvalues clamped
     at zero and sorted in decreasing order.
     """
-    count = 0
-    shift = None
-    s1 = None
-    s2 = None
-    buf: list[np.ndarray] = []
-
-    def drain() -> None:
-        nonlocal s1, s2
-        if buf:
-            block = np.stack(buf)
-            s1 += block.sum(axis=0)
-            s2 += block.T @ block
-            buf.clear()
-
-    for row in _iter_rows(data):
-        row = row.astype(np.float64, copy=False)
-        if shift is None:
-            shift = row.copy()
-            d = row.shape[0]
-            s1 = np.zeros(d)
-            s2 = np.zeros((d, d))
-        count += 1
-        buf.append(row - shift)
-        if len(buf) >= 512:
-            drain()
-    drain()
-    if count < 2:
-        raise ValueError(f"need at least 2 samples to fit a normalizer, got {count}")
+    count, shift, s1, s2 = _shifted_moments(data, diagonal=False)
     mean_shifted = s1 / count
     cov = s2 / count - np.outer(mean_shifted, mean_shifted)
     cov = (cov + cov.T) / 2.0

@@ -388,6 +388,31 @@ class TestDeterminismAndResume:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("defect", ["unknown model", "missing tensor", "wrong shape"])
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    def test_bad_checkpoint_model_is_data_error(self, dataset, tmp_path, capsys, command, defect):
+        good = tmp_path / "good.ckpt"
+        assert main(train_args(dataset, good, "--model", "logreg", "--iters", "5")) == 0
+        ckpt = load_checkpoint(good)
+        config, tensors = dict(ckpt.config), dict(ckpt.tensors)
+        if defect == "unknown model":
+            config["model"] = "mlp"
+        elif defect == "missing tensor":
+            del tensors["weights"]
+        else:
+            tensors["weights"] = np.zeros((3, 3))
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, step=ckpt.step, config=config, tensors=tensors,
+                        normalizer=ckpt.normalizer)
+        capsys.readouterr()
+        if command == "evaluate":
+            argv = ["evaluate", "--ckpt", str(bad), "--vocab", str(dataset / "vocab.txt"),
+                    "--shard", str(dataset / "val.shard"), "--out", str(tmp_path / "rep")]
+        else:
+            argv = train_args(dataset, tmp_path / "o.ckpt", "--resume", str(bad), "--iters", "10")
+        assert main(argv) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_resume_requires_normalizer(self, dataset, tmp_path, capsys):
         bare = tmp_path / "bare.ckpt"
         cfg = {"model": "logreg", "feature_dim": 8, "layer_sizes": [6, 20]}

@@ -294,6 +294,29 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_shard(path, sample_records()),
+            lambda path: save_checkpoint(path, step=1, config={}, tensors={"w": np.ones(3)}),
+        ],
+        ids=["shard", "checkpoint"],
+    )
+    def test_failed_replace_keeps_existing_file(self, tmp_path, monkeypatch, write):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"previous contents")
+
+        def fail(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr("hlvc.data.os.replace", fail)
+        with pytest.raises(OSError, match="simulated crash"):
+            write(target)
+        assert target.read_bytes() == b"previous contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
 class TestBatchIndices:
     def test_partitions_every_index_once(self):
         batches = list(batch_indices(103, 10, seed=0, epoch=0))
