@@ -11,9 +11,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import expit
 
-from .binn import NumericError, _as_multi_hot
+from .binn import NumericError, _as_multi_hot, cross_entropy, sigmoid
 
 
 @dataclasses.dataclass
@@ -67,7 +66,7 @@ def predict(params: LogRegParams, x) -> np.ndarray:
     z = xb @ params.weights.T
     if not np.isfinite(z).all():
         raise NumericError("non-finite logistic scores")
-    probs = expit(z)
+    probs = sigmoid(z, out=z)
     return probs[0] if squeeze else probs
 
 
@@ -89,8 +88,10 @@ def loss_grad(
     z = xb @ params.weights.T
     if not np.isfinite(z).all():
         raise NumericError("non-finite logistic scores")
-    value = float((np.logaddexp(0.0, z) - y * z).sum())
-    grad = (expit(z) - y).T @ xb
+    p = sigmoid(z)
+    value = cross_entropy(z, p, y)
+    p -= y
+    grad = p.T @ xb
     if l2_penalty:
         value += 0.5 * l2_penalty * float((params.weights[:, :-1] ** 2).sum())
         grad[:, :-1] += l2_penalty * params.weights[:, :-1]

@@ -29,7 +29,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class NumericError(FloatingPointError):
@@ -185,6 +184,34 @@ def init_params(layers, dim: int, seed: int) -> BinnParams:
     )
 
 
+def sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic 1 / (1 + exp(-a)), the formula of scipy's expit.
+
+    exp(-a) overflows to inf below a = -709, which gives exactly 0; that
+    overflow is expected, so its warning is silenced here only. ``out`` may
+    be ``a`` itself.
+    """
+    with np.errstate(over="ignore"):
+        out = np.negative(a, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
+
+
+def cross_entropy(a: np.ndarray, p: np.ndarray, z: np.ndarray) -> float:
+    """Summed sigmoid cross entropy from logits ``a``, their sigmoid ``p``
+    and 0/1 targets ``z``.
+
+    Uses softplus(a) = max(a, 0) + log(1 + exp(-|a|)) and
+    1 / (1 + exp(-|a|)) = max(p, 1 - p), so the loss reuses the sigmoid the
+    caller already has and stays finite when p saturates at 0 or 1.
+    """
+    q = np.subtract(1.0, p)
+    np.maximum(q, p, out=q)
+    np.log(q, out=q)
+    return float(np.maximum(a, 0.0).sum() - q.sum() - np.vdot(z, a))
+
+
 def _as_batch(params: BinnParams, x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -225,7 +252,7 @@ def forward(params: BinnParams, x) -> BinnActivations:
     for t in range(m):
         if not np.isfinite(a[t]).all() or not np.isfinite(fwd[t]).all() or not np.isfinite(bwd[t]).all():
             raise NumericError(f"non-finite activation in layer {t}")
-    p = [expit(a[t]) for t in range(m)]
+    p = [sigmoid(a[t]) for t in range(m)]
     if squeeze:
         return BinnActivations(
             x_t=[v[0] for v in x_t],
@@ -257,15 +284,15 @@ def loss(acts: BinnActivations, positives) -> float:
 
     ``positives`` is a per-layer sequence: index collections for single
     vectors, multi-hot arrays matching the activation shapes for batches.
-    Computed from pre-activations in softplus form, so saturated sigmoids
-    do not produce infinities.
+    Computed by ``cross_entropy`` from the pre-activations and the
+    probabilities ``forward`` already holds, so saturated sigmoids do not
+    produce infinities.
     """
     if len(positives) != len(acts.a):
         raise ValueError(f"expected labels for {len(acts.a)} layers, got {len(positives)}")
     total = 0.0
-    for a_t, pos_t in zip(acts.a, positives):
-        z = _as_multi_hot(pos_t, a_t.shape)
-        total += float((np.logaddexp(0.0, a_t) - z * a_t).sum())
+    for a_t, p_t, pos_t in zip(acts.a, acts.p, positives):
+        total += cross_entropy(a_t, p_t, _as_multi_hot(pos_t, a_t.shape))
     return total
 
 
@@ -346,5 +373,5 @@ def predict(params: BinnParams, x) -> list:
         a += a_basis[0]
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite activation in layer {t}")
-        probs.append(expit(a, out=a))
+        probs.append(sigmoid(a, out=a))
     return [p[0] for p in probs] if squeeze else probs

@@ -23,6 +23,7 @@ from .data import (
     CheckpointError,
     ShardError,
     SynthConfig,
+    atomic_open,
     batch_indices,
     load_checkpoint,
     read_shard,
@@ -38,7 +39,7 @@ from .features import (
     fit_znorm,
 )
 from .hierarchy import VocabularyError, load_vocabulary, save_vocabulary
-from .metrics import PredictionSet, evaluate
+from .metrics import PredictionSet, evaluate, top_labels
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,6 +126,29 @@ def _field_types(cls) -> dict:
         args = [a for a in typing.get_args(hints[field.name]) if a is not type(None)]
         types[field.name] = args[0] if args else hints[field.name]
     return types
+
+
+def _stored_config(stored: dict) -> RunConfig:
+    """The settings a checkpoint was written with, type-checked and validated.
+
+    A JSON int is accepted where a float is meant; any other type mismatch,
+    or None in a field that is not optional, raises UsageError.
+    """
+    hints = typing.get_type_hints(RunConfig)
+    values = {}
+    for key, typ in _field_types(RunConfig).items():
+        if key not in stored:
+            continue
+        value = stored[key]
+        if typ is float and type(value) is int:
+            value = float(value)
+        optional = value is None and type(None) in typing.get_args(hints[key])
+        if type(value) is not typ and not optional:
+            raise UsageError(f"setting {key!r}: expected {typ.__name__}, got {value!r}")
+        values[key] = value
+    cfg = RunConfig(**values)
+    cfg.validate()
+    return cfg
 
 
 def parse_config_file(path) -> dict:
@@ -299,9 +323,17 @@ def _check_records(records, hierarchy) -> None:
                 )
 
 
+def _read_records(shard) -> list:
+    """A shard's records; an empty shard is a data error."""
+    records = read_shard(shard)
+    if not records:
+        raise ValueError(f"shard {shard} is empty")
+    return records
+
+
 def cmd_fit_norm(args) -> int:
     cfg = _config_from_args(RunConfig, args)
-    records = read_shard(args.train)
+    records = _read_records(args.train)
     features = _load_features(records, cfg.features)
     stats = _fit_normalizer(cfg, features)
     config = dataclasses.asdict(cfg)
@@ -325,9 +357,7 @@ def _load_inputs(shard, hierarchy, features: str, ckpt: Checkpoint | None = None
     normalizer."""
     if ckpt is not None and list(ckpt.config.get("layer_sizes", [])) != list(hierarchy.sizes):
         raise ValueError("checkpoint layer sizes do not match the vocabulary")
-    records = read_shard(shard)
-    if not records:
-        raise ValueError(f"shard {shard} is empty")
+    records = _read_records(shard)
     _check_records(records, hierarchy)
     x = _load_features(records, features)
     if ckpt is not None:
@@ -375,10 +405,8 @@ def cmd_train(args) -> int:
         cfg = _config_from_args(RunConfig, args)
     else:
         resume = load_checkpoint(args.resume)
-        fields = _field_types(RunConfig)
-        cfg = RunConfig(**{k: v for k, v in resume.config.items() if k in fields})
         try:
-            cfg.validate()
+            cfg = _stored_config(resume.config)
         except UsageError as exc:
             raise ValueError(f"checkpoint {args.resume}: {exc}") from None
         if args.iters is not None:
@@ -509,9 +537,9 @@ def cmd_evaluate(args) -> int:
         pred = PredictionSet(scores[t], [rec.labels[t] for rec in records])
         report = evaluate(pred, layer=layer.name, top_k=top_k)
         base = os.path.join(args.out, f"eval_{layer.name}")
-        with open(base + ".txt", "w", encoding="utf-8") as fh:
+        with atomic_open(base + ".txt", "w", encoding="utf-8") as fh:
             fh.write(report.to_text())
-        with open(base + ".json", "w", encoding="utf-8") as fh:
+        with atomic_open(base + ".json", "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
         print(
             f"{layer.name}: mean_ap={report.mean_ap:.6f} gap={report.gap:.6f} "
@@ -522,17 +550,19 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     hierarchy, records, scores, top_k = _prepare_eval(args)
+    ranked = []
+    for t in sorted(scores):
+        top = top_labels(scores[t], top_k)
+        best = np.take_along_axis(scores[t], top, axis=1)
+        ranked.append((hierarchy.layers[t], top.tolist(), best.tolist()))
     lines = []
     for i, rec in enumerate(records):
-        for t in sorted(scores):
-            layer = hierarchy.layers[t]
-            row = scores[t][i]
-            top = np.argsort(-row, kind="stable")[: min(top_k, row.size)]
-            for idx in top:
+        for layer, top, best in ranked:
+            for idx, score in zip(top[i], best[i]):
                 lines.append(
-                    f"{rec.video_id}\t{layer.name}\t{layer.labels[idx]}\t{row[idx]:.6f}"
+                    f"{rec.video_id}\t{layer.name}\t{layer.labels[idx]}\t{score:.6f}"
                 )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     print(f"wrote {len(lines)} predictions for {len(records)} videos to {args.out}")
     return EXIT_OK

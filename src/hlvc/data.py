@@ -24,6 +24,7 @@ along under reserved "norm." tensor names plus a "normalizer" config entry.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -176,25 +177,32 @@ def write_shard(path, records) -> None:
     _write_file(path, SHARD_MAGIC, SHARD_VERSION, body)
 
 
-def _write_file(path, magic: bytes, version: int, body: bytearray) -> None:
-    """Write magic, version, body and the body's CRC32 to ``path`` atomically.
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside ``path`` that replaces it on success.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path`` in one rename: a crash mid-write leaves the previous
-    file intact, and the temporary file is removed on failure.
+    The file is written in full and then renamed over ``path`` in one
+    ``os.replace``: a crash mid-write leaves the previous file intact, and
+    the temporary file is removed on failure.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack("<H", version))
-            fh.write(body)
-            fh.write(struct.pack("<I", zlib.crc32(body)))
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _write_file(path, magic: bytes, version: int, body: bytearray) -> None:
+    """Write magic, version, body and the body's CRC32 to ``path`` atomically."""
+    with atomic_open(path) as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<H", version))
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 class _Cursor:

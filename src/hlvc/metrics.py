@@ -3,7 +3,8 @@
 All metrics share one deterministic tie rule: equal scores rank by lower
 index (video index for per-class rankings, label index within a video, and
 video-then-label in the pooled global ranking). Rankings use stable sorts
-on negated scores so the rule holds exactly.
+on negated scores so the rule holds exactly; per-video rankings sort only
+the top labels they read (``top_labels``).
 """
 
 from __future__ import annotations
@@ -58,6 +59,26 @@ class PredictionSet:
         return mask
 
 
+def top_labels(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k best label indices, best first: (V, min(k, C)).
+
+    The result equals ``np.argsort(-scores, axis=1, kind="stable")[:, :k]``
+    for finite scores, ties included (equal scores rank by lower index).
+    Each row is partitioned at its k-th largest score; the slots tied at that
+    score go to the lowest indices, and only the k picked labels are sorted.
+    """
+    c = scores.shape[1]
+    k = min(k, c)
+    kth = np.partition(scores, c - k, axis=1)[:, c - k, None]
+    take = scores > kth
+    tied = scores == kth
+    need = k - take.sum(axis=1, keepdims=True)
+    take |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need)
+    cols = np.nonzero(take)[1].reshape(-1, k)
+    order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def hit_at_1(pred: PredictionSet) -> float:
     """Fraction of videos whose single top-scored label is a positive."""
     top = pred.scores.argmax(axis=1)
@@ -71,14 +92,16 @@ def perr(pred: PredictionSet) -> float:
     labels, averaged over videos. Every video must have at least one
     positive.
     """
-    order = np.argsort(-pred.scores, axis=1, kind="stable")
-    total = 0.0
-    for v, pos in enumerate(pred.positives):
-        g = pos.size
-        if g == 0:
-            raise ValueError(f"video {v} has no positive labels; PERR is undefined")
-        total += float(pred.pos_mask[v, order[v, :g]].mean())
-    return total / pred.num_videos
+    g = np.array([pos.size for pos in pred.positives])
+    if not g.all():
+        v = int(np.argmin(g))
+        raise ValueError(f"video {v} has no positive labels; PERR is undefined")
+    rows = np.arange(pred.num_videos)
+    hits = pred.pos_mask[rows[:, None], top_labels(pred.scores, int(g.max()))]
+    precision = np.cumsum(hits, axis=1)[rows, g - 1] / g
+    # A running total in video order (cumsum, not sum's pairwise reduction),
+    # so the value does not depend on how numpy blocks the sum.
+    return float(np.cumsum(precision)[-1]) / pred.num_videos
 
 
 def mean_average_precision(pred: PredictionSet) -> tuple[float, np.ndarray]:
@@ -115,9 +138,8 @@ def global_average_precision(pred: PredictionSet, top_k: int = DEFAULT_TOP_K) ->
     if total_pos == 0:
         raise ValueError("no positives anywhere; global AP is undefined")
     k = min(top_k, pred.num_labels)
-    order = np.argsort(-pred.scores, axis=1, kind="stable")[:, :k]
     rows = np.repeat(np.arange(pred.num_videos), k)
-    cols = order.ravel()
+    cols = top_labels(pred.scores, k).ravel()
     pooled_scores = pred.scores[rows, cols]
     rel = pred.pos_mask[rows, cols]
     ranking = np.lexsort((cols, rows, -pooled_scores))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,38 @@ class TestLoss:
         acts = binn.forward(params, np.zeros(2))
         with pytest.raises(IndexError):
             binn.loss(acts, [[3]])
+
+
+class TestLabelKernels:
+    def test_sigmoid_matches_scipy_expit(self):
+        from scipy.special import expit
+
+        rng = np.random.default_rng(20)
+        a = np.concatenate([np.linspace(-800.0, 800.0, 160001), rng.normal(scale=30, size=4000)])
+        np.testing.assert_allclose(binn.sigmoid(a), expit(a), rtol=1e-15, atol=0)
+
+    def test_sigmoid_saturates_exactly_without_warning(self):
+        a = np.array([-1e4, -800.0, 0.0, 800.0, 1e4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = binn.sigmoid(a)
+            out = a.copy()
+            binn.sigmoid(out, out=out)
+        np.testing.assert_array_equal(p, [0.0, 0.0, 0.5, 1.0, 1.0])
+        np.testing.assert_array_equal(out, p)
+
+    @pytest.mark.parametrize("scale", [0.1, 5.0, 60.0])
+    def test_cross_entropy_matches_logaddexp_form(self, scale):
+        rng = np.random.default_rng(21)
+        a = rng.normal(scale=scale, size=(64, 30))
+        a[0, :6] = [1e4, -1e4, 1e4, -1e4, 800.0, -800.0]
+        z = (rng.random(a.shape) < 0.3).astype(np.float64)
+        z[0, :4] = [1.0, 1.0, 0.0, 0.0]
+        want = float((np.logaddexp(0.0, a) - z * a).sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = binn.cross_entropy(a, binn.sigmoid(a), z)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestBackward:

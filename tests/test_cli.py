@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -248,6 +252,16 @@ class TestFitNorm:
         assert ckpt.normalizer.scale.shape == (8, 8)
         assert ckpt.normalizer.l2_after is False
 
+    @pytest.mark.parametrize("command", ["fit-norm", "train"])
+    def test_empty_shard_is_data_error(self, dataset, tmp_path, capsys, command):
+        empty = tmp_path / "empty.shard"
+        write_shard(empty, [])
+        argv = [command, "--train", str(empty), "--out", str(tmp_path / "o.ckpt")]
+        if command == "train":
+            argv += ["--vocab", str(dataset / "vocab.txt")]
+        assert main(argv) == 2
+        assert f"data error: shard {empty} is empty" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_logreg_smoke(self, dataset, tmp_path, capsys):
@@ -413,6 +427,32 @@ class TestDeterminismAndResume:
         assert main(argv) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, iters, code",
+        [
+            ("lr", "fast", "10", 2),
+            ("batch_size", 2.5, "10", 2),
+            ("l2", "yes", "10", 2),
+            ("lr", 0.01, "0", 1),
+        ],
+        ids=["str-lr", "float-batch-size", "str-l2", "bad-iters-flag"],
+    )
+    def test_bad_stored_setting_is_data_error(self, dataset, tmp_path, capsys, key, value, iters, code):
+        good = tmp_path / "good.ckpt"
+        assert main(train_args(dataset, good, "--model", "logreg", "--iters", "5")) == 0
+        ckpt = load_checkpoint(good)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, step=ckpt.step, config={**ckpt.config, key: value},
+                        tensors=ckpt.tensors, normalizer=ckpt.normalizer)
+        capsys.readouterr()
+        argv = train_args(dataset, tmp_path / "o.ckpt", "--resume", str(bad), "--iters", iters)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "data error" in err and str(bad) in err and repr(key) in err
+        else:
+            assert err.startswith("error: iters")
+
     def test_resume_requires_normalizer(self, dataset, tmp_path, capsys):
         bare = tmp_path / "bare.ckpt"
         cfg = {"model": "logreg", "feature_dim": 8, "layer_sizes": [6, 20]}
@@ -524,3 +564,32 @@ class TestPredict:
         assert code == 0
         capsys.readouterr()
         assert len(out.read_text().splitlines()) == 8  # capped at 2 per layer
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_failed_replace_keeps_previous_report(perfect_setup, tmp_path, monkeypatch, command):
+    vocab, shard, ckpt = perfect_setup
+    out_dir = tmp_path / "rep"
+    out_dir.mkdir()
+    target = out_dir / ("eval_verticals.txt" if command == "evaluate" else "preds.tsv")
+    target.write_bytes(b"previous report\n")
+
+    def fail(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr("hlvc.data.os.replace", fail)
+    argv = [command, "--ckpt", str(ckpt), "--vocab", str(vocab), "--shard", str(shard),
+            "--out", str(out_dir if command == "evaluate" else target)]
+    with pytest.raises(OSError, match="simulated crash"):
+        main(argv)
+    assert target.read_bytes() == b"previous report\n"
+    assert [p.name for p in out_dir.iterdir()] == [target.name]
+
+
+def test_cli_import_leaves_scipy_out():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, hlvc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

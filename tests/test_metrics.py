@@ -10,6 +10,7 @@ from hlvc.metrics import (
     hit_at_1,
     mean_average_precision,
     perr,
+    top_labels,
 )
 from reference_metrics import (
     ref_global_average_precision,
@@ -54,6 +55,22 @@ class TestOracleEquivalence:
                 assert global_average_precision(pred, top_k=k) == pytest.approx(
                     ref_global_average_precision(rows, pos, k), abs=1e-12
                 )
+
+
+class TestTopLabels:
+    @pytest.mark.parametrize("k_from_c", [lambda c: 1, lambda c: 3, lambda c: c - 1,
+                                          lambda c: c, lambda c: c + 5],
+                             ids=["1", "3", "C-1", "C", "C+5"])
+    def test_matches_stable_argsort_on_ties(self, k_from_c):
+        rng = np.random.default_rng(30)
+        for c in (2, 7, 40):
+            scores = np.round(rng.random((60, c)) * 4) / 4.0  # five levels: many ties
+            scores[0] = 0.5  # one row tied throughout
+            scores[1, : c // 2] = -0.0
+            scores[1, c // 2 :] = 0.0
+            k = k_from_c(c)
+            want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(top_labels(scores, k), want)
 
 
 class TestHitAt1:
