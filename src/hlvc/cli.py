@@ -25,6 +25,7 @@ from .data import (
     SynthConfig,
     atomic_open,
     batch_indices,
+    check_finite,
     load_checkpoint,
     read_shard,
     save_checkpoint,
@@ -90,6 +91,7 @@ class RunConfig:
         return out
 
     def validate(self) -> None:
+        check_finite(self, UsageError)
         if self.model not in MODEL_DEFAULTS:
             raise UsageError(f"unknown model {self.model!r}")
         if self.features not in ("rgb", "rgb+audio"):
@@ -529,12 +531,13 @@ def cmd_evaluate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for t in sorted(scores):
         layer = hierarchy.layers[t]
-        unlabeled = next((rec for rec in records if not rec.labels[t].size), None)
-        if unlabeled is not None:
-            raise ValueError(
-                f"record {unlabeled.video_id!r} has no {layer.name} labels; PERR is undefined"
-            )
         pred = PredictionSet(scores[t], [rec.labels[t] for rec in records])
+        unlabeled = np.flatnonzero(pred.num_positives == 0)
+        if unlabeled.size:
+            raise ValueError(
+                f"record {records[unlabeled[0]].video_id!r} has no {layer.name} labels; "
+                "PERR is undefined"
+            )
         report = evaluate(pred, layer=layer.name, top_k=top_k)
         base = os.path.join(args.out, f"eval_{layer.name}")
         with atomic_open(base + ".txt", "w", encoding="utf-8") as fh:

@@ -24,8 +24,8 @@ along under reserved "norm." tensor names plus a "normalizer" config entry.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -34,6 +34,7 @@ import zlib
 
 import numpy as np
 
+from .atomic import atomic_open
 from .features import NormalizerStats, mean_pool, concat_audio
 from .hierarchy import LabelHierarchy, ConceptLayer
 
@@ -171,38 +172,24 @@ def _encode_record(rec: VideoRecord) -> bytes:
 def write_shard(path, records) -> None:
     """Write records to a shard file with a trailing checksum."""
     records = list(records)
-    body = bytearray(struct.pack("<Q", len(records)))
-    for rec in records:
-        body += _encode_record(rec)
-    _write_file(path, SHARD_MAGIC, SHARD_VERSION, body)
+    chunks = itertools.chain([struct.pack("<Q", len(records))], map(_encode_record, records))
+    _write_file(path, SHARD_MAGIC, SHARD_VERSION, chunks)
 
 
-@contextlib.contextmanager
-def atomic_open(path, mode: str = "wb", **kwargs):
-    """Open a temporary file beside ``path`` that replaces it on success.
+def _write_file(path, magic: bytes, version: int, chunks) -> None:
+    """Write magic, version, the body and the body's CRC32 to ``path`` atomically.
 
-    The file is written in full and then renamed over ``path`` in one
-    ``os.replace``: a crash mid-write leaves the previous file intact, and
-    the temporary file is removed on failure.
+    The body is an iterable of byte chunks, written as they come and folded
+    into a running CRC32, so the whole file is never held in memory.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _write_file(path, magic: bytes, version: int, body: bytearray) -> None:
-    """Write magic, version, body and the body's CRC32 to ``path`` atomically."""
+    crc = 0
     with atomic_open(path) as fh:
         fh.write(magic)
         fh.write(struct.pack("<H", version))
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+        for chunk in chunks:
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 class _Cursor:
@@ -323,28 +310,32 @@ def save_checkpoint(path, *, step: int, config: dict, tensors, normalizer=None) 
     else:
         config["normalizer"] = None
 
-    body = bytearray(struct.pack("<Q", step))
+    _write_file(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _checkpoint_chunks(step, config, entries)
+    )
+
+
+def _checkpoint_chunks(step: int, config: dict, entries: dict):
+    """The checkpoint body as byte chunks: header fields, then one tensor at a time."""
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    body += struct.pack("<I", len(blob))
-    body += blob
-    body += struct.pack("<I", len(entries))
+    yield struct.pack("<QI", step, len(blob)) + blob + struct.pack("<I", len(entries))
     for name in sorted(entries):
         arr = np.asarray(entries[name])
         if arr.dtype == np.float32:
             dtype_byte, code = 0, "<f4"
         else:
-            arr = arr.astype(np.float64, copy=False)
             dtype_byte, code = 1, "<f8"
         name_bytes = name.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name!r}")
-        body += struct.pack("<H", len(name_bytes))
-        body += name_bytes
-        body += struct.pack("<BB", dtype_byte, arr.ndim)
-        for dim in arr.shape:
-            body += struct.pack("<I", dim)
-        body += arr.astype(code).tobytes()
-    _write_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, body)
+        yield (
+            struct.pack("<H", len(name_bytes))
+            + name_bytes
+            + struct.pack(f"<BB{arr.ndim}I", dtype_byte, arr.ndim, *arr.shape)
+        )
+        # Written from the array's own buffer when it is already contiguous
+        # in the file's dtype; otherwise converted, one tensor at a time.
+        yield np.ascontiguousarray(arr, dtype=code)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -409,6 +400,17 @@ def batch_indices(count: int, batch_size: int, seed: int, epoch: int):
         yield perm[start : start + batch_size]
 
 
+def check_finite(settings, error=ValueError) -> None:
+    """Raise ``error`` naming the first float setting that is NaN or infinite.
+
+    Range checks such as ``lr <= 0`` are false for NaN, so they let it pass.
+    """
+    for field in dataclasses.fields(settings):
+        value = getattr(settings, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{field.name} must be finite, got {value}")
+
+
 @dataclasses.dataclass
 class SynthConfig:
     """Knobs for the synthetic two-layer dataset generator."""
@@ -426,6 +428,7 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_finite(self)
         if self.num_verticals < 1 or self.num_entities < 1:
             raise ValueError("need at least one vertical and one entity")
         if not (1 <= self.max_parents <= 3):

@@ -31,6 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .atomic import atomic_open
+
 MIN_PARENTS = 1
 MAX_PARENTS = 3
 
@@ -181,7 +183,7 @@ class LabelHierarchy:
 
 
 def save_vocabulary(hierarchy: LabelHierarchy, path) -> None:
-    """Write a hierarchy in the plain-text vocabulary format."""
+    """Write a hierarchy in the plain-text vocabulary format, atomically."""
     lines: list[str] = []
     for layer in hierarchy.layers:
         lines.append(f"[layer {layer.name}]")
@@ -195,7 +197,7 @@ def save_vocabulary(hierarchy: LabelHierarchy, path) -> None:
             parents = ", ".join(parent.labels[p] for p in hierarchy.edges[ent])
             lines.append(f"{fine.labels[ent]}: {parents}")
         lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
 
 

@@ -2,9 +2,11 @@
 
 All metrics share one deterministic tie rule: equal scores rank by lower
 index (video index for per-class rankings, label index within a video, and
-video-then-label in the pooled global ranking). Rankings use stable sorts
-on negated scores so the rule holds exactly; per-video rankings sort only
-the top labels they read (``top_labels``).
+video-then-label in the pooled global ranking). Per-video rankings sort only
+the top labels they read (``top_labels``), once per prediction set; per-class
+rankings are never sorted at all: each positive's rank is counted from the
+class's sorted score values (``_ranks``). The pooled global ranking is a
+stable sort on negated scores.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ DEFAULT_TOP_K = 20
 
 @dataclasses.dataclass
 class PredictionSet:
-    """Scores (V, C) for V videos over C labels plus per-video positives."""
+    """Scores (V, C) for V videos over C labels plus per-video positives.
+
+    ``positives`` becomes a list of sorted, unique int64 arrays. The same
+    labels are also kept flat: ``pos_videos`` and ``pos_labels`` list every
+    positive as a (video, label) pair in video order, and ``num_positives``
+    counts them per video.
+    """
 
     scores: np.ndarray
     positives: list
@@ -35,13 +43,31 @@ class PredictionSet:
             raise ValueError(
                 f"{len(self.positives)} positive sets for {self.num_videos} videos"
             )
-        cleaned = []
-        for pos in self.positives:
-            pos = np.unique(np.asarray(list(pos), dtype=np.int64))
-            if pos.size and (pos[0] < 0 or pos[-1] >= self.num_labels):
-                raise ValueError(f"positive label index out of range in {pos}")
-            cleaned.append(pos)
-        self.positives = cleaned
+        parts = [p if isinstance(p, np.ndarray) else list(p) for p in self.positives]
+        counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        labels = np.concatenate(parts, dtype=np.int64, casting="unsafe")
+        videos = np.repeat(np.arange(self.num_videos), counts)
+        out_of_range = (labels < 0) | (labels >= self.num_labels)
+        if out_of_range.any():
+            v = videos[out_of_range.argmax()]
+            pos = np.unique(labels[videos == v])
+            raise ValueError(f"positive label index out of range in {pos}")
+        # Rows already strictly increasing are kept as they are; only the
+        # others go through np.unique.
+        unsorted = (labels[1:] <= labels[:-1]) & (videos[1:] == videos[:-1])
+        if unsorted.any():
+            parts = np.split(labels, np.cumsum(counts)[:-1])
+            for v in np.unique(videos[1:][unsorted]):
+                parts[v] = np.unique(parts[v])
+            counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+            labels = np.concatenate(parts)
+            videos = np.repeat(np.arange(self.num_videos), counts)
+        ends = np.cumsum(counts).tolist()
+        self.positives = [labels[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        self.num_positives = counts
+        self.pos_videos = videos
+        self.pos_labels = labels
+        self._top = None
 
     @property
     def num_videos(self) -> int:
@@ -54,9 +80,20 @@ class PredictionSet:
     @cached_property
     def pos_mask(self) -> np.ndarray:
         mask = np.zeros(self.scores.shape, dtype=bool)
-        for v, pos in enumerate(self.positives):
-            mask[v, pos] = True
+        mask[self.pos_videos, self.pos_labels] = True
         return mask
+
+    def ranked_labels(self, k: int) -> np.ndarray:
+        """``top_labels(self.scores, k)``, read as a prefix of one cached call.
+
+        The cache holds the widest k asked for so far. A stable ranking's
+        top-k is the first k of its top-K for any K >= k, so narrower
+        requests reuse it and only a wider one recomputes.
+        """
+        k = min(k, self.num_labels)
+        if self._top is None or self._top.shape[1] < k:
+            self._top = top_labels(self.scores, k)
+        return self._top[:, :k]
 
 
 def top_labels(scores: np.ndarray, k: int) -> np.ndarray:
@@ -92,16 +129,45 @@ def perr(pred: PredictionSet) -> float:
     labels, averaged over videos. Every video must have at least one
     positive.
     """
-    g = np.array([pos.size for pos in pred.positives])
+    g = pred.num_positives
     if not g.all():
         v = int(np.argmin(g))
         raise ValueError(f"video {v} has no positive labels; PERR is undefined")
     rows = np.arange(pred.num_videos)
-    hits = pred.pos_mask[rows[:, None], top_labels(pred.scores, int(g.max()))]
+    hits = pred.pos_mask[rows[:, None], pred.ranked_labels(int(g.max()))]
     precision = np.cumsum(hits, axis=1)[rows, g - 1] / g
     # A running total in video order (cumsum, not sum's pairwise reduction),
     # so the value does not depend on how numpy blocks the sum.
     return float(np.cumsum(precision)[-1]) / pred.num_videos
+
+
+def _ranks(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """1-based ranks of the videos ``rows`` when ranked by ``column``.
+
+    A video's rank is 1 + the videos with a higher score + the videos with
+    an equal score at a lower index, which is its position in a stable
+    ``argsort(-column)``. Higher scores are counted by binary search in the
+    sorted values; equal ones by one pass over the column per distinct score
+    that one of ``rows`` shares with another video. Both counts are sums
+    over videos, so they add up over blocks of rows.
+    """
+    # One gather of a strided column, so the passes below read it in cache.
+    column = np.ascontiguousarray(column)
+    scores = column[rows]
+    ordered = np.sort(column)
+    first = np.searchsorted(ordered, scores, side="left")
+    after = np.searchsorted(ordered, scores, side="right")
+    ranks = column.size - after + 1
+    shared = np.flatnonzero(after - first > 1)
+    if shared.size:
+        # Equal scores share ``first`` (-0.0 and 0.0 included), so it names
+        # the tie group.
+        starts, group = np.unique(first[shared], return_inverse=True)
+        for j, start in enumerate(starts):
+            tied = shared[group == j]
+            equal = np.flatnonzero(column == ordered[start])
+            ranks[tied] += np.searchsorted(equal, rows[tied])
+    return ranks
 
 
 def mean_average_precision(pred: PredictionSet) -> tuple[float, np.ndarray]:
@@ -111,17 +177,16 @@ def mean_average_precision(pred: PredictionSet) -> tuple[float, np.ndarray]:
     AP averages precision at each positive's rank. Classes without any
     positive get NaN and are excluded from the mean.
     """
-    v = pred.num_videos
-    per_class = np.full(pred.num_labels, np.nan)
-    ranks = np.arange(1, v + 1, dtype=np.float64)
-    has_pos = pred.pos_mask.any(axis=0)
+    counts = np.bincount(pred.pos_labels, minlength=pred.num_labels)
+    has_pos = counts > 0
     if not has_pos.any():
         raise ValueError("no class has any positive example; mAP is undefined")
-    for c in np.nonzero(has_pos)[0]:
-        order = np.argsort(-pred.scores[:, c], kind="stable")
-        rel = pred.pos_mask[order, c]
-        cum = np.cumsum(rel)
-        per_class[c] = float((cum[rel] / ranks[rel]).mean())
+    per_class = np.full(pred.num_labels, np.nan)
+    videos = pred.pos_videos[np.argsort(pred.pos_labels, kind="stable")]
+    ends = np.cumsum(counts)
+    for c in np.flatnonzero(has_pos):
+        ranks = np.sort(_ranks(pred.scores[:, c], videos[ends[c] - counts[c] : ends[c]]))
+        per_class[c] = float((np.arange(1, ranks.size + 1) / ranks).mean())
     return float(per_class[has_pos].mean()), per_class
 
 
@@ -134,12 +199,12 @@ def global_average_precision(pred: PredictionSet, top_k: int = DEFAULT_TOP_K) ->
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    total_pos = sum(int(p.size) for p in pred.positives)
+    total_pos = pred.pos_labels.size
     if total_pos == 0:
         raise ValueError("no positives anywhere; global AP is undefined")
     k = min(top_k, pred.num_labels)
     rows = np.repeat(np.arange(pred.num_videos), k)
-    cols = top_labels(pred.scores, k).ravel()
+    cols = pred.ranked_labels(k).ravel()
     pooled_scores = pred.scores[rows, cols]
     rel = pred.pos_mask[rows, cols]
     ranking = np.lexsort((cols, rows, -pooled_scores))
@@ -206,6 +271,8 @@ class EvalReport:
 def evaluate(pred: PredictionSet, layer: str = "", top_k: int = DEFAULT_TOP_K) -> EvalReport:
     """Compute every metric for one layer's predictions."""
     mean_ap, per_class = mean_average_precision(pred)
+    # GAP reads the top_k labels and PERR the top max-G: rank the wider once.
+    pred.ranked_labels(max(top_k, int(pred.num_positives.max())))
     return EvalReport(
         layer=layer,
         num_videos=pred.num_videos,

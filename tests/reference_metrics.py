@@ -80,3 +80,30 @@ def ref_global_average_precision(scores, positives, top_k):
             hits += 1
             ap += hits / rank
     return ap / total_pos
+
+
+def argsort_mean_average_precision(scores, positives):
+    """Per-class AP from one stable argsort of each class's column.
+
+    The vectorized route that rank counting replaced, kept as its bitwise
+    reference: the same (video, rank) pairs averaged in the same order.
+    ``scores`` is a (V, C) float array and ``positives`` a list of per-video
+    label index collections.
+    """
+    import numpy as np
+
+    v, c = scores.shape
+    mask = np.zeros((v, c), dtype=bool)
+    for i, pos in enumerate(positives):
+        mask[i, list(pos)] = True
+    per_class = np.full(c, np.nan)
+    ranks = np.arange(1, v + 1, dtype=np.float64)
+    has_pos = mask.any(axis=0)
+    if not has_pos.any():
+        raise ValueError("mAP undefined without any positive")
+    for j in np.nonzero(has_pos)[0]:
+        order = np.argsort(-scores[:, j], kind="stable")
+        rel = mask[order, j]
+        cum = np.cumsum(rel)
+        per_class[j] = float((cum[rel] / ranks[rel]).mean())
+    return float(per_class[has_pos].mean()), per_class

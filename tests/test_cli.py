@@ -222,6 +222,18 @@ class TestSynth:
         h = load_vocabulary(tmp_path / "d" / "vocab.txt")
         assert h.sizes == (4, 9)
 
+    @pytest.mark.parametrize(
+        "flag", ["--noise-std", "--prototype-scale", "--mean-entities-per-video"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_knob_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "d"
+        code = main(["synth", "--out", str(out), "--num-train", "20", "--num-val", "5",
+                     flag, value])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_knob_is_usage_error(self, tmp_path):
         code = main(
             ["synth", "--out", str(tmp_path / "d"), "--mean-entities-per-video", "0.5"]
@@ -261,6 +273,16 @@ class TestFitNorm:
             argv += ["--vocab", str(dataset / "vocab.txt")]
         assert main(argv) == 2
         assert f"data error: shard {empty} is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", ["--lr", "--weight-decay", "--epsilon", "--decay-factor"]
+)
+def test_non_finite_train_setting_is_usage_error(dataset, tmp_path, capsys, flag):
+    out = tmp_path / "o.ckpt"
+    assert main(train_args(dataset, out, "--iters", "2", flag, "nan")) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestTrain:

@@ -22,6 +22,7 @@ from hlvc.data import (
     synth_generate,
     video_feature,
     write_shard,
+    _encode_record,
     _poisson_rate_for_mean,
 )
 from hlvc.features import NormalizerStats
@@ -315,6 +316,73 @@ class TestAtomicWrite:
             write(target)
         assert target.read_bytes() == b"previous contents"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def _bytearray_frame(magic, version, body):
+    """The framing written before shard and checkpoint bodies were streamed."""
+    return magic + struct.pack("<H", version) + bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+def _bytearray_checkpoint(step, config, tensors, normalizer):
+    entries = dict(tensors)
+    config = dict(config)
+    config["normalizer"] = {
+        "kind": normalizer.kind,
+        "epsilon": normalizer.epsilon,
+        "l2_after": normalizer.l2_after,
+    }
+    entries["norm.mean"] = normalizer.mean
+    entries["norm.scale"] = normalizer.scale
+    body = bytearray(struct.pack("<Q", step))
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    body += struct.pack("<I", len(blob))
+    body += blob
+    body += struct.pack("<I", len(entries))
+    for name in sorted(entries):
+        arr = np.asarray(entries[name])
+        if arr.dtype == np.float32:
+            dtype_byte, code = 0, "<f4"
+        else:
+            arr = arr.astype(np.float64, copy=False)
+            dtype_byte, code = 1, "<f8"
+        name_bytes = name.encode("utf-8")
+        body += struct.pack("<H", len(name_bytes))
+        body += name_bytes
+        body += struct.pack("<BB", dtype_byte, arr.ndim)
+        for dim in arr.shape:
+            body += struct.pack("<I", dim)
+        body += arr.astype(code).tobytes()
+    return _bytearray_frame(CHECKPOINT_MAGIC, 1, body)
+
+
+class TestStreamedWrites:
+    def test_checkpoint_bytes_unchanged(self, tmp_path):
+        rng = np.random.default_rng(9)
+        tensors = {
+            "w32": rng.normal(size=(4, 3)).astype(np.float32),
+            "w64": rng.normal(size=(2, 5)),
+            "w64_transposed": rng.normal(size=(5, 2)).T,  # not C-contiguous
+            "scalar": np.float64(2.5),  # 0-d
+            "empty": np.zeros((0, 3)),
+            "ints": np.arange(4),  # stored as f64
+        }
+        stats = NormalizerStats(
+            kind="znorm", mean=rng.normal(size=6), scale=rng.random(6) + 0.5,
+            epsilon=1e-6, l2_after=True,
+        )
+        config = {"model": "binn", "lr": 0.01}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, step=17, config=config, tensors=tensors, normalizer=stats)
+        assert path.read_bytes() == _bytearray_checkpoint(17, config, tensors, stats)
+
+    def test_shard_bytes_unchanged(self, tmp_path):
+        records = sample_records()
+        body = bytearray(struct.pack("<Q", len(records)))
+        for rec in records:
+            body += _encode_record(rec)
+        path = tmp_path / "s.shard"
+        write_shard(path, records)
+        assert path.read_bytes() == _bytearray_frame(SHARD_MAGIC, 1, body)
 
 
 class TestBatchIndices:

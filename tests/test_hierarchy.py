@@ -160,6 +160,20 @@ class TestVocabularyFile:
             assert [l.labels for l in back.layers] == [l.labels for l in h.layers]
             assert back.edges == h.edges
 
+    def test_failed_replace_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(make_hierarchy(seed=0), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr("hlvc.atomic.os.replace", fail)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_vocabulary(make_hierarchy(seed=1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
     def test_parse_reference_text(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text(

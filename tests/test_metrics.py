@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import hlvc.metrics
 from hlvc.metrics import (
     EvalReport,
     PredictionSet,
@@ -13,6 +14,7 @@ from hlvc.metrics import (
     top_labels,
 )
 from reference_metrics import (
+    argsort_mean_average_precision,
     ref_global_average_precision,
     ref_hit_at_1,
     ref_mean_average_precision,
@@ -139,6 +141,53 @@ class TestMeanAveragePrecision:
         assert mean_ap == 1.0
 
 
+def _score_cases():
+    rng = np.random.default_rng(40)
+    v, c = 500, 80
+    real = rng.random((v, c))
+    signed_zero = np.where(rng.random((v, c)) < 0.5, -0.0, 0.0)
+    signed_zero[::7] = 1.0  # a few rows ahead of the zeros
+    return {
+        "random": real,
+        "quantized": np.round(real * 4) / 4.0,  # five levels
+        "all_tied": np.full((v, c), 0.25),
+        "saturated": (real > 0.6).astype(np.float64),  # exact 0.0 and 1.0
+        "signed_zero": signed_zero,
+    }
+
+
+class TestRankCountedMap:
+    """Rank counting must give the per-class stable-argsort mAP bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(pred):
+        got_map, got_pc = mean_average_precision(pred)
+        want_map, want_pc = argsort_mean_average_precision(pred.scores, pred.positives)
+        assert got_pc.tobytes() == want_pc.tobytes()  # NaN where no positive
+        assert got_map == want_map
+
+    @pytest.mark.parametrize("case", sorted(_score_cases()))
+    def test_matches_argsort_reference(self, case):
+        scores = _score_cases()[case]
+        rng = np.random.default_rng(41)
+        v, c = scores.shape
+        # Labels 0..c-3 only: the last two classes have no positive (NaN).
+        positives = [
+            rng.choice(c - 2, size=int(rng.integers(1, 6)), replace=False) for _ in range(v)
+        ]
+        self.assert_bitwise(PredictionSet(scores, positives))
+
+    @pytest.mark.parametrize("case", sorted(_score_cases()))
+    def test_single_positive_classes(self, case):
+        scores = _score_cases()[case]
+        v, c = scores.shape
+        # Class j's only positive is video 7 * j: a lone positive at every depth.
+        positives = [[] for _ in range(v)]
+        for j in range(c):
+            positives[(7 * j) % v].append(j)
+        self.assert_bitwise(PredictionSet(scores, positives))
+
+
 class TestGlobalAveragePrecision:
     def test_hand_case_with_cap(self):
         # k=1 keeps only label 0 of video 0 and label 1 of video 1;
@@ -231,6 +280,32 @@ class TestPredictionSet:
         want = np.array([[True, False, True], [False, True, False]])
         np.testing.assert_array_equal(pred.pos_mask, want)
 
+    def test_mixed_rows_match_per_row_unique(self):
+        rng = np.random.default_rng(42)
+        c = 30
+        rows = []
+        for v in range(200):
+            labels = rng.choice(c, size=int(rng.integers(0, 7)), replace=True)
+            if v % 3 == 0:
+                labels = np.unique(labels)  # clean: strictly increasing
+            form = v % 4
+            rows.append(labels if form == 0 else set(labels.tolist()) if form == 1
+                        else labels.tolist() if form == 2 else tuple(labels.tolist()))
+        pred = PredictionSet(rng.random((200, c)), rows)
+        want_mask = np.zeros((200, c), dtype=bool)
+        for v, row in enumerate(rows):
+            want = np.unique(np.asarray(list(row), dtype=np.int64))
+            assert pred.positives[v].dtype == np.int64
+            np.testing.assert_array_equal(pred.positives[v], want)
+            want_mask[v, want] = True
+        np.testing.assert_array_equal(pred.pos_mask, want_mask)
+        np.testing.assert_array_equal(pred.num_positives, want_mask.sum(axis=1))
+
+    def test_out_of_range_in_unsorted_row_names_the_row(self):
+        rows = [[0, 1], [2, 9, 2], [1]]
+        with pytest.raises(ValueError, match=r"out of range in \[2 9\]"):
+            PredictionSet(np.ones((3, 4)), rows)
+
 
 class TestEvalReport:
     def test_evaluate_collects_all_metrics(self):
@@ -242,6 +317,40 @@ class TestEvalReport:
         assert report.hit_at_1 == hit_at_1(pred)
         assert report.perr == perr(pred)
         assert report.gap == global_average_precision(pred, top_k=7)
+
+    @pytest.mark.parametrize("top_k", [2, 12], ids=["below-max-G", "above-max-G"])
+    def test_evaluate_equals_metrics_on_fresh_sets(self, top_k):
+        rng = np.random.default_rng(43)
+        scores = np.round(rng.random((120, 15)) * 5) / 5.0
+        positives = [rng.choice(15, size=int(rng.integers(1, 9)), replace=False)
+                     for _ in range(120)]
+        report = evaluate(PredictionSet(scores, positives), layer="entities", top_k=top_k)
+
+        def fresh():
+            return PredictionSet(scores, positives)
+
+        mean_ap, per_class = mean_average_precision(fresh())
+        assert report.mean_ap == mean_ap
+        assert report.per_class_ap.tobytes() == per_class.tobytes()
+        assert report.gap == global_average_precision(fresh(), top_k=top_k)
+        assert report.perr == perr(fresh())
+        assert report.hit_at_1 == hit_at_1(fresh())
+
+    @pytest.mark.parametrize("top_k", [2, 12], ids=["below-max-G", "above-max-G"])
+    def test_evaluate_ranks_labels_once(self, monkeypatch, top_k):
+        calls = []
+
+        def counted(scores, k):
+            calls.append(k)
+            return top_labels(scores, k)
+
+        monkeypatch.setattr(hlvc.metrics, "top_labels", counted)
+        rng = np.random.default_rng(44)
+        positives = [rng.choice(15, size=int(rng.integers(1, 9)), replace=False)
+                     for _ in range(40)]
+        pred = PredictionSet(rng.random((40, 15)), positives)
+        evaluate(pred, top_k=top_k)
+        assert calls == [max(top_k, int(pred.num_positives.max()))]
 
     def test_json_round_trip_with_nan(self):
         report = EvalReport(
