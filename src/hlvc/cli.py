@@ -18,12 +18,12 @@ import typing
 import numpy as np
 
 from . import baseline, binn, optim
+from .atomic import atomic_open
 from .data import (
     Checkpoint,
     CheckpointError,
     ShardError,
     SynthConfig,
-    atomic_open,
     batch_indices,
     check_finite,
     load_checkpoint,

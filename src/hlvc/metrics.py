@@ -52,16 +52,12 @@ class PredictionSet:
             v = videos[out_of_range.argmax()]
             pos = np.unique(labels[videos == v])
             raise ValueError(f"positive label index out of range in {pos}")
-        # Rows already strictly increasing are kept as they are; only the
-        # others go through np.unique.
-        unsorted = (labels[1:] <= labels[:-1]) & (videos[1:] == videos[:-1])
-        if unsorted.any():
-            parts = np.split(labels, np.cumsum(counts)[:-1])
-            for v in np.unique(videos[1:][unsorted]):
-                parts[v] = np.unique(parts[v])
-            counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-            labels = np.concatenate(parts)
-            videos = np.repeat(np.arange(self.num_videos), counts)
+        # One sort of (video, label) keys orders and de-duplicates every row.
+        # The stable sort is near-linear on rows that are already in order.
+        keys = np.sort(videos * self.num_labels + labels, kind="stable")
+        keys = keys[np.diff(keys, prepend=-1) > 0]
+        videos, labels = np.divmod(keys, self.num_labels)
+        counts = np.bincount(videos, minlength=self.num_videos)
         ends = np.cumsum(counts).tolist()
         self.positives = [labels[a:b] for a, b in zip([0] + ends[:-1], ends)]
         self.num_positives = counts
@@ -86,13 +82,14 @@ class PredictionSet:
     def ranked_labels(self, k: int) -> np.ndarray:
         """``top_labels(self.scores, k)``, read as a prefix of one cached call.
 
-        The cache holds the widest k asked for so far. A stable ranking's
-        top-k is the first k of its top-K for any K >= k, so narrower
-        requests reuse it and only a wider one recomputes.
+        A miss ranks at least as many labels as any video has positives
+        (PERR's largest G), so PERR reads the same result as GAP. A stable ranking's top-k is the first k of its top-K
+        for any K >= k, so narrower requests reuse the cache and only a
+        wider one recomputes.
         """
         k = min(k, self.num_labels)
         if self._top is None or self._top.shape[1] < k:
-            self._top = top_labels(self.scores, k)
+            self._top = top_labels(self.scores, max(k, int(self.num_positives.max())))
         return self._top[:, :k]
 
 
@@ -271,8 +268,6 @@ class EvalReport:
 def evaluate(pred: PredictionSet, layer: str = "", top_k: int = DEFAULT_TOP_K) -> EvalReport:
     """Compute every metric for one layer's predictions."""
     mean_ap, per_class = mean_average_precision(pred)
-    # GAP reads the top_k labels and PERR the top max-G: rank the wider once.
-    pred.ranked_labels(max(top_k, int(pred.num_positives.max())))
     return EvalReport(
         layer=layer,
         num_videos=pred.num_videos,
