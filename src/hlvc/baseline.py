@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .binn import NumericError, _as_multi_hot, cross_entropy, sigmoid
+from .binn import NumericError, _as_batch, _as_multi_hot, cross_entropy, sigmoid
 
 
 @dataclasses.dataclass
@@ -37,10 +37,6 @@ class LogRegParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights}
 
-    @classmethod
-    def from_tensors(cls, tensors) -> "LogRegParams":
-        return cls(np.asarray(tensors["weights"], dtype=np.float64))
-
 
 def init_params(n_classes: int, dim: int) -> LogRegParams:
     """All-zero weights, so every initial probability is exactly 0.5."""
@@ -50,14 +46,8 @@ def init_params(n_classes: int, dim: int) -> LogRegParams:
 
 
 def _with_bias(params: LogRegParams, x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise ValueError(f"expected input of dim {params.dim}, got shape {x.shape}")
-    ones = np.ones((x.shape[0], 1))
-    return np.concatenate([x, ones], axis=1), squeeze
+    x, squeeze = _as_batch(params, x)
+    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1), squeeze
 
 
 def predict(params: LogRegParams, x) -> np.ndarray:
@@ -96,3 +86,27 @@ def loss_grad(
         value += 0.5 * l2_penalty * float((params.weights[:, :-1] ** 2).sum())
         grad[:, :-1] += l2_penalty * params.weights[:, :-1]
     return value, grad
+
+
+# Model-family interface for the CLI (see ``cli.MODELS``); only the finest
+# layer is trained, and its parent layer's scores are induced from it.
+DEFAULT_LR = 0.01
+DEFAULT_ITERS = 35000
+
+
+def init(hierarchy, dim: int, seed: int) -> LogRegParams:
+    return init_params(hierarchy.sizes[-1], dim)
+
+
+def train_grads(params: LogRegParams, x, targets) -> tuple[float, dict]:
+    value, grad = loss_grad(params, x, targets[-1])
+    return value, {"weights": grad}
+
+
+def scores(params: LogRegParams, x, hierarchy) -> dict:
+    probs = predict(params, x)
+    m = hierarchy.num_layers
+    out = {m - 1: probs}
+    if m >= 2:
+        out[m - 2] = hierarchy.induce_vertical_scores(probs)
+    return out

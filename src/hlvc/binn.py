@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -92,25 +91,6 @@ class BinnParams:
         """Flat name-to-array view sharing storage with the parameters."""
         return dict(_tensor_items(self, self.num_layers))
 
-    @classmethod
-    def from_tensors(cls, layers, dim: int, tensors) -> "BinnParams":
-        """Rebuild parameters from a flat tensor dict, validating shapes."""
-        sizes = _layer_sizes(layers)
-        params = init_params(sizes, dim, seed=0)
-        expected = params.tensors()
-        if set(tensors) != set(expected):
-            missing = sorted(set(expected) - set(tensors))
-            extra = sorted(set(tensors) - set(expected))
-            raise ValueError(f"tensor names mismatch: missing {missing}, extra {extra}")
-        for name, arr in expected.items():
-            got = np.asarray(tensors[name], dtype=np.float64)
-            if got.shape != arr.shape:
-                raise ValueError(
-                    f"tensor {name}: shape {got.shape}, expected {arr.shape}"
-                )
-            arr[...] = got
-        return params
-
 
 @dataclasses.dataclass
 class BinnActivations:
@@ -121,13 +101,6 @@ class BinnActivations:
     bwd: list
     a: list
     p: list
-
-
-@dataclasses.dataclass
-class BinnGradients(BinnParams):
-    """Loss gradients under BinnParams' fields, plus the input-feature gradient."""
-
-    x: np.ndarray = None
 
 
 # Both gate vectors start here so the two directions begin evenly mixed.
@@ -265,11 +238,21 @@ def forward(params: BinnParams, x) -> BinnActivations:
 
 
 def _as_multi_hot(positives_t, shape) -> np.ndarray:
-    """Positive label indices (or an already multi-hot array) -> 0/1 array."""
-    if isinstance(positives_t, np.ndarray) and positives_t.shape == tuple(shape):
-        return positives_t.astype(np.float64, copy=False)
+    """One layer's labels -> 0/1 float array of the activation ``shape``.
+
+    A float or bool ndarray is multi-hot, reshaped to ``shape`` (so a (1, n)
+    row serves an (n,) activation); anything else, integer arrays included,
+    holds the positive label indices of one sample.
+    """
+    if isinstance(positives_t, np.ndarray) and positives_t.dtype.kind in "fb":
+        if positives_t.size != math.prod(shape):
+            raise ValueError(
+                f"multi-hot labels of shape {positives_t.shape} do not fit "
+                f"activations of shape {tuple(shape)}"
+            )
+        return positives_t.astype(np.float64, copy=False).reshape(shape)
     if len(shape) != 1:
-        raise ValueError("batched labels must be multi-hot arrays of the activation shape")
+        raise ValueError("batched labels must be float or bool multi-hot arrays")
     z = np.zeros(shape, dtype=np.float64)
     idx = np.asarray(list(positives_t), dtype=np.int64)
     if idx.size:
@@ -283,7 +266,8 @@ def loss(acts: BinnActivations, positives) -> float:
     """Summed multi-label cross entropy over layers (and samples, if batched).
 
     ``positives`` is a per-layer sequence: index collections for single
-    vectors, multi-hot arrays matching the activation shapes for batches.
+    vectors, or float or bool multi-hot arrays with as many entries as the
+    activations (required for batches).
     Computed by ``cross_entropy`` from the pre-activations and the
     probabilities ``forward`` already holds, so saturated sigmoids do not
     produce infinities.
@@ -296,8 +280,9 @@ def loss(acts: BinnActivations, positives) -> float:
     return total
 
 
-def backward(params: BinnParams, x, positives) -> tuple[float, BinnGradients]:
-    """Loss and its exact gradients for one sample (D,) or a batch (B, D).
+def backward(params: BinnParams, x, positives) -> tuple[float, BinnParams]:
+    """Loss and its exact parameter gradients for one sample (D,) or a batch
+    (B, D), the gradients held in a BinnParams.
 
     Batch gradients are sums over the batch, matching the summed loss.
     """
@@ -330,12 +315,11 @@ def backward(params: BinnParams, x, positives) -> tuple[float, BinnGradients]:
             g = g + g_bwd[t - 1] @ params.bwd_v[t - 1]
         g_bwd[t] = g
 
-    grads = BinnGradients(
+    grads = BinnParams(
         dim=params.dim,
         sizes=params.sizes,
         **{field: [None] * m for field, _ in _TENSOR_FIELDS},
     )
-    g_x = np.zeros_like(xb)
     for t in range(m):
         grads.agg_fwd_u[t] = (g_a[t] * acts.fwd[t]).sum(axis=0)
         grads.agg_bwd_u[t] = (g_a[t] * acts.bwd[t]).sum(axis=0)
@@ -351,8 +335,6 @@ def backward(params: BinnParams, x, positives) -> tuple[float, BinnGradients]:
         g_x_t = g_fwd[t] @ params.fwd_h[t] + g_bwd[t] @ params.bwd_h[t]
         grads.proj_w[t] = g_x_t.T @ xb
         grads.proj_b[t] = g_x_t.sum(axis=0)
-        g_x += g_x_t @ params.proj_w[t]
-    grads.x = g_x[0] if squeeze else g_x
     return loss_value, grads
 
 
@@ -375,3 +357,21 @@ def predict(params: BinnParams, x) -> list:
             raise NumericError(f"non-finite activation in layer {t}")
         probs.append(sigmoid(a, out=a))
     return [p[0] for p in probs] if squeeze else probs
+
+
+# Model-family interface for the CLI (see ``cli.MODELS``).
+DEFAULT_LR = 0.001
+DEFAULT_ITERS = 90000
+
+
+def init(hierarchy, dim: int, seed: int) -> BinnParams:
+    return init_params(hierarchy.sizes, dim, seed)
+
+
+def train_grads(params: BinnParams, x, targets) -> tuple[float, dict]:
+    loss_value, grads = backward(params, x, targets)
+    return loss_value, grads.tensors()
+
+
+def scores(params: BinnParams, x, hierarchy) -> dict:
+    return dict(enumerate(predict(params, x)))

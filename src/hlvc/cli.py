@@ -47,11 +47,11 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# Documented per-model defaults, applied when lr/iters are left unset.
-MODEL_DEFAULTS = {
-    "binn": {"lr": 0.001, "iters": 90000},
-    "logreg": {"lr": 0.01, "iters": 35000},
-}
+# Model families by name, the first the default. Each module provides the
+# DEFAULT_LR and DEFAULT_ITERS applied when lr/iters are unset, and
+# init(hierarchy, dim, seed), train_grads(params, x, per_layer_targets)
+# -> (loss, {name: grad}) and scores(params, x, hierarchy) -> {layer: probs}.
+MODELS = {"binn": binn, "logreg": baseline}
 
 # Training-state names of the Adam moments: "adam.m.<param>" and "adam.v.<param>".
 _ADAM_PREFIX = "adam."
@@ -65,7 +65,7 @@ class UsageError(Exception):
 class RunConfig:
     """Training/evaluation settings shared by the train-side subcommands."""
 
-    model: str = "binn"
+    model: str = next(iter(MODELS))
     features: str = "rgb"
     norm: str = "znorm"
     l2: bool = True
@@ -83,16 +83,16 @@ class RunConfig:
     def resolved(self) -> "RunConfig":
         """Copy with model-specific lr/iters defaults filled in."""
         out = dataclasses.replace(self)
-        defaults = MODEL_DEFAULTS[self.model]
+        family = MODELS[self.model]
         if out.lr is None:
-            out.lr = defaults["lr"]
+            out.lr = family.DEFAULT_LR
         if out.iters is None:
-            out.iters = defaults["iters"]
+            out.iters = family.DEFAULT_ITERS
         return out
 
     def validate(self) -> None:
         check_finite(self, UsageError)
-        if self.model not in MODEL_DEFAULTS:
+        if self.model not in MODELS:
             raise UsageError(f"unknown model {self.model!r}")
         if self.features not in ("rgb", "rgb+audio"):
             raise UsageError(f"unknown feature mode {self.features!r}")
@@ -373,15 +373,6 @@ def _load_inputs(shard, hierarchy, features: str, ckpt: Checkpoint | None = None
     return records, x
 
 
-def _init_params(model: str, hierarchy, dim: int, seed: int):
-    """Fresh parameters of the named model family for this vocabulary and dim."""
-    if model == "binn":
-        return binn.init_params(hierarchy.sizes, dim, seed)
-    if model == "logreg":
-        return baseline.init_params(hierarchy.sizes[-1], dim)
-    raise ValueError(f"checkpoint has unknown model {model!r}")
-
-
 def _restore(state: dict, stored: dict) -> None:
     """Copy checkpoint arrays into ``state`` in place; names and shapes must match."""
     if set(stored) != set(state):
@@ -425,7 +416,8 @@ def cmd_train(args) -> int:
     targets = [
         _multi_hot_matrix(records, t, size) for t, size in enumerate(hierarchy.sizes)
     ]
-    params = _init_params(cfg.model, hierarchy, dim, cfg.seed)
+    family = MODELS[cfg.model]
+    params = family.init(hierarchy, dim, cfg.seed)
     tensors = params.tensors()
     adam = optim.init_adam(
         tensors,
@@ -462,15 +454,9 @@ def cmd_train(args) -> int:
                     continue
                 if step >= cfg.iters:
                     break
-                xb = x_all[idx]
-                if cfg.model == "binn":
-                    loss_value, grads = binn.backward(
-                        params, xb, [z[idx] for z in targets]
-                    )
-                    grad_tensors = grads.tensors()
-                else:
-                    loss_value, grad_w = baseline.loss_grad(params, xb, targets[-1][idx])
-                    grad_tensors = {"weights": grad_w}
+                loss_value, grad_tensors = family.train_grads(
+                    params, x_all[idx], [z[idx] for z in targets]
+                )
                 if not math.isfinite(loss_value):
                     raise binn.NumericError(f"non-finite loss at step {step}")
                 if step % cfg.log_every == 0:
@@ -498,19 +484,15 @@ def cmd_train(args) -> int:
 def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
     """Per-layer label probabilities from the checkpoint's model."""
     model = ckpt.config.get("model")
-    params = _init_params(model, hierarchy, x.shape[1], seed=0)
+    family = MODELS.get(model) if isinstance(model, str) else None
+    if family is None:
+        raise ValueError(f"checkpoint has unknown model {model!r}")
+    params = family.init(hierarchy, x.shape[1], seed=0)
     _restore(
         params.tensors(),
         {k: v for k, v in ckpt.tensors.items() if not k.startswith(_ADAM_PREFIX)},
     )
-    if model == "binn":
-        return dict(enumerate(binn.predict(params, x)))
-    m = hierarchy.num_layers
-    probs = baseline.predict(params, x)
-    scores = {m - 1: probs}
-    if m >= 2:
-        scores[m - 2] = hierarchy.induce_vertical_scores(probs)
-    return scores
+    return family.scores(params, x, hierarchy)
 
 
 def _prepare_eval(args):

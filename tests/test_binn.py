@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hlvc import binn
-from hlvc.binn import BinnParams, NumericError
+from hlvc.binn import NumericError
 
 
 def naive_forward(params, x):
@@ -194,33 +194,6 @@ class TestInit:
             binn.init_params([3], 0, seed=0)
 
 
-class TestTensors:
-    def test_round_trip(self):
-        params = binn.init_params([2, 4, 3], 5, seed=9)
-        rebuilt = BinnParams.from_tensors([2, 4, 3], 5, params.tensors())
-        for name, tensor in params.tensors().items():
-            np.testing.assert_array_equal(tensor, rebuilt.tensors()[name])
-
-    def test_missing_and_extra_names_rejected(self):
-        params = binn.init_params([2, 3], 4, seed=10)
-        tensors = params.tensors()
-        short = dict(tensors)
-        short.pop("proj_w.0")
-        with pytest.raises(ValueError):
-            BinnParams.from_tensors([2, 3], 4, short)
-        extra = dict(tensors)
-        extra["bogus.0"] = np.zeros(2)
-        with pytest.raises(ValueError):
-            BinnParams.from_tensors([2, 3], 4, extra)
-
-    def test_wrong_shape_rejected(self):
-        params = binn.init_params([2, 3], 4, seed=11)
-        tensors = dict(params.tensors())
-        tensors["proj_w.0"] = np.zeros((3, 4))
-        with pytest.raises(ValueError):
-            BinnParams.from_tensors([2, 3], 4, tensors)
-
-
 class TestLoss:
     def test_zero_params_fixed_point(self):
         sizes = [3, 5, 2]
@@ -268,6 +241,31 @@ class TestLoss:
         batch = binn.forward(params, x[None, :])
         via_hot = binn.loss(batch, [z0[None, :], z1[None, :]])
         assert abs(via_idx - via_hot) < 1e-12
+
+    def test_integer_label_arrays_are_indices(self):
+        # [0, 1] as long as its layer still names two positives, not a 0/1 row.
+        params = binn.init_params([2, 3], 4, seed=22)
+        acts = binn.forward(params, np.random.default_rng(22).normal(size=4))
+        via_list = binn.loss(acts, [[0, 1], [1]])
+        assert binn.loss(acts, [np.array([0, 1]), np.array([1])]) == via_list
+
+    def test_multi_hot_rows_serve_a_single_vector(self):
+        params = binn.init_params([2, 3], 4, seed=23)
+        acts = binn.forward(params, np.random.default_rng(23).normal(size=4))
+        flat = [np.array([1.0, 0.0]), np.array([0.0, 1.0, 1.0])]
+        via_idx = binn.loss(acts, [[0], [1, 2]])
+        assert binn.loss(acts, flat) == via_idx
+        assert binn.loss(acts, [z[None, :] for z in flat]) == via_idx
+        assert binn.loss(acts, [z.astype(bool) for z in flat]) == via_idx
+
+    def test_multi_hot_size_mismatch_rejected(self):
+        params = binn.init_params([2, 3], 4, seed=24)
+        acts = binn.forward(params, np.zeros(4))
+        with pytest.raises(ValueError):
+            binn.loss(acts, [np.zeros(3), np.zeros(3)])
+        batch = binn.forward(params, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            binn.loss(batch, [np.zeros((2, 2)), np.zeros((3, 3))])
 
     def test_layer_count_mismatch_rejected(self):
         params = binn.init_params([3, 4], 2, seed=15)
@@ -329,26 +327,6 @@ class TestBackward:
             rel = np.abs(got[name] - want) / denom
             assert rel.max() < 1e-4, f"{name}: rel err {rel.max():.2e}"
 
-    def test_input_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(18)
-        params = binn.init_params([3, 2], 4, seed=18)
-        x = rng.normal(size=(2, 4))
-        zs = random_labels(rng, [3, 2], 2)
-        _, grads = binn.backward(params, x, zs)
-        h = 1e-5
-        want = np.zeros_like(x)
-        for i in range(2):
-            for j in range(4):
-                keep = x[i, j]
-                x[i, j] = keep + h
-                up = binn.loss(binn.forward(params, x), zs)
-                x[i, j] = keep - h
-                down = binn.loss(binn.forward(params, x), zs)
-                x[i, j] = keep
-                want[i, j] = (up - down) / (2.0 * h)
-        rel = np.abs(grads.x - want) / np.maximum(np.abs(want), 1e-4)
-        assert rel.max() < 1e-4
-
     def test_batch_gradient_is_sum_of_samples(self):
         rng = np.random.default_rng(19)
         params = binn.init_params([2, 3], 4, seed=19)
@@ -380,6 +358,19 @@ class TestBackward:
         # random labels are not fully fittable; the floor here is ~136 nats
         assert losses[-1] < 0.7 * losses[0]
         assert np.isfinite(losses).all()
+
+    def test_label_forms_agree_for_a_single_vector(self):
+        params = binn.init_params([2, 3], 4, seed=25)
+        x = np.random.default_rng(25).normal(size=4)
+        want_loss, want = binn.backward(params, x, [[0, 1], [2]])
+        for labels in (
+            [np.array([0, 1]), np.array([2])],
+            [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0, 1.0]])],
+        ):
+            loss_value, grads = binn.backward(params, x, labels)
+            assert loss_value == want_loss
+            for name, tensor in grads.tensors().items():
+                np.testing.assert_array_equal(tensor, want.tensors()[name])
 
     def test_label_count_mismatch_rejected(self):
         params = binn.init_params([3, 4], 2, seed=21)

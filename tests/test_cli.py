@@ -424,19 +424,26 @@ class TestDeterminismAndResume:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("defect", ["unknown model", "missing tensor", "wrong shape"])
+    @pytest.mark.parametrize(
+        "model, defect",
+        [pytest.param(model, defect, id=defect if model == "logreg" else f"{model}-{defect}")
+         for model in ("logreg", "binn")
+         for defect in ("unknown model", "missing tensor", "wrong shape")],
+    )
     @pytest.mark.parametrize("command", ["evaluate", "resume"])
-    def test_bad_checkpoint_model_is_data_error(self, dataset, tmp_path, capsys, command, defect):
+    def test_bad_checkpoint_model_is_data_error(self, dataset, tmp_path, capsys, command,
+                                                model, defect):
         good = tmp_path / "good.ckpt"
-        assert main(train_args(dataset, good, "--model", "logreg", "--iters", "5")) == 0
+        assert main(train_args(dataset, good, "--model", model, "--iters", "5")) == 0
         ckpt = load_checkpoint(good)
         config, tensors = dict(ckpt.config), dict(ckpt.tensors)
+        name = "weights" if model == "logreg" else "proj_w.0"
         if defect == "unknown model":
             config["model"] = "mlp"
         elif defect == "missing tensor":
-            del tensors["weights"]
+            del tensors[name]
         else:
-            tensors["weights"] = np.zeros((3, 3))
+            tensors[name] = np.zeros((3, 3))
         bad = tmp_path / "bad.ckpt"
         save_checkpoint(bad, step=ckpt.step, config=config, tensors=tensors,
                         normalizer=ckpt.normalizer)
@@ -447,7 +454,9 @@ class TestDeterminismAndResume:
         else:
             argv = train_args(dataset, tmp_path / "o.ckpt", "--resume", str(bad), "--iters", "10")
         assert main(argv) == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert ("mlp" if defect == "unknown model" else repr(name)) in err
 
     @pytest.mark.parametrize(
         "key, value, iters, code",
