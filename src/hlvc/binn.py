@@ -41,28 +41,19 @@ def _layer_sizes(layers) -> tuple[int, ...]:
     return sizes
 
 
-# (field, per-layer predicate) pairs defining the flat tensor naming scheme.
+# Per-layer parameter fields, in the order of the flat tensor names.
 _TENSOR_FIELDS = (
-    ("proj_w", lambda t, m: True),
-    ("proj_b", lambda t, m: True),
-    ("fwd_v", lambda t, m: t > 0),
-    ("fwd_h", lambda t, m: True),
-    ("fwd_b", lambda t, m: True),
-    ("bwd_v", lambda t, m: t < m - 1),
-    ("bwd_h", lambda t, m: True),
-    ("bwd_b", lambda t, m: True),
-    ("agg_fwd_u", lambda t, m: True),
-    ("agg_bwd_u", lambda t, m: True),
-    ("agg_b", lambda t, m: True),
+    "proj_w", "proj_b", "fwd_v", "fwd_h", "fwd_b", "bwd_v", "bwd_h", "bwd_b",
+    "agg_fwd_u", "agg_bwd_u", "agg_b",
 )
 
 
-def _tensor_items(obj, m: int):
-    for field, present in _TENSOR_FIELDS:
-        values = getattr(obj, field)
-        for t in range(m):
-            if present(t, m):
-                yield f"{field}.{t}", values[t]
+def _tensor_items(obj):
+    """(name, array) pairs "<field>.<layer>", skipping the None chain ends."""
+    for field in _TENSOR_FIELDS:
+        for t, value in enumerate(getattr(obj, field)):
+            if value is not None:
+                yield f"{field}.{t}", value
 
 
 @dataclasses.dataclass
@@ -89,7 +80,7 @@ class BinnParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Flat name-to-array view sharing storage with the parameters."""
-        return dict(_tensor_items(self, self.num_layers))
+        return dict(_tensor_items(self))
 
 
 @dataclasses.dataclass
@@ -318,7 +309,7 @@ def backward(params: BinnParams, x, positives) -> tuple[float, BinnParams]:
     grads = BinnParams(
         dim=params.dim,
         sizes=params.sizes,
-        **{field: [None] * m for field, _ in _TENSOR_FIELDS},
+        **{field: [None] * m for field in _TENSOR_FIELDS},
     )
     for t in range(m):
         grads.agg_fwd_u[t] = (g_a[t] * acts.fwd[t]).sum(axis=0)

@@ -40,7 +40,7 @@ from .features import (
     fit_znorm,
 )
 from .hierarchy import VocabularyError, load_vocabulary, save_vocabulary
-from .metrics import PredictionSet, evaluate, top_labels
+from .metrics import DEFAULT_TOP_K, PredictionSet, evaluate, top_labels
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,7 +78,6 @@ class RunConfig:
     epsilon: float = 1e-6
     seed: int = 0
     log_every: int = 100
-    top_k: int = 20
 
     def resolved(self) -> "RunConfig":
         """Copy with model-specific lr/iters defaults filled in."""
@@ -116,8 +115,6 @@ class RunConfig:
             raise UsageError(f"seed must be non-negative, got {self.seed}")
         if self.log_every < 1:
             raise UsageError(f"log_every must be at least 1, got {self.log_every}")
-        if self.top_k < 1:
-            raise UsageError(f"top_k must be at least 1, got {self.top_k}")
 
 
 def _field_types(cls) -> dict:
@@ -261,7 +258,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--shard", required=True)
     p.add_argument("--out", required=True, help="directory for report files")
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("predict", help="write top-k labels per video")
@@ -269,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--shard", required=True)
     p.add_argument("--out", required=True, help="output TSV file")
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
     p.set_defaults(func=cmd_predict)
 
     return parser
@@ -496,20 +493,19 @@ def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
 
 
 def _prepare_eval(args):
+    if args.top_k < 1:
+        raise UsageError(f"top_k must be at least 1, got {args.top_k}")
     ckpt = load_checkpoint(args.ckpt)
-    top_k = args.top_k if args.top_k is not None else int(ckpt.config.get("top_k", 20))
-    if top_k < 1:
-        raise UsageError(f"top_k must be at least 1, got {top_k}")
     hierarchy = load_vocabulary(args.vocab)
     records, features = _load_inputs(
         args.shard, hierarchy, ckpt.config.get("features", "rgb"), ckpt
     )
     x = apply_normalizer(ckpt.normalizer, features)
-    return hierarchy, records, _layer_scores(ckpt, hierarchy, x), top_k
+    return hierarchy, records, _layer_scores(ckpt, hierarchy, x)
 
 
 def cmd_evaluate(args) -> int:
-    hierarchy, records, scores, top_k = _prepare_eval(args)
+    hierarchy, records, scores = _prepare_eval(args)
     os.makedirs(args.out, exist_ok=True)
     for t in sorted(scores):
         layer = hierarchy.layers[t]
@@ -520,7 +516,7 @@ def cmd_evaluate(args) -> int:
                 f"record {records[unlabeled[0]].video_id!r} has no {layer.name} labels; "
                 "PERR is undefined"
             )
-        report = evaluate(pred, layer=layer.name, top_k=top_k)
+        report = evaluate(pred, layer=layer.name, top_k=args.top_k)
         base = os.path.join(args.out, f"eval_{layer.name}")
         with atomic_open(base + ".txt", "w", encoding="utf-8") as fh:
             fh.write(report.to_text())
@@ -534,10 +530,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    hierarchy, records, scores, top_k = _prepare_eval(args)
+    hierarchy, records, scores = _prepare_eval(args)
     ranked = []
     for t in sorted(scores):
-        top = top_labels(scores[t], top_k)
+        top = top_labels(scores[t], args.top_k)
         best = np.take_along_axis(scores[t], top, axis=1)
         ranked.append((hierarchy.layers[t], top.tolist(), best.tolist()))
     lines = []

@@ -35,7 +35,7 @@ import zlib
 import numpy as np
 
 from .atomic import atomic_open
-from .features import NormalizerStats, mean_pool, concat_audio
+from .features import NormalizerStats, mean_pool
 from .hierarchy import LabelHierarchy, ConceptLayer
 
 SHARD_MAGIC = b"HLVS"
@@ -88,7 +88,7 @@ class VideoRecord:
         if (self.pooled is None) == (self.frames is None):
             raise ValueError("exactly one of pooled or frames must be set")
         self.labels = [
-            np.unique(np.asarray(list(layer), dtype=np.int64)) for layer in self.labels
+            np.array(sorted(set(map(int, layer))), dtype=np.int64) for layer in self.labels
         ]
         if self.pooled is not None:
             self.pooled = np.ascontiguousarray(self.pooled, dtype=np.float32)
@@ -129,7 +129,7 @@ def video_feature(record: VideoRecord, include_audio: bool = False) -> np.ndarra
     if include_audio:
         if record.audio is None:
             raise ValueError(f"record {record.video_id!r} has no audio features")
-        return concat_audio(base, record.audio)
+        return np.concatenate([base, record.audio])
     return base
 
 
@@ -254,8 +254,7 @@ def read_shard(path) -> list:
         labels = []
         for _ in range(layer_count):
             (n,) = cur.unpack("<H")
-            idx = np.frombuffer(cur.take(4 * n), dtype="<u4").astype(np.int64)
-            labels.append(idx)
+            labels.append(struct.unpack(f"<{n}I", cur.take(4 * n)))
         (kind,) = cur.unpack("<B")
         if kind > 3:
             raise ShardFormatError(f"{path}: unknown feature kind {kind}")

@@ -1,10 +1,10 @@
 """Video-level feature construction and normalization.
 
 Frame features are mean-pooled over time (at most MAX_FRAMES frames, one per
-second), optionally concatenated with an audio vector, then normalized with
-either per-dimension standardization ("znorm") or PCA whitening ("pca"),
-optionally followed by L2 normalization. Fitting is single-pass so shards
-never need to be fully materialized twice.
+second); ``data.video_feature`` appends the audio vector. The (N, D) feature
+matrix is then normalized with either per-dimension standardization ("znorm")
+or PCA whitening ("pca"), optionally followed by L2 normalization. Fitting
+sums 512-row slices of the matrix, shifted by its first row.
 """
 
 from __future__ import annotations
@@ -35,15 +35,6 @@ def mean_pool(frames) -> np.ndarray:
     if frames.ndim != 2 or frames.shape[0] == 0:
         raise ValueError(f"expected a non-empty (T, D) array, got shape {frames.shape}")
     return frames[:MAX_FRAMES].mean(axis=0, dtype=np.float64)
-
-
-def concat_audio(rgb, audio) -> np.ndarray:
-    """Concatenate a video-level visual vector with an audio vector."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    audio = np.asarray(audio, dtype=np.float64)
-    if rgb.ndim != 1 or audio.ndim != 1:
-        raise ValueError("concat_audio expects two 1-D vectors")
-    return np.concatenate([rgb, audio])
 
 
 def l2_normalize(x) -> tuple[np.ndarray, np.ndarray]:
@@ -95,57 +86,31 @@ class NormalizerStats:
         return self.mean.shape[0]
 
 
-def _iter_rows(data):
-    if isinstance(data, np.ndarray):
-        if data.ndim != 2:
-            raise ValueError(f"expected (N, D) data, got shape {data.shape}")
-        yield from data
-    else:
-        for row in data:
-            row = np.asarray(row)
-            if row.ndim != 1:
-                raise ValueError("expected an iterable of 1-D feature vectors")
-            yield row
-
-
 def _shifted_moments(data, diagonal: bool):
-    """One streaming pass of moment sums over rows shifted by the first row.
+    """Moment sums of the rows of an (N, D) array shifted by its first row.
 
     Returns (count, shift, s1, s2): s1 sums the shifted rows and s2 their
     outer products, or only their squares when ``diagonal``. Rows are summed
-    in blocks of 512, so a block costs a few array operations, not one per row.
+    in slices of 512, so a slice costs a few array operations, not one per row.
     """
-    count = 0
-    shift = s1 = s2 = None
-    buf: list[np.ndarray] = []
-
-    def drain() -> None:
-        nonlocal s1, s2
-        if buf:
-            block = np.stack(buf)
-            s1 += block.sum(axis=0)
-            s2 += (block * block).sum(axis=0) if diagonal else block.T @ block
-            buf.clear()
-
-    for row in _iter_rows(data):
-        row = row.astype(np.float64, copy=False)
-        if shift is None:
-            shift = row.copy()
-            d = row.shape[0]
-            s1 = np.zeros(d)
-            s2 = np.zeros(d) if diagonal else np.zeros((d, d))
-        count += 1
-        buf.append(row - shift)
-        if len(buf) >= 512:
-            drain()
-    drain()
+    data = np.asarray(data)
+    if data.ndim != 2:
+        raise ValueError(f"expected (N, D) data, got shape {data.shape}")
+    count, d = data.shape
     if count < 2:
         raise ValueError(f"need at least 2 samples to fit a normalizer, got {count}")
+    shift = data[0].astype(np.float64)
+    s1 = np.zeros(d)
+    s2 = np.zeros(d) if diagonal else np.zeros((d, d))
+    for start in range(0, count, 512):
+        block = data[start : start + 512] - shift
+        s1 += block.sum(axis=0)
+        s2 += (block * block).sum(axis=0) if diagonal else block.T @ block
     return count, shift, s1, s2
 
 
 def fit_znorm(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) -> NormalizerStats:
-    """Fit per-dimension standardization in one streaming pass.
+    """Fit per-dimension standardization to an (N, D) array.
 
     Variance is the population variance (divide by N), from sums shifted by
     the first sample for stability. Needs at least two samples; dimensions
@@ -162,7 +127,7 @@ def fit_znorm(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) 
 
 
 def fit_pca_whitening(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) -> NormalizerStats:
-    """Fit a PCA whitening transform in one streaming pass.
+    """Fit a PCA whitening transform to an (N, D) array.
 
     The covariance is accumulated shifted by the first sample for stability,
     then diagonalized by LAPACK through jacobi_eigh. Whitening rows are

@@ -202,7 +202,11 @@ def save_vocabulary(hierarchy: LabelHierarchy, path) -> None:
 
 
 def load_vocabulary(path) -> LabelHierarchy:
-    """Parse a vocabulary file; raises VocabularyError with a line number."""
+    """Parse a vocabulary file; raises VocabularyError with a line number.
+
+    Parent counts, duplicate parents and entities without an edge line are
+    checked by LabelHierarchy; those errors carry the path but no line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
 
@@ -286,21 +290,8 @@ def load_vocabulary(path) -> LabelHierarchy:
                     raise VocabularyError(
                         f"{path}:{lineno}: unknown parent {pname!r}"
                     )
-                pidx = parent_index[pname]
-                if pidx in parents:
-                    raise VocabularyError(
-                        f"{path}:{lineno}: duplicate parent {pname!r} for {ent_name!r}"
-                    )
-                parents.append(pidx)
-            if not (MIN_PARENTS <= len(parents) <= MAX_PARENTS):
-                raise VocabularyError(
-                    f"{path}:{lineno}: {ent_name!r} has {len(parents)} parents, "
-                    f"expected {MIN_PARENTS}..{MAX_PARENTS}"
-                )
-            edges[ent] = tuple(sorted(parents))
-        missing = [layers[-1].labels[e] for e in range(layers[-1].size) if e not in edges]
-        if missing:
-            raise VocabularyError(f"{path}: entities with no edge line: {missing[:5]}")
+                parents.append(parent_index[pname])
+            edges[ent] = tuple(parents)
 
     try:
         return LabelHierarchy(tuple(layers), edges)

@@ -12,6 +12,11 @@ import dataclasses
 
 import numpy as np
 
+# Adam's moment decay rates and the denominator's floor.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclasses.dataclass
 class AdamState:
@@ -23,9 +28,6 @@ class AdamState:
     """
 
     base_lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     decay_factor: float = 1.0
     decay_every: int = 0
@@ -38,9 +40,6 @@ def init_adam(
     tensors,
     base_lr: float,
     *,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
     decay_factor: float = 1.0,
     decay_every: int = 0,
@@ -48,13 +47,8 @@ def init_adam(
     """Fresh state with zero moments shaped like the given tensors."""
     if base_lr <= 0:
         raise ValueError(f"base_lr must be positive, got {base_lr}")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
     state = AdamState(
         base_lr=base_lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
         weight_decay=weight_decay,
         decay_factor=decay_factor,
         decay_every=decay_every,
@@ -87,8 +81,8 @@ def adam_step(state: AdamState, tensors, grads) -> float:
         raise ValueError(f"tensor names mismatch: missing {missing}, extra {extra}")
     lr = current_lr(state)
     t = state.step + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     for name in sorted(tensors):
         param = tensors[name]
         grad = np.asarray(grads[name], dtype=np.float64)
@@ -100,11 +94,11 @@ def adam_step(state: AdamState, tensors, grads) -> float:
             raise FloatingPointError(f"non-finite gradient for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        direction = (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        direction = (m / c1) / (np.sqrt(v / c2) + EPS)
         if state.weight_decay:
             direction = direction + state.weight_decay * param
         param -= lr * direction

@@ -70,7 +70,7 @@ class TestConfigMachinery:
             dict(lr=0.0), dict(iters=0), dict(batch_size=0),
             dict(weight_decay=-1.0), dict(decay_factor=0.0), dict(decay_factor=1.5),
             dict(decay_every=-1), dict(epsilon=0.0), dict(seed=-1),
-            dict(log_every=0), dict(top_k=0),
+            dict(log_every=0),
         ):
             with pytest.raises(UsageError):
                 RunConfig(**kwargs).validate()
@@ -106,6 +106,11 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, dataset, tmp_path):
         assert main(train_args(dataset, tmp_path / "o.ckpt", "--bogus", "1")) == 1
+
+    def test_train_top_k_flag_is_usage_error(self, dataset, tmp_path, capsys):
+        # k is chosen when ranking (evaluate/predict), not when training
+        assert main(train_args(dataset, tmp_path / "m.ckpt", "--top-k", "5")) == 1
+        assert "--top-k" in capsys.readouterr().err
 
     def test_train_without_inputs_is_usage_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o.ckpt")]) == 1
@@ -483,6 +488,36 @@ class TestDeterminismAndResume:
             assert "data error" in err and str(bad) in err and repr(key) in err
         else:
             assert err.startswith("error: iters")
+
+    def test_stored_top_k_is_ignored_on_resume_and_predict(self, dataset, tmp_path, capsys):
+        base = tmp_path / "base.ckpt"
+        assert main(train_args(dataset, base, "--model", "binn", "--iters", "5",
+                               "--batch-size", "64")) == 0
+        ckpt = load_checkpoint(base)
+        assert "top_k" not in ckpt.config
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, step=ckpt.step, config={**ckpt.config, "top_k": 1},
+                        tensors=ckpt.tensors, normalizer=ckpt.normalizer)
+        outs = []
+        for start in (base, old):
+            out = tmp_path / f"resumed_{start.stem}.ckpt"
+            assert main(train_args(dataset, out, "--resume", str(start), "--iters", "10")) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+        preds = tmp_path / "preds.tsv"
+        vocab = dataset / "vocab.txt"
+        assert main(["predict", "--ckpt", str(old), "--vocab", str(vocab),
+                     "--shard", str(dataset / "val.shard"), "--out", str(preds)]) == 0
+        capsys.readouterr()
+        counts = {}
+        for line in preds.read_text().splitlines():
+            video, layer = line.split("\t")[:2]
+            counts[video, layer] = counts.get((video, layer), 0) + 1
+        hierarchy = load_vocabulary(vocab)
+        want = {layer.name: min(20, layer.size) for layer in hierarchy.layers}
+        assert len(counts) == 60 * len(want)
+        assert all(n == want[layer] for (_, layer), n in counts.items())
 
     def test_resume_requires_normalizer(self, dataset, tmp_path, capsys):
         bare = tmp_path / "bare.ckpt"

@@ -87,6 +87,7 @@ class TestVideoRecord:
         np.testing.assert_allclose(video_feature(rec), [2.0, 3.0])
         np.testing.assert_allclose(video_feature(rec, include_audio=True), [2.0, 3.0, 9.0])
         assert video_feature(rec).dtype == np.float64
+        assert video_feature(rec, include_audio=True).dtype == np.float64
         plain = VideoRecord("y", [], pooled=np.ones(2, np.float32))
         with pytest.raises(ValueError):
             video_feature(plain, include_audio=True)

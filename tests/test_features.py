@@ -11,7 +11,6 @@ from hlvc.features import (
     ConvergenceError,
     NormalizerStats,
     apply_normalizer,
-    concat_audio,
     fit_pca_whitening,
     fit_znorm,
     jacobi_eigh,
@@ -48,12 +47,6 @@ class TestPooling:
         frames = np.ones((3, 2), dtype=np.float32)
         assert mean_pool(frames).dtype == np.float64
 
-    def test_concat_audio(self):
-        out = concat_audio([1.0, 2.0], [3.0])
-        np.testing.assert_allclose(out, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            concat_audio(np.zeros((2, 2)), np.zeros(2))
-
 
 class TestL2Normalize:
     def test_rows_have_unit_norm(self):
@@ -88,14 +81,6 @@ class TestZnorm:
         stats = fit_znorm(x)
         np.testing.assert_allclose(stats.mean, x.mean(axis=0), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(stats.scale, x.std(axis=0), rtol=1e-10)
-
-    def test_streaming_matches_array_input(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(100, 5))
-        a = fit_znorm(x)
-        b = fit_znorm(row for row in x)  # generator, one pass
-        np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.scale, b.scale)
 
     def test_stable_under_large_offset(self):
         # single-pass moment accumulation must survive mean >> std
@@ -257,14 +242,6 @@ class TestPcaWhitening:
             flipped = np.allclose(got[:, r], -want[:, r], atol=1e-8)
             assert close or flipped
 
-    def test_streaming_matches_array_input(self):
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(1300, 4))  # crosses the internal block size
-        a = fit_pca_whitening(x)
-        b = fit_pca_whitening(row for row in x)
-        np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
-        np.testing.assert_allclose(a.scale, b.scale, rtol=1e-12)
-
     def test_stable_under_large_offset(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(2000, 3)) + np.array([1e7, -1e7, 5e6])
@@ -285,6 +262,24 @@ class TestPcaWhitening:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             fit_pca_whitening(np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("fit", [fit_znorm, fit_pca_whitening], ids=["znorm", "pca"])
+class TestFitInput:
+    def test_float32_fit_equals_float64_upcast_bitwise(self, fit):
+        rng = np.random.default_rng(14)
+        x = rng.normal(loc=2.0, size=(1300, 4)).astype(np.float32)  # crosses 512-row slices
+        a = fit(x)
+        b = fit(x.astype(np.float64))
+        np.testing.assert_array_equal(a.mean, b.mean)
+        np.testing.assert_array_equal(a.scale, b.scale)
+
+    def test_generator_and_1d_input_rejected(self, fit):
+        x = np.ones((10, 3))
+        with pytest.raises(ValueError):
+            fit(row for row in x)
+        with pytest.raises(ValueError):
+            fit(x[:, 0])
 
 
 class TestApplyNormalizer:
