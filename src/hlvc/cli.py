@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -22,6 +23,8 @@ from .atomic import atomic_open
 from .data import (
     Checkpoint,
     CheckpointError,
+    CsrLabels,
+    Shard,
     ShardError,
     SynthConfig,
     batch_indices,
@@ -30,7 +33,6 @@ from .data import (
     read_shard,
     save_checkpoint,
     synth_generate,
-    video_feature,
     write_shard,
 )
 from .features import (
@@ -298,42 +300,67 @@ def _fit_normalizer(cfg: RunConfig, features: np.ndarray):
     return fit_pca_whitening(features, epsilon=cfg.epsilon, l2_after=cfg.l2)
 
 
-def _load_features(records, mode: str) -> np.ndarray:
-    include_audio = mode == "rgb+audio"
-    features = np.stack([video_feature(rec, include_audio) for rec in records])
+def _load_features(shard, mode: str) -> np.ndarray:
+    features = shard.features(include_audio=mode == "rgb+audio")
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
-        raise ValueError(f"record {records[bad[0]].video_id!r} has non-finite features")
+        raise ValueError(f"record {shard.video_ids[bad[0]]!r} has non-finite features")
     return features
 
 
-def _check_records(records, hierarchy) -> None:
+def _check_records(shard, hierarchy) -> None:
     sizes = hierarchy.sizes
-    for rec in records:
-        if len(rec.labels) != len(sizes):
-            raise ValueError(
-                f"record {rec.video_id!r} has {len(rec.labels)} label layers, "
-                f"vocabulary has {len(sizes)}"
-            )
-        for t, layer in enumerate(rec.labels):
-            if layer.size and (layer[0] < 0 or layer[-1] >= sizes[t]):
-                raise ValueError(
-                    f"record {rec.video_id!r} labels out of range in layer {t}"
-                )
+    wrong = np.flatnonzero(shard.layer_counts != len(sizes))
+    if wrong.size:
+        raise ValueError(
+            f"record {shard.video_ids[wrong[0]]!r} has {shard.layer_counts[wrong[0]]} "
+            f"label layers, vocabulary has {len(sizes)}"
+        )
+    for t, (layer, size) in enumerate(zip(shard.labels, sizes)):
+        # Labels are read as u32, so only the upper bound can fail.
+        beyond = np.flatnonzero(layer.indices >= size)
+        if beyond.size:
+            row = np.searchsorted(layer.indptr, beyond[0], side="right") - 1
+            raise ValueError(f"record {shard.video_ids[row]!r} labels out of range in layer {t}")
 
 
-def _read_records(shard) -> list:
-    """A shard's records; an empty shard is a data error."""
-    records = read_shard(shard)
-    if not records:
-        raise ValueError(f"shard {shard} is empty")
-    return records
+def _warn_missing_parents(path, shard, hierarchy) -> None:
+    """Warn on stderr, naming the shard and a count, when records miss a
+    parent of their finest-layer labels in the layer above."""
+    if hierarchy.num_layers < 2:
+        return
+    coarse, fine = shard.labels[-2], shard.labels[-1]
+    edges = [hierarchy.edges[e] for e in range(hierarchy.sizes[-1])]
+    parents = CsrLabels(
+        np.cumsum([0] + [len(p) for p in edges]),
+        np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64),
+    )
+    fanout, need = parents.gather(fine.indices)
+    rows = np.arange(len(shard))
+    need_rows = np.repeat(np.repeat(rows, np.diff(fine.indptr)), fanout)
+    have_rows = np.repeat(rows, np.diff(coarse.indptr))
+    width = hierarchy.sizes[-2]
+    missing = ~np.isin(need_rows * width + need, have_rows * width + coarse.indices)
+    count = np.unique(need_rows[missing]).size
+    if count:
+        print(
+            f"warning: shard {path}: {count} records miss a parent of their "
+            f"{hierarchy.layers[-1].name} labels in their {hierarchy.layers[-2].name} labels",
+            file=sys.stderr,
+        )
+
+
+def _read_nonempty(path) -> Shard:
+    """A shard's columns; an empty shard is a data error."""
+    shard = read_shard(path)
+    if not len(shard):
+        raise ValueError(f"shard {path} is empty")
+    return shard
 
 
 def cmd_fit_norm(args) -> int:
     cfg = _config_from_args(RunConfig, args)
-    records = _read_records(args.train)
-    features = _load_features(records, cfg.features)
+    features = _load_features(_read_nonempty(args.train), cfg.features)
     stats = _fit_normalizer(cfg, features)
     config = dataclasses.asdict(cfg)
     config.update({"command": "fit-norm", "feature_dim": int(features.shape[1])})
@@ -343,22 +370,15 @@ def cmd_fit_norm(args) -> int:
     return EXIT_OK
 
 
-def _multi_hot_matrix(records, layer: int, size: int) -> np.ndarray:
-    z = np.zeros((len(records), size))
-    for i, rec in enumerate(records):
-        z[i, rec.labels[layer]] = 1.0
-    return z
-
-
-def _load_inputs(shard, hierarchy, features: str, ckpt: Checkpoint | None = None):
-    """A shard's records and raw features, checked against the vocabulary and,
+def _load_inputs(path, hierarchy, features: str, ckpt: Checkpoint | None = None):
+    """A shard's columns and raw features, checked against the vocabulary and,
     when a checkpoint is given, against its layer sizes, feature dim and
     normalizer."""
     if ckpt is not None and list(ckpt.config.get("layer_sizes", [])) != list(hierarchy.sizes):
         raise ValueError("checkpoint layer sizes do not match the vocabulary")
-    records = _read_records(shard)
-    _check_records(records, hierarchy)
-    x = _load_features(records, features)
+    shard = _read_nonempty(path)
+    _check_records(shard, hierarchy)
+    x = _load_features(shard, features)
     if ckpt is not None:
         if x.shape[1] != ckpt.config.get("feature_dim"):
             raise ValueError(
@@ -367,7 +387,7 @@ def _load_inputs(shard, hierarchy, features: str, ckpt: Checkpoint | None = None
             )
         if ckpt.normalizer is None:
             raise ValueError("checkpoint carries no normalizer")
-    return records, x
+    return shard, x
 
 
 def _restore(state: dict, stored: dict) -> None:
@@ -405,14 +425,12 @@ def cmd_train(args) -> int:
     cfg = cfg.resolved()
 
     hierarchy = load_vocabulary(args.vocab)
-    records, features = _load_inputs(args.train, hierarchy, cfg.features, resume)
+    shard, features = _load_inputs(args.train, hierarchy, cfg.features, resume)
+    _warn_missing_parents(args.train, shard, hierarchy)
     dim = int(features.shape[1])
     stats = resume.normalizer if resume is not None else _fit_normalizer(cfg, features)
     x_all = apply_normalizer(stats, features)
 
-    targets = [
-        _multi_hot_matrix(records, t, size) for t, size in enumerate(hierarchy.sizes)
-    ]
     family = MODELS[cfg.model]
     params = family.init(hierarchy, dim, cfg.seed)
     tensors = params.tensors()
@@ -441,7 +459,7 @@ def cmd_train(args) -> int:
             log_fh.write(line + "\n")
 
     try:
-        n = len(records)
+        n = len(shard)
         steps_per_epoch = math.ceil(n / cfg.batch_size)
         step = adam.step
         while step < cfg.iters:
@@ -451,9 +469,11 @@ def cmd_train(args) -> int:
                     continue
                 if step >= cfg.iters:
                     break
-                loss_value, grad_tensors = family.train_grads(
-                    params, x_all[idx], [z[idx] for z in targets]
-                )
+                targets = [
+                    labels.multi_hot(idx, size)
+                    for labels, size in zip(shard.labels, hierarchy.sizes)
+                ]
+                loss_value, grad_tensors = family.train_grads(params, x_all[idx], targets)
                 if not math.isfinite(loss_value):
                     raise binn.NumericError(f"non-finite loss at step {step}")
                 if step % cfg.log_every == 0:
@@ -497,23 +517,24 @@ def _prepare_eval(args):
         raise UsageError(f"top_k must be at least 1, got {args.top_k}")
     ckpt = load_checkpoint(args.ckpt)
     hierarchy = load_vocabulary(args.vocab)
-    records, features = _load_inputs(
+    shard, features = _load_inputs(
         args.shard, hierarchy, ckpt.config.get("features", "rgb"), ckpt
     )
     x = apply_normalizer(ckpt.normalizer, features)
-    return hierarchy, records, _layer_scores(ckpt, hierarchy, x)
+    return hierarchy, shard, _layer_scores(ckpt, hierarchy, x)
 
 
 def cmd_evaluate(args) -> int:
-    hierarchy, records, scores = _prepare_eval(args)
+    hierarchy, shard, scores = _prepare_eval(args)
+    _warn_missing_parents(args.shard, shard, hierarchy)
     os.makedirs(args.out, exist_ok=True)
     for t in sorted(scores):
         layer = hierarchy.layers[t]
-        pred = PredictionSet(scores[t], [rec.labels[t] for rec in records])
+        pred = PredictionSet(scores[t], shard.labels[t])
         unlabeled = np.flatnonzero(pred.num_positives == 0)
         if unlabeled.size:
             raise ValueError(
-                f"record {records[unlabeled[0]].video_id!r} has no {layer.name} labels; "
+                f"record {shard.video_ids[unlabeled[0]]!r} has no {layer.name} labels; "
                 "PERR is undefined"
             )
         report = evaluate(pred, layer=layer.name, top_k=args.top_k)
@@ -530,22 +551,22 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    hierarchy, records, scores = _prepare_eval(args)
+    hierarchy, shard, scores = _prepare_eval(args)
     ranked = []
     for t in sorted(scores):
         top = top_labels(scores[t], args.top_k)
         best = np.take_along_axis(scores[t], top, axis=1)
         ranked.append((hierarchy.layers[t], top.tolist(), best.tolist()))
     lines = []
-    for i, rec in enumerate(records):
+    for i, video_id in enumerate(shard.video_ids):
         for layer, top, best in ranked:
             for idx, score in zip(top[i], best[i]):
                 lines.append(
-                    f"{rec.video_id}\t{layer.name}\t{layer.labels[idx]}\t{score:.6f}"
+                    f"{video_id}\t{layer.name}\t{layer.labels[idx]}\t{score:.6f}"
                 )
     with atomic_open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
-    print(f"wrote {len(lines)} predictions for {len(records)} videos to {args.out}")
+    print(f"wrote {len(lines)} predictions for {len(shard)} videos to {args.out}")
     return EXIT_OK
 
 

@@ -16,6 +16,10 @@ Shard layout (all integers little-endian)::
         audio:   dim u32, dim * f32   (only when bit 1 is set)
     crc32   u32 over every byte after the 6-byte magic+version header
 
+``read_shard`` decodes a shard into columns (a ``Shard``): float32 features,
+per-layer labels as compressed sparse rows, and the video ids; the same
+object reads as a sequence of ``VideoRecord``s, built on first access.
+
 Checkpoints share the framing with magic b"HLVC": step u64, a JSON config
 blob, then a tensor directory of named float arrays (dtype byte 0 = f32,
 1 = f64), and the same trailing crc32. Fitted normalizer statistics ride
@@ -24,6 +28,7 @@ along under reserved "norm." tensor names plus a "normalizer" config entry.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import itertools
 import json
@@ -193,15 +198,18 @@ def _write_file(path, magic: bytes, version: int, chunks) -> None:
 
 
 class _Cursor:
-    """Bounds-checked reader over a byte buffer; overruns raise truncation."""
+    """Bounds-checked reader over a file's bytes; overruns raise truncation.
 
-    def __init__(self, buf: bytes, start: int, end: int, error):
+    ``take`` returns memoryview slices of the file, so reading copies nothing.
+    """
+
+    def __init__(self, buf: memoryview, start: int, end: int, error):
         self.buf = buf
         self.off = start
         self.end = end
         self.error = error
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > self.end:
             raise self.error(
                 f"need {n} bytes at offset {self.off}, only {self.end - self.off} left"
@@ -226,7 +234,7 @@ def _read_file(path, magic: bytes, version: int, fmt_error, trunc_error) -> _Cur
     (got_version,) = struct.unpack_from("<H", buf, len(magic))
     if got_version != version:
         raise fmt_error(f"{path}: unsupported version {got_version}, expected {version}")
-    return _Cursor(buf, len(magic) + 2, len(buf) - 4, trunc_error)
+    return _Cursor(memoryview(buf), len(magic) + 2, len(buf) - 4, trunc_error)
 
 
 def _verify_crc(cur: _Cursor, path, fmt_error, crc_error) -> None:
@@ -238,43 +246,251 @@ def _verify_crc(cur: _Cursor, path, fmt_error, crc_error) -> None:
         raise crc_error(f"{path}: checksum mismatch (stored {stored:#x}, computed {actual:#x})")
 
 
-def read_shard(path) -> list:
-    """Read a shard; magic, version, truncation, and checksum failures raise
-    distinct error types."""
-    cur = _read_file(path, SHARD_MAGIC, SHARD_VERSION, ShardFormatError, ShardTruncatedError)
-    (count,) = cur.unpack("<Q")
-    records = []
-    for _ in range(count):
-        (id_len,) = cur.unpack("<H")
-        try:
-            video_id = cur.take(id_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ShardFormatError(f"{path}: undecodable video id: {exc}") from None
-        (layer_count,) = cur.unpack("<B")
-        labels = []
-        for _ in range(layer_count):
-            (n,) = cur.unpack("<H")
-            labels.append(struct.unpack(f"<{n}I", cur.take(4 * n)))
-        (kind,) = cur.unpack("<B")
-        if kind > 3:
-            raise ShardFormatError(f"{path}: unknown feature kind {kind}")
-        pooled = frames = audio = None
-        if kind & _KIND_FRAMES:
-            d, t = cur.unpack("<II")
-            if t == 0:
-                raise ShardFormatError(f"{path}: record {video_id!r} has zero frames")
-            frames = np.frombuffer(cur.take(4 * d * t), dtype="<f4").reshape(t, d).copy()
-        else:
-            (d,) = cur.unpack("<I")
-            pooled = np.frombuffer(cur.take(4 * d), dtype="<f4").copy()
-        if kind & _KIND_AUDIO:
-            (da,) = cur.unpack("<I")
-            audio = np.frombuffer(cur.take(4 * da), dtype="<f4").copy()
-        records.append(
-            VideoRecord(video_id, labels, pooled=pooled, frames=frames, audio=audio)
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions ``starts[j] .. starts[j] + lengths[j] - 1`` for every j, in order."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class CsrLabels:
+    """One label layer of a shard as compressed sparse rows: record i's
+    sorted, unique int64 labels are ``indices[indptr[i] : indptr[i + 1]]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def row(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The label counts of the records ``rows`` and their labels end to end."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        return counts, self.indices[_spans(starts, counts)]
+
+    def multi_hot(self, rows: np.ndarray, size: int) -> np.ndarray:
+        """Float64 (len(rows), size) 0/1 targets of the records ``rows``."""
+        counts, labels = self.gather(rows)
+        z = np.zeros((len(rows), size))
+        z[np.repeat(np.arange(len(rows)), counts), labels] = 1.0
+        return z
+
+
+def _label_columns(layer_counts, label_counts, values) -> list:
+    """One CsrLabels per layer position from the labels in file order.
+
+    ``label_counts`` has one entry per (record, layer) in file order and
+    ``values`` holds their labels end to end. A record without layer t has
+    no labels there. Labels are written strictly increasing; a row that is
+    not gets the sort and de-duplication that VideoRecord applies.
+    """
+    n = layer_counts.size
+    record = np.repeat(np.arange(n), layer_counts)
+    layer = np.arange(label_counts.size) - np.repeat(
+        np.cumsum(layer_counts) - layer_counts, layer_counts
+    )
+    starts = np.cumsum(label_counts) - label_counts
+    columns = []
+    for t in range(int(layer_counts.max(initial=0))):
+        here = layer == t
+        counts = np.zeros(n, dtype=np.int64)
+        counts[record[here]] = label_counts[here]
+        indices = values[_spans(starts[here], label_counts[here])]
+        # (record, label) keys rise strictly exactly when every row does.
+        keys = np.repeat(np.arange(n, dtype=np.int64), counts) << 32 | indices
+        if not (np.diff(keys) > 0).all():
+            keys = np.unique(keys)
+            indices = keys & 0xFFFFFFFF
+            counts = np.bincount(keys >> 32, minlength=n)
+        columns.append(CsrLabels(np.concatenate(([0], np.cumsum(counts))), indices))
+    return columns
+
+
+@dataclasses.dataclass(eq=False, repr=False)
+class Shard(collections.abc.Sequence):
+    """A decoded shard in columns; also a read-only sequence of VideoRecords.
+
+    Columns, one row per record in file order:
+
+    - ``video_ids``: list of N strings;
+    - ``layer_counts``: (N,) number of label layers of each record;
+    - ``labels``: one CsrLabels per layer position;
+    - ``pooled``: (N, D) float32 features. A frame record's row holds its
+      mean pool rounded to float32; its frames are ``frames[row]``;
+    - ``audio``: (N, Da) float32, or None when no record has audio;
+      ``has_audio`` marks the rows that carry it (the others are 0).
+
+    Indexing, slicing or iterating builds every VideoRecord once, on first
+    access. Records hold copies, so editing one leaves the columns as read.
+    """
+
+    video_ids: list
+    layer_counts: np.ndarray
+    labels: list
+    pooled: np.ndarray
+    frames: dict
+    audio: np.ndarray | None
+    has_audio: np.ndarray
+    _records: list | None = dataclasses.field(default=None, init=False)
+
+    def __len__(self) -> int:
+        return len(self.video_ids)
+
+    def __getitem__(self, i):
+        if self._records is None:
+            self._records = [self._record(r) for r in range(len(self))]
+        return self._records[i]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Shard, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _record(self, r: int) -> VideoRecord:
+        frames = self.frames.get(r)
+        return VideoRecord(
+            self.video_ids[r],
+            [layer.row(r) for layer in self.labels[: self.layer_counts[r]]],
+            pooled=None if frames is not None else self.pooled[r].copy(),
+            frames=None if frames is None else frames.copy(),
+            audio=self.audio[r].copy() if self.has_audio[r] else None,
         )
+
+    def features(self, include_audio: bool = False) -> np.ndarray:
+        """Float64 (N, D) video features; row i equals ``video_feature(self[i], include_audio)``."""
+        dim = self.pooled.shape[1]
+        width = dim
+        if include_audio:
+            missing = np.flatnonzero(~self.has_audio)
+            if missing.size:
+                raise ValueError(f"record {self.video_ids[missing[0]]!r} has no audio features")
+            if self.audio is not None:
+                width += self.audio.shape[1]
+        x = np.empty((len(self), width))
+        x[:, :dim] = self.pooled
+        for row, frames in self.frames.items():
+            x[row, :dim] = mean_pool(frames)
+        if width > dim:
+            x[:, dim:] = self.audio
+        return x
+
+
+_U16 = struct.Struct("<H").unpack_from
+_U32 = struct.Struct("<I").unpack_from
+_U32X2 = struct.Struct("<II").unpack_from
+_U64 = struct.Struct("<Q").unpack_from
+
+
+def read_shard(path) -> Shard:
+    """Read a shard into columns; magic, version, truncation, and checksum
+    failures raise distinct error types, and so does a record whose feature
+    or audio dim differs from the first record's.
+
+    One pass over the records unpacks only their header fields and appends
+    each payload to a flat buffer: labels to one, pooled features to another
+    (a frame record's mean pool in its place), audio to a third. Those
+    buffers become the columns.
+    """
+    cur = _read_file(path, SHARD_MAGIC, SHARD_VERSION, ShardFormatError, ShardTruncatedError)
+    end = cur.end
+    # Bounded at the checksum, so reading a field past the last record raises.
+    body = cur.buf[:end]
+    video_ids, layer_counts, label_counts, audio_rows = [], [], [], []
+    labels, pooled, audio = bytearray(), bytearray(), bytearray()
+    frames = {}
+    dim = audio_dim = -1
+    try:
+        (count,) = _U64(body, cur.off)
+        off = cur.off + 8
+        for row in range(count):
+            (n,) = _U16(body, off)
+            off += 2
+            if off + n > end:
+                raise ShardTruncatedError(f"{path}: record {row}'s video id runs past the end")
+            try:
+                video_id = str(body[off : off + n], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise ShardFormatError(f"{path}: undecodable video id: {exc}") from None
+            video_ids.append(video_id)
+            off += n
+            layers = body[off]
+            layer_counts.append(layers)
+            off += 1
+            for _ in range(layers):
+                (n,) = _U16(body, off)
+                label_counts.append(n)
+                labels += body[off + 2 : off + 2 + 4 * n]
+                off += 2 + 4 * n
+            kind = body[off]
+            if kind > 3:
+                raise ShardFormatError(f"{path}: unknown feature kind {kind}")
+            if kind & _KIND_FRAMES:
+                d, t = _U32X2(body, off + 1)
+                off += 9
+                if t == 0:
+                    raise ShardFormatError(f"{path}: record {video_id!r} has zero frames")
+                if off + 4 * d * t > end:
+                    raise ShardTruncatedError(f"{path}: record {video_id!r} runs past the end")
+                block = np.frombuffer(body, dtype="<f4", count=d * t, offset=off)
+                frames[row] = block.reshape(t, d).copy()
+                pooled += mean_pool(frames[row]).astype(np.float32).tobytes()
+                off += 4 * d * t
+            else:
+                (d,) = _U32(body, off + 1)
+                off += 5
+                pooled += body[off : off + 4 * d]
+                off += 4 * d
+            if d != dim:
+                if dim >= 0:
+                    raise ShardFormatError(
+                        f"{path}: record {video_id!r} has feature dim {d}, "
+                        f"the records before it have {dim}"
+                    )
+                dim = d
+            if kind & _KIND_AUDIO:
+                (da,) = _U32(body, off)
+                off += 4
+                if da != audio_dim:
+                    if audio_dim >= 0:
+                        raise ShardFormatError(
+                            f"{path}: record {video_id!r} has audio dim {da}, "
+                            f"the records before it have {audio_dim}"
+                        )
+                    audio_dim = da
+                audio_rows.append(row)
+                audio += body[off : off + 4 * da]
+                off += 4 * da
+    except (struct.error, IndexError, OverflowError):
+        raise ShardTruncatedError(
+            f"{path}: record {len(video_ids)} runs past the end of the file"
+        ) from None
+    if off > end:
+        raise ShardTruncatedError(f"{path}: the last record runs past the end of the file")
+    cur.off = off
     _verify_crc(cur, path, ShardFormatError, ShardChecksumError)
-    return records
+
+    n = len(video_ids)
+    layer_counts = np.array(layer_counts, dtype=np.int64)
+    values = np.frombuffer(labels, dtype="<u4").astype(np.int64)
+    has_audio = np.zeros(n, dtype=bool)
+    has_audio[audio_rows] = True
+    audio_block = None
+    if audio_rows:
+        audio_block = np.frombuffer(audio, dtype="<f4").reshape(len(audio_rows), audio_dim)
+        if len(audio_rows) < n:
+            audio_block, packed = np.zeros((n, audio_dim), dtype=np.float32), audio_block
+            audio_block[audio_rows] = packed
+    return Shard(
+        video_ids,
+        layer_counts,
+        _label_columns(layer_counts, np.array(label_counts, dtype=np.int64), values),
+        np.frombuffer(pooled, dtype="<f4").reshape(n, max(dim, 0)),
+        frames,
+        audio_block,
+        has_audio,
+    )
 
 
 @dataclasses.dataclass
@@ -345,7 +561,7 @@ def load_checkpoint(path) -> Checkpoint:
     (step,) = cur.unpack("<Q")
     (blob_len,) = cur.unpack("<I")
     try:
-        config = json.loads(cur.take(blob_len).decode("utf-8"))
+        config = json.loads(str(cur.take(blob_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad config blob: {exc}") from None
     (count,) = cur.unpack("<I")
@@ -353,7 +569,7 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(count):
         (name_len,) = cur.unpack("<H")
         try:
-            name = cur.take(name_len).decode("utf-8")
+            name = str(cur.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: undecodable tensor name: {exc}") from None
         dtype_byte, ndim = cur.unpack("<BB")

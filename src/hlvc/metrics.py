@@ -20,32 +20,34 @@ import numpy as np
 DEFAULT_TOP_K = 20
 
 
-@dataclasses.dataclass
 class PredictionSet:
     """Scores (V, C) for V videos over C labels plus per-video positives.
 
-    ``positives`` becomes a list of sorted, unique int64 arrays. The same
-    labels are also kept flat: ``pos_videos`` and ``pos_labels`` list every
-    positive as a (video, label) pair in video order, and ``num_positives``
-    counts them per video.
+    ``positives`` holds each video's labels: a list of label sequences, or
+    compressed sparse rows (any object with ``indptr`` and ``indices``, such
+    as a shard's ``CsrLabels``). They are kept flat, sorted and unique per
+    video: ``pos_videos`` and ``pos_labels`` list every positive as a
+    (video, label) pair in video order, and ``num_positives`` counts them
+    per video. ``positives`` reads them back as one int64 array per video.
     """
 
-    scores: np.ndarray
-    positives: list
-
-    def __post_init__(self) -> None:
-        self.scores = np.asarray(self.scores, dtype=np.float64)
+    def __init__(self, scores, positives) -> None:
+        self.scores = np.asarray(scores, dtype=np.float64)
         if self.scores.ndim != 2 or 0 in self.scores.shape:
             raise ValueError(f"scores must be a non-empty (V, C) array, got {self.scores.shape}")
         if not np.isfinite(self.scores).all():
             raise ValueError("scores contain non-finite values")
-        if len(self.positives) != self.num_videos:
-            raise ValueError(
-                f"{len(self.positives)} positive sets for {self.num_videos} videos"
-            )
-        parts = [p if isinstance(p, np.ndarray) else list(p) for p in self.positives]
-        counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-        labels = np.concatenate(parts, dtype=np.int64, casting="unsafe")
+        csr = hasattr(positives, "indptr")
+        sets = len(positives.indptr) - 1 if csr else len(positives)
+        if sets != self.num_videos:
+            raise ValueError(f"{sets} positive sets for {self.num_videos} videos")
+        if csr:
+            counts = np.diff(positives.indptr)
+            labels = np.asarray(positives.indices, dtype=np.int64)
+        else:
+            parts = [p if isinstance(p, np.ndarray) else list(p) for p in positives]
+            counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+            labels = np.concatenate(parts, dtype=np.int64, casting="unsafe")
         videos = np.repeat(np.arange(self.num_videos), counts)
         out_of_range = (labels < 0) | (labels >= self.num_labels)
         if out_of_range.any():
@@ -58,8 +60,6 @@ class PredictionSet:
         keys = keys[np.diff(keys, prepend=-1) > 0]
         videos, labels = np.divmod(keys, self.num_labels)
         counts = np.bincount(videos, minlength=self.num_videos)
-        ends = np.cumsum(counts).tolist()
-        self.positives = [labels[a:b] for a, b in zip([0] + ends[:-1], ends)]
         self.num_positives = counts
         self.pos_videos = videos
         self.pos_labels = labels
@@ -72,6 +72,11 @@ class PredictionSet:
     @property
     def num_labels(self) -> int:
         return self.scores.shape[1]
+
+    @cached_property
+    def positives(self) -> list:
+        ends = np.cumsum(self.num_positives).tolist()
+        return [self.pos_labels[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     @cached_property
     def pos_mask(self) -> np.ndarray:
@@ -106,8 +111,14 @@ def top_labels(scores: np.ndarray, k: int) -> np.ndarray:
     kth = np.partition(scores, c - k, axis=1)[:, c - k, None]
     take = scores > kth
     tied = scores == kth
-    need = k - take.sum(axis=1, keepdims=True)
-    take |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need)
+    need = k - take.sum(axis=1)
+    # Only a row whose tie at the k-th score is split needs the running count
+    # that keeps its lowest tied indices; every other row takes all its ties.
+    split = np.flatnonzero(tied.sum(axis=1) > need)
+    take |= tied
+    if split.size:
+        ties = tied[split]
+        take[split] &= ~ties | (np.cumsum(ties, axis=1, dtype=np.int32) <= need[split, None])
     cols = np.nonzero(take)[1].reshape(-1, k)
     order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)

@@ -184,6 +184,80 @@ class TestExitCodes:
         assert "data error" in err and repr(records[2].video_id) in err
         assert "entities" in err and "video 2 " not in err
 
+    @pytest.mark.parametrize("field", ["pooled", "audio"])
+    def test_mixed_feature_dims_is_data_error_naming_video(self, dataset, tmp_path, capsys, field):
+        records = read_shard(dataset / "val.shard")[:]
+        records[7] = VideoRecord(
+            "odd_dims", records[7].labels,
+            pooled=records[7].pooled[: 5 if field == "pooled" else None],
+            audio=np.zeros(3 if field == "audio" else 2, np.float32),
+        )
+        for i in (0, 3):  # earlier records with 2-d audio
+            records[i].audio = np.zeros(2, np.float32)
+        bad = tmp_path / "mixed.shard"
+        write_shard(bad, records)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "5")) == 0
+        capsys.readouterr()
+        runs = [
+            ["train", "--vocab", str(dataset / "vocab.txt"), "--train", str(bad),
+             "--out", str(tmp_path / "o.ckpt"), "--model", "logreg", "--iters", "5"],
+            ["evaluate", "--ckpt", str(ckpt), "--vocab", str(dataset / "vocab.txt"),
+             "--shard", str(bad), "--out", str(tmp_path / "rep")],
+        ]
+        for argv in runs:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "data error" in err and "'odd_dims'" in err
+            assert ("audio dim" if field == "audio" else "feature dim") in err
+
+    def test_missing_parents_warn_once_on_stderr(self, dataset, tmp_path, capsys):
+        hierarchy = load_vocabulary(dataset / "vocab.txt")
+        records = read_shard(dataset / "val.shard")
+        entity = int(records[4].labels[1][0])
+        parent = hierarchy.parents_of(entity)[0]
+        records[4].labels[0] = np.setdiff1d(records[4].labels[0], [parent])
+        bad = tmp_path / "orphan.shard"
+        write_shard(bad, records)
+        log = tmp_path / "train.log"
+        ckpt = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "5")) == 0
+        assert "warning" not in capsys.readouterr().err
+        runs = [
+            ["train", "--vocab", str(dataset / "vocab.txt"), "--train", str(bad),
+             "--out", str(tmp_path / "o.ckpt"), "--model", "logreg", "--iters", "5",
+             "--log", str(log), "--log-every", "1"],
+            ["evaluate", "--ckpt", str(ckpt), "--vocab", str(dataset / "vocab.txt"),
+             "--shard", str(bad), "--out", str(tmp_path / "rep")],
+        ]
+        for argv in runs:
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err.splitlines() == [
+                f"warning: shard {bad}: 1 records miss a parent of their entities "
+                "labels in their verticals labels"
+            ]
+            assert "warning" not in out
+        assert all(line.startswith("step=") for line in log.read_text().splitlines())
+        predict = ["predict", "--ckpt", str(ckpt), "--vocab", str(dataset / "vocab.txt"),
+                   "--shard", str(bad), "--out", str(tmp_path / "p.tsv")]
+        assert main(predict) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_train_evaluate_predict_build_no_video_records(self, dataset, tmp_path, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("VideoRecord built on the CLI path")
+
+        monkeypatch.setattr(VideoRecord, "__post_init__", refuse)
+        vocab, val = str(dataset / "vocab.txt"), str(dataset / "val.shard")
+        ckpt = tmp_path / "m.ckpt"
+        for model in ("binn", "logreg"):
+            assert main(train_args(dataset, ckpt, "--model", model, "--iters", "5")) == 0
+            assert main(["evaluate", "--ckpt", str(ckpt), "--vocab", vocab,
+                         "--shard", val, "--out", str(tmp_path / "rep")]) == 0
+            assert main(["predict", "--ckpt", str(ckpt), "--vocab", vocab,
+                         "--shard", val, "--out", str(tmp_path / "p.tsv")]) == 0
+
     def test_mismatched_vocab_is_data_error(self, dataset, tmp_path):
         out = tmp_path / "m.ckpt"
         assert main(train_args(dataset, out, "--model", "logreg", "--iters", "5")) == 0
@@ -593,7 +667,7 @@ class TestEvaluate:
         raw = json.loads((rep / "eval_entities.json").read_text())
         assert raw["hit_at_1"] > 0.8  # easy separable data
 
-    def test_top_k_flag_overrides_checkpoint(self, perfect_setup, tmp_path, capsys):
+    def test_top_k_zero_is_usage_error(self, perfect_setup, tmp_path, capsys):
         vocab, shard, ckpt = perfect_setup
         code = main(
             ["evaluate", "--ckpt", str(ckpt), "--vocab", str(vocab),

@@ -11,6 +11,7 @@ from hlvc.data import (
     SHARD_MAGIC,
     CheckpointError,
     ShardChecksumError,
+    ShardError,
     ShardFormatError,
     ShardTruncatedError,
     SynthConfig,
@@ -26,6 +27,7 @@ from hlvc.data import (
     _poisson_rate_for_mean,
 )
 from hlvc.features import NormalizerStats
+from reference_shard import ref_read_shard
 
 
 def sample_records():
@@ -197,6 +199,153 @@ class TestShardErrors:
         path.write_bytes(raw)
         with pytest.raises(ShardFormatError):
             read_shard(path)
+
+
+def _shard_bytes(records_body: list) -> bytes:
+    """A shard file from hand-encoded record bodies."""
+    body = struct.pack("<Q", len(records_body)) + b"".join(records_body)
+    return SHARD_MAGIC + struct.pack("<H", 1) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def _raw_record(video_id: str, layers, pooled) -> bytes:
+    """One pooled record with its label layers written exactly as given."""
+    out = struct.pack("<H", len(video_id)) + video_id.encode() + struct.pack("<B", len(layers))
+    for layer in layers:
+        out += struct.pack(f"<H{len(layer)}I", len(layer), *layer)
+    return out + struct.pack("<BI", 0, len(pooled)) + np.asarray(pooled, "<f4").tobytes()
+
+
+def _dense_targets(records, layer: int, size: int) -> np.ndarray:
+    """Dense (N, size) multi-hot targets, one record at a time."""
+    z = np.zeros((len(records), size))
+    for i, rec in enumerate(records):
+        z[i, rec.labels[layer]] = 1.0
+    return z
+
+
+class TestColumnarDecode:
+    @staticmethod
+    def record_sets():
+        rng = np.random.default_rng(3)
+        pooled = [
+            VideoRecord(f"p{i}", [[i % 3], [i, i + 4]], pooled=rng.normal(size=6).astype(np.float32))
+            for i in range(5)
+        ]
+        frames = [
+            VideoRecord(f"f{i}", [[0], [i]], frames=rng.normal(size=(i + 1, 6)).astype(np.float32))
+            for i in range(4)
+        ]
+        audio = [
+            VideoRecord(f"a{i}", [[1], [2]], pooled=rng.normal(size=6).astype(np.float32),
+                        audio=rng.normal(size=3).astype(np.float32))
+            for i in range(3)
+        ]
+        empty_layers = [
+            VideoRecord("none", [[], []], pooled=np.ones(6, np.float32)),
+            VideoRecord("fine_only", [[], [4]], pooled=np.ones(6, np.float32)),
+            VideoRecord("no_layers", [], pooled=np.zeros(6, np.float32)),
+            VideoRecord("three", [[0], [1], [2, 5]], pooled=np.zeros(6, np.float32)),
+        ]
+        return {
+            "pooled": pooled,
+            "frames": frames,
+            "audio": audio,
+            "mixed": sample_records(),
+            "mixed_audio": pooled[:2] + audio[:1] + frames[:2] + audio[1:],
+            "empty_layers": empty_layers,
+        }
+
+    @pytest.mark.parametrize("name", ["pooled", "frames", "audio", "mixed", "mixed_audio", "empty_layers"])
+    def test_equals_reference_reader(self, tmp_path, name):
+        records = self.record_sets()[name]
+        path = tmp_path / f"{name}.shard"
+        write_shard(path, records)
+        shard = read_shard(path)
+        assert shard == ref_read_shard(path) == records
+        assert len(shard) == len(records) and shard.pooled.dtype == np.float32
+        assert shard[1:3] == records[1:3] and list(shard) == records
+        assert read_shard(path) == shard
+        for layer in shard.labels:
+            assert layer.indices.dtype == np.int64 and layer.indptr.shape == (len(records) + 1,)
+
+    def test_unsorted_and_duplicated_labels_match_reference(self, tmp_path):
+        path = tmp_path / "raw.shard"
+        path.write_bytes(_shard_bytes([
+            _raw_record("sorted", [[1, 4], [0, 2, 9]], [1.0, 2.0]),
+            _raw_record("unsorted", [[4, 1], [9, 0, 2]], [3.0, 4.0]),
+            _raw_record("duplicated", [[2, 2], [7, 3, 7, 3]], [5.0, 6.0]),
+            _raw_record("empty", [[], []], [7.0, 8.0]),
+        ]))
+        shard = read_shard(path)
+        assert shard == ref_read_shard(path)
+        np.testing.assert_array_equal(shard.labels[0].indptr, [0, 2, 4, 5, 5])
+        np.testing.assert_array_equal(shard.labels[0].indices, [1, 4, 1, 4, 2])
+        np.testing.assert_array_equal(shard.labels[1].indices, [0, 2, 9, 0, 2, 9, 3, 7])
+
+    def test_truncation_at_every_offset_matches_reference(self, tmp_path):
+        path = tmp_path / "full.shard"
+        write_shard(path, sample_records())  # the last id is cut mid-character too
+        raw = path.read_bytes()
+        cut_path = tmp_path / "cut.shard"
+        for cut in range(len(raw)):
+            cut_path.write_bytes(raw[:cut])
+            with pytest.raises(ShardError) as want:
+                ref_read_shard(cut_path)
+            with pytest.raises((ShardTruncatedError, ShardFormatError)) as got:
+                read_shard(cut_path)
+            assert type(got.value) is type(want.value), cut
+
+    @pytest.mark.parametrize("field", ["dim", "audio_dim"])
+    def test_mixed_dims_name_the_record(self, tmp_path, field):
+        records = [
+            VideoRecord("first", [[0]], pooled=np.zeros(4, np.float32), audio=np.zeros(2, np.float32)),
+            VideoRecord("second", [[0]], frames=np.zeros((2, 4), np.float32), audio=np.zeros(2, np.float32)),
+            VideoRecord("odd_one", [[0]],
+                        pooled=np.zeros(4 if field == "audio_dim" else 5, np.float32),
+                        audio=np.zeros(3 if field == "audio_dim" else 2, np.float32)),
+        ]
+        path = tmp_path / "mixed.shard"
+        write_shard(path, records)
+        with pytest.raises(ShardFormatError, match="'odd_one'"):
+            read_shard(path)
+
+    def test_features_equal_video_feature_per_record(self, tmp_path):
+        path = tmp_path / "s.shard"
+        records = self.record_sets()["mixed_audio"]
+        write_shard(path, records)
+        shard = read_shard(path)
+        got = shard.features()
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.stack([video_feature(r) for r in records]))
+        with pytest.raises(ValueError, match="'p0' has no audio"):
+            shard.features(include_audio=True)
+        records = [r for r in sample_records() if r.audio is not None]
+        write_shard(path, records)
+        np.testing.assert_array_equal(
+            read_shard(path).features(include_audio=True),
+            np.stack([video_feature(r, include_audio=True) for r in records]),
+        )
+
+    def test_records_are_copies_built_once(self, tmp_path):
+        path = tmp_path / "s.shard"
+        write_shard(path, sample_records())
+        shard = read_shard(path)
+        shard[0].pooled[0] = np.nan
+        assert shard[0] is shard[0] and np.isnan(shard[0].pooled[0])
+        assert np.isfinite(shard.pooled).all()
+
+    def test_multi_hot_rows_equal_dense_targets(self, tmp_path):
+        cfg = SynthConfig(num_verticals=5, num_entities=30, dim=4, num_train=300, num_val=1, seed=2)
+        hierarchy, train, _ = synth_generate(cfg)
+        path = tmp_path / "t.shard"
+        write_shard(path, train)
+        shard = read_shard(path)
+        for idx in batch_indices(len(train), 64, seed=0, epoch=0):
+            for t, size in enumerate(hierarchy.sizes):
+                dense = _dense_targets(train, t, size)
+                got = shard.labels[t].multi_hot(idx, size)
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, dense[idx])
 
 
 class TestCheckpoint:
