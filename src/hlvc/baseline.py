@@ -22,7 +22,10 @@ class LogRegParams:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        # Float weights keep their dtype, which the model then computes in;
+        # integer weights become float64.
+        weights = np.asarray(self.weights)
+        self.weights = weights.astype(np.promote_types(weights.dtype, np.float32), copy=False)
         if self.weights.ndim != 2 or self.weights.shape[1] < 2:
             raise ValueError(f"weights must be (C, D+1), got {self.weights.shape}")
 
@@ -34,20 +37,24 @@ class LogRegParams:
     def dim(self) -> int:
         return self.weights.shape[1] - 1
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights.dtype
+
     def tensors(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights}
 
 
-def init_params(n_classes: int, dim: int) -> LogRegParams:
+def init_params(n_classes: int, dim: int, dtype=np.float64) -> LogRegParams:
     """All-zero weights, so every initial probability is exactly 0.5."""
     if n_classes < 1 or dim < 1:
         raise ValueError(f"need positive sizes, got {n_classes} classes, dim {dim}")
-    return LogRegParams(np.zeros((n_classes, dim + 1)))
+    return LogRegParams(np.zeros((n_classes, dim + 1), dtype))
 
 
 def _with_bias(params: LogRegParams, x) -> tuple[np.ndarray, bool]:
     x, squeeze = _as_batch(params, x)
-    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1), squeeze
+    return np.concatenate([x, np.ones((x.shape[0], 1), x.dtype)], axis=1), squeeze
 
 
 def predict(params: LogRegParams, x) -> np.ndarray:
@@ -72,9 +79,9 @@ def loss_grad(
     """
     xb, squeeze = _with_bias(params, x)
     if squeeze:
-        y = _as_multi_hot(positives, (params.num_classes,))[None, :]
+        y = _as_multi_hot(positives, (params.num_classes,), xb.dtype)[None, :]
     else:
-        y = _as_multi_hot(positives, (xb.shape[0], params.num_classes))
+        y = _as_multi_hot(positives, (xb.shape[0], params.num_classes), xb.dtype)
     z = xb @ params.weights.T
     if not np.isfinite(z).all():
         raise NumericError("non-finite logistic scores")
@@ -95,7 +102,7 @@ DEFAULT_ITERS = 35000
 
 
 def init(hierarchy, dim: int, seed: int) -> LogRegParams:
-    return init_params(hierarchy.sizes[-1], dim)
+    return init_params(hierarchy.sizes[-1], dim, dtype=np.float32)
 
 
 def train_grads(params: LogRegParams, x, targets) -> tuple[float, dict]:

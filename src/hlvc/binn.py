@@ -78,6 +78,11 @@ class BinnParams:
     def num_layers(self) -> int:
         return len(self.sizes)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The float dtype every array of the model, and its computation, uses."""
+        return self.proj_w[0].dtype
+
     def tensors(self) -> dict[str, np.ndarray]:
         """Flat name-to-array view sharing storage with the parameters."""
         return dict(_tensor_items(self))
@@ -98,13 +103,14 @@ class BinnActivations:
 GATE_INIT = 0.5
 
 
-def init_params(layers, dim: int, seed: int) -> BinnParams:
+def init_params(layers, dim: int, seed: int, dtype=np.float64) -> BinnParams:
     """Deterministic initialization for a given seed.
 
     Weight matrices draw from the uniform Glorot range
     +-sqrt(6 / (fan_in + fan_out)) in a fixed order (projections, then the
-    forward chain, then the backward chain, layer by layer). Biases start at
-    zero and both gate vectors at GATE_INIT.
+    forward chain, then the backward chain, layer by layer), in float64, and
+    are then rounded to ``dtype``. Biases start at zero and both gate
+    vectors at GATE_INIT.
     """
     sizes = _layer_sizes(layers)
     if dim < 1:
@@ -114,7 +120,7 @@ def init_params(layers, dim: int, seed: int) -> BinnParams:
 
     def glorot(rows: int, cols: int) -> np.ndarray:
         lim = math.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-lim, lim, size=(rows, cols))
+        return rng.uniform(-lim, lim, size=(rows, cols)).astype(dtype, copy=False)
 
     proj_w = [glorot(n, dim) for n in sizes]
     fwd_v: list = [None]
@@ -135,24 +141,25 @@ def init_params(layers, dim: int, seed: int) -> BinnParams:
         dim=dim,
         sizes=sizes,
         proj_w=proj_w,
-        proj_b=[np.zeros(n) for n in sizes],
+        proj_b=[np.zeros(n, dtype) for n in sizes],
         fwd_v=fwd_v,
         fwd_h=fwd_h,
-        fwd_b=[np.zeros(n) for n in sizes],
+        fwd_b=[np.zeros(n, dtype) for n in sizes],
         bwd_v=bwd_v,
         bwd_h=bwd_h,
-        bwd_b=[np.zeros(n) for n in sizes],
-        agg_fwd_u=[np.full(n, GATE_INIT) for n in sizes],
-        agg_bwd_u=[np.full(n, GATE_INIT) for n in sizes],
-        agg_b=[np.zeros(n) for n in sizes],
+        bwd_b=[np.zeros(n, dtype) for n in sizes],
+        agg_fwd_u=[np.full(n, GATE_INIT, dtype) for n in sizes],
+        agg_bwd_u=[np.full(n, GATE_INIT, dtype) for n in sizes],
+        agg_b=[np.zeros(n, dtype) for n in sizes],
     )
 
 
 def sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise logistic 1 / (1 + exp(-a)), the formula of scipy's expit.
 
-    exp(-a) overflows to inf below a = -709, which gives exactly 0; that
-    overflow is expected, so its warning is silenced here only. ``out`` may
+    exp(-a) overflows to inf below a point set by the dtype (about -88.7
+    in float32, -709 in float64), which gives exactly 0; that overflow is
+    expected, so its warning is silenced here only. ``out`` may
     be ``a`` itself.
     """
     with np.errstate(over="ignore"):
@@ -176,8 +183,9 @@ def cross_entropy(a: np.ndarray, p: np.ndarray, z: np.ndarray) -> float:
     return float(np.maximum(a, 0.0).sum() - q.sum() - np.vdot(z, a))
 
 
-def _as_batch(params: BinnParams, x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(params, x) -> tuple[np.ndarray, bool]:
+    """``x`` as a (B, D) batch in the parameters' dtype, and whether it was one vector."""
+    x = np.asarray(x, dtype=params.dtype)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
@@ -228,8 +236,8 @@ def forward(params: BinnParams, x) -> BinnActivations:
     return BinnActivations(x_t=x_t, fwd=fwd, bwd=bwd, a=a, p=p)
 
 
-def _as_multi_hot(positives_t, shape) -> np.ndarray:
-    """One layer's labels -> 0/1 float array of the activation ``shape``.
+def _as_multi_hot(positives_t, shape, dtype) -> np.ndarray:
+    """One layer's labels -> 0/1 ``dtype`` array of the activation ``shape``.
 
     A float or bool ndarray is multi-hot, reshaped to ``shape`` (so a (1, n)
     row serves an (n,) activation); anything else, integer arrays included,
@@ -241,10 +249,10 @@ def _as_multi_hot(positives_t, shape) -> np.ndarray:
                 f"multi-hot labels of shape {positives_t.shape} do not fit "
                 f"activations of shape {tuple(shape)}"
             )
-        return positives_t.astype(np.float64, copy=False).reshape(shape)
+        return positives_t.astype(dtype, copy=False).reshape(shape)
     if len(shape) != 1:
         raise ValueError("batched labels must be float or bool multi-hot arrays")
-    z = np.zeros(shape, dtype=np.float64)
+    z = np.zeros(shape, dtype=dtype)
     idx = np.asarray(list(positives_t), dtype=np.int64)
     if idx.size:
         if idx.min() < 0 or idx.max() >= shape[0]:
@@ -267,7 +275,7 @@ def loss(acts: BinnActivations, positives) -> float:
         raise ValueError(f"expected labels for {len(acts.a)} layers, got {len(positives)}")
     total = 0.0
     for a_t, p_t, pos_t in zip(acts.a, acts.p, positives):
-        total += cross_entropy(a_t, p_t, _as_multi_hot(pos_t, a_t.shape))
+        total += cross_entropy(a_t, p_t, _as_multi_hot(pos_t, a_t.shape, a_t.dtype))
     return total
 
 
@@ -285,9 +293,9 @@ def backward(params: BinnParams, x, positives) -> tuple[float, BinnParams]:
     z = []
     for t in range(m):
         if squeeze:
-            z.append(_as_multi_hot(positives[t], (params.sizes[t],))[None, :])
+            z.append(_as_multi_hot(positives[t], (params.sizes[t],), params.dtype)[None, :])
         else:
-            z.append(_as_multi_hot(positives[t], acts.a[t].shape))
+            z.append(_as_multi_hot(positives[t], acts.a[t].shape, params.dtype))
     loss_value = loss(acts, z)
     g_a = [acts.p[t] - z[t] for t in range(m)]
 
@@ -339,7 +347,7 @@ def predict(params: BinnParams, x) -> list:
     one matrix product per layer.
     """
     xb, squeeze = _as_batch(params, x)
-    basis = forward(params, np.vstack([np.zeros(params.dim), np.eye(params.dim)])).a
+    basis = forward(params, np.eye(params.dim + 1, params.dim, k=-1, dtype=params.dtype)).a
     probs = []
     for t, a_basis in enumerate(basis):
         a = xb @ (a_basis[1:] - a_basis[0])
@@ -356,7 +364,7 @@ DEFAULT_ITERS = 90000
 
 
 def init(hierarchy, dim: int, seed: int) -> BinnParams:
-    return init_params(hierarchy.sizes, dim, seed)
+    return init_params(hierarchy.sizes, dim, seed, dtype=np.float32)
 
 
 def train_grads(params: BinnParams, x, targets) -> tuple[float, dict]:

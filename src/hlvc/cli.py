@@ -51,12 +51,16 @@ EXIT_NUMERIC = 3
 
 # Model families by name, the first the default. Each module provides the
 # DEFAULT_LR and DEFAULT_ITERS applied when lr/iters are unset, and
-# init(hierarchy, dim, seed), train_grads(params, x, per_layer_targets)
-# -> (loss, {name: grad}) and scores(params, x, hierarchy) -> {layer: probs}.
+# init(hierarchy, dim, seed) -> float32 parameters, train_grads(params, x,
+# per_layer_targets) -> (loss, {name: grad}) and scores(params, x, hierarchy)
+# -> {layer: probs}, both computing in the parameters' dtype.
 MODELS = {"binn": binn, "logreg": baseline}
 
 # Training-state names of the Adam moments: "adam.m.<param>" and "adam.v.<param>".
 _ADAM_PREFIX = "adam."
+
+# Rows per block when normalizing a shard's features (see ``_normalized``).
+_NORM_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -300,6 +304,42 @@ def _fit_normalizer(cfg: RunConfig, features: np.ndarray):
     return fit_pca_whitening(features, epsilon=cfg.epsilon, l2_after=cfg.l2)
 
 
+def _normalized(stats, features: np.ndarray) -> np.ndarray:
+    """``apply_normalizer`` over ``_NORM_ROWS``-row blocks of ``features``.
+
+    Each block is normalized in float64 and rounded once into one (N, D)
+    float32 array, the shards' feature dtype, so no float64 temporary
+    larger than a block exists.
+    """
+    out = np.empty(features.shape, np.float32)
+    for start in range(0, len(out), _NORM_ROWS):
+        out[start : start + _NORM_ROWS] = apply_normalizer(
+            stats, features[start : start + _NORM_ROWS]
+        )
+    return out
+
+
+def _check_training_set(path, shard, ckpt_path, config: dict) -> None:
+    """A resumed run's shard must be the one its checkpoint was trained on:
+    batch order depends on the record count, and the data on the CRC32.
+    Checkpoints that predate these config entries are not checked."""
+    want = (config.get("train_records"), config.get("train_crc32"))
+    if None in want:
+        return
+    if any(type(v) is not int for v in want):
+        raise ValueError(
+            f"checkpoint {ckpt_path}: train_records and train_crc32 must be "
+            f"integers, got {want[0]!r} and {want[1]!r}"
+        )
+    got = (len(shard), shard.crc32)
+    if got != want:
+        raise ValueError(
+            f"shard {path} ({got[0]} records, CRC32 {got[1]:#010x}) is not the "
+            f"training shard of checkpoint {ckpt_path} ({want[0]} records, "
+            f"CRC32 {want[1]:#010x})"
+        )
+
+
 def _load_features(shard, mode: str) -> np.ndarray:
     features = shard.features(include_audio=mode == "rgb+audio")
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
@@ -426,10 +466,15 @@ def cmd_train(args) -> int:
 
     hierarchy = load_vocabulary(args.vocab)
     shard, features = _load_inputs(args.train, hierarchy, cfg.features, resume)
+    if resume is not None:
+        _check_training_set(args.train, shard, args.resume, resume.config)
     _warn_missing_parents(args.train, shard, hierarchy)
     dim = int(features.shape[1])
     stats = resume.normalizer if resume is not None else _fit_normalizer(cfg, features)
-    x_all = apply_normalizer(stats, features)
+    # Training runs in the shard's float32: the model, the Adam state and
+    # the features; the float64 upcast is dropped once normalized.
+    x_all = _normalized(stats, features)
+    del features
 
     family = MODELS[cfg.model]
     params = family.init(hierarchy, dim, cfg.seed)
@@ -491,6 +536,8 @@ def cmd_train(args) -> int:
             "feature_dim": dim,
             "layer_sizes": list(hierarchy.sizes),
             "layer_names": [layer.name for layer in hierarchy.layers],
+            "train_records": len(shard),
+            "train_crc32": shard.crc32,
         }
     )
     save_checkpoint(args.out, step=adam.step, config=config, tensors=state, normalizer=stats)
@@ -520,7 +567,8 @@ def _prepare_eval(args):
     shard, features = _load_inputs(
         args.shard, hierarchy, ckpt.config.get("features", "rgb"), ckpt
     )
-    x = apply_normalizer(ckpt.normalizer, features)
+    x = _normalized(ckpt.normalizer, features)
+    del features
     return hierarchy, shard, _layer_scores(ckpt, hierarchy, x)
 
 

@@ -197,51 +197,73 @@ def _write_file(path, magic: bytes, version: int, chunks) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-class _Cursor:
-    """Bounds-checked reader over a file's bytes; overruns raise truncation.
+# Bytes of magic and u16 version before a file's body.
+_HEADER = 6
 
-    ``take`` returns memoryview slices of the file, so reading copies nothing.
+
+class _Stream:
+    """Bounds-checked reader of a file's body, front to back, that folds every
+    byte it reads into a running CRC32; overruns raise truncation.
+
+    ``array`` reads straight into a new array, so the file is never held in
+    memory as a whole.
     """
 
-    def __init__(self, buf: memoryview, start: int, end: int, error):
-        self.buf = buf
+    def __init__(self, fh, start: int, end: int, error):
+        self.fh = fh
         self.off = start
         self.end = end
         self.error = error
+        self.crc = 0
 
-    def take(self, n: int) -> memoryview:
+    def _claim(self, n: int) -> None:
         if self.off + n > self.end:
             raise self.error(
                 f"need {n} bytes at offset {self.off}, only {self.end - self.off} left"
             )
-        chunk = self.buf[self.off : self.off + n]
         self.off += n
-        return chunk
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        data = self.fh.read(n)
+        self.crc = zlib.crc32(data, self.crc)
+        return data
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def array(self, count: int, dtype) -> np.ndarray:
+        """The next ``count`` elements of ``dtype`` as a new flat array."""
+        # Bounded by the file before allocating, so a corrupt shape cannot
+        # ask for more memory than the file holds.
+        self._claim(count * np.dtype(dtype).itemsize)
+        arr = np.empty(count, dtype)
+        view = memoryview(arr).cast("B")
+        if self.fh.readinto(view) != view.nbytes:
+            raise self.error(f"file ended before offset {self.off}")
+        self.crc = zlib.crc32(view, self.crc)
+        return arr
 
-def _read_file(path, magic: bytes, version: int, fmt_error, trunc_error) -> _Cursor:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < len(magic):
+
+def _check_header(
+    path, head: bytes, size: int, magic: bytes, version: int, fmt_error, trunc_error
+) -> None:
+    """Check the magic and version at the start of a ``size``-byte file."""
+    if size < len(magic):
         raise trunc_error(f"{path}: file shorter than the magic header")
-    if buf[: len(magic)] != magic:
-        raise fmt_error(f"{path}: bad magic {buf[:len(magic)]!r}, expected {magic!r}")
-    if len(buf) < len(magic) + 2 + 4:
+    if head[: len(magic)] != magic:
+        raise fmt_error(f"{path}: bad magic {head[:len(magic)]!r}, expected {magic!r}")
+    if size < len(magic) + 2 + 4:
         raise trunc_error(f"{path}: file too short for header and checksum")
-    (got_version,) = struct.unpack_from("<H", buf, len(magic))
+    (got_version,) = struct.unpack_from("<H", head, len(magic))
     if got_version != version:
         raise fmt_error(f"{path}: unsupported version {got_version}, expected {version}")
-    return _Cursor(memoryview(buf), len(magic) + 2, len(buf) - 4, trunc_error)
 
 
-def _verify_crc(cur: _Cursor, path, fmt_error, crc_error) -> None:
-    if cur.off != cur.end:
-        raise fmt_error(f"{path}: {cur.end - cur.off} trailing bytes after last record")
-    (stored,) = struct.unpack_from("<I", cur.buf, cur.end)
-    actual = zlib.crc32(cur.buf[6 : cur.end])
+def _check_end(path, off: int, end: int, stored: int, actual: int, fmt_error, crc_error) -> None:
+    """A parsed body must end where the checksum starts, and the checksum match."""
+    if off != end:
+        raise fmt_error(f"{path}: {end - off} trailing bytes after last record")
     if stored != actual:
         raise crc_error(f"{path}: checksum mismatch (stored {stored:#x}, computed {actual:#x})")
 
@@ -271,9 +293,10 @@ class CsrLabels:
         return counts, self.indices[_spans(starts, counts)]
 
     def multi_hot(self, rows: np.ndarray, size: int) -> np.ndarray:
-        """Float64 (len(rows), size) 0/1 targets of the records ``rows``."""
+        """Float32 (len(rows), size) 0/1 targets of the records ``rows``, in
+        the dtype of the feature columns."""
         counts, labels = self.gather(rows)
-        z = np.zeros((len(rows), size))
+        z = np.zeros((len(rows), size), np.float32)
         z[np.repeat(np.arange(len(rows)), counts), labels] = 1.0
         return z
 
@@ -322,6 +345,8 @@ class Shard(collections.abc.Sequence):
     - ``audio``: (N, Da) float32, or None when no record has audio;
       ``has_audio`` marks the rows that carry it (the others are 0).
 
+    ``crc32`` is the file's checksum, which names the data it holds.
+
     Indexing, slicing or iterating builds every VideoRecord once, on first
     access. Records hold copies, so editing one leaves the columns as read.
     """
@@ -333,6 +358,7 @@ class Shard(collections.abc.Sequence):
     frames: dict
     audio: np.ndarray | None
     has_audio: np.ndarray
+    crc32: int
     _records: list | None = dataclasses.field(default=None, init=False)
 
     def __len__(self) -> int:
@@ -393,17 +419,22 @@ def read_shard(path) -> Shard:
     (a frame record's mean pool in its place), audio to a third. Those
     buffers become the columns.
     """
-    cur = _read_file(path, SHARD_MAGIC, SHARD_VERSION, ShardFormatError, ShardTruncatedError)
-    end = cur.end
+    with open(path, "rb") as fh:
+        buf = memoryview(fh.read())
+    _check_header(
+        path, bytes(buf[:_HEADER]), len(buf), SHARD_MAGIC, SHARD_VERSION,
+        ShardFormatError, ShardTruncatedError,
+    )
+    end = len(buf) - 4
     # Bounded at the checksum, so reading a field past the last record raises.
-    body = cur.buf[:end]
+    body = buf[:end]
     video_ids, layer_counts, label_counts, audio_rows = [], [], [], []
     labels, pooled, audio = bytearray(), bytearray(), bytearray()
     frames = {}
     dim = audio_dim = -1
     try:
-        (count,) = _U64(body, cur.off)
-        off = cur.off + 8
+        (count,) = _U64(body, _HEADER)
+        off = _HEADER + 8
         for row in range(count):
             (n,) = _U16(body, off)
             off += 2
@@ -468,8 +499,10 @@ def read_shard(path) -> Shard:
         ) from None
     if off > end:
         raise ShardTruncatedError(f"{path}: the last record runs past the end of the file")
-    cur.off = off
-    _verify_crc(cur, path, ShardFormatError, ShardChecksumError)
+    (crc,) = _U32(buf, end)
+    _check_end(
+        path, off, end, crc, zlib.crc32(body[_HEADER:]), ShardFormatError, ShardChecksumError
+    )
 
     n = len(video_ids)
     layer_counts = np.array(layer_counts, dtype=np.int64)
@@ -490,6 +523,7 @@ def read_shard(path) -> Shard:
         frames,
         audio_block,
         has_audio,
+        crc,
     )
 
 
@@ -554,10 +588,41 @@ def _checkpoint_chunks(step: int, config: dict, entries: dict):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any corruption raises CheckpointError."""
-    cur = _read_file(
-        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, CheckpointError
-    )
+    """Read a checkpoint; any corruption raises CheckpointError.
+
+    Each tensor is read straight into its own array, and the checksum is
+    accumulated on the way, so loading holds no second copy of the file.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        _check_header(
+            path, fh.read(_HEADER), size, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            CheckpointError, CheckpointError,
+        )
+        cur = _Stream(fh, _HEADER, size - 4, CheckpointError)
+        step, config, tensors = _read_checkpoint_body(cur, path)
+        # At least 4 bytes follow the body, so this reads a full u32.
+        (stored,) = struct.unpack("<I", fh.read(4))
+    _check_end(path, cur.off, cur.end, stored, cur.crc, CheckpointError, CheckpointError)
+
+    normalizer = None
+    norm_cfg = config.get("normalizer")
+    if norm_cfg is not None:
+        try:
+            normalizer = NormalizerStats(
+                kind=norm_cfg["kind"],
+                mean=tensors.pop(_NORM_PREFIX + "mean"),
+                scale=tensors.pop(_NORM_PREFIX + "scale"),
+                epsilon=float(norm_cfg["epsilon"]),
+                l2_after=bool(norm_cfg["l2_after"]),
+            )
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad normalizer block: {exc}") from None
+    return Checkpoint(step=step, config=config, tensors=tensors, normalizer=normalizer)
+
+
+def _read_checkpoint_body(cur: _Stream, path) -> tuple[int, dict, dict]:
+    """The step, config and tensors of a checkpoint body."""
     (step,) = cur.unpack("<Q")
     (blob_len,) = cur.unpack("<I")
     try:
@@ -577,25 +642,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype {dtype_byte}")
         shape = tuple(cur.unpack("<" + "I" * ndim)) if ndim else ()
         code = "<f4" if dtype_byte == 0 else "<f8"
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(cur.take(size * (4 if dtype_byte == 0 else 8)), dtype=code)
-        tensors[name] = arr.reshape(shape).copy()
-    _verify_crc(cur, path, CheckpointError, CheckpointError)
-
-    normalizer = None
-    norm_cfg = config.get("normalizer")
-    if norm_cfg is not None:
-        try:
-            normalizer = NormalizerStats(
-                kind=norm_cfg["kind"],
-                mean=tensors.pop(_NORM_PREFIX + "mean"),
-                scale=tensors.pop(_NORM_PREFIX + "scale"),
-                epsilon=float(norm_cfg["epsilon"]),
-                l2_after=bool(norm_cfg["l2_after"]),
-            )
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(f"{path}: bad normalizer block: {exc}") from None
-    return Checkpoint(step=step, config=config, tensors=tensors, normalizer=normalizer)
+        tensors[name] = cur.array(math.prod(shape), code).reshape(shape)
+    return step, config, tensors
 
 
 def batch_indices(count: int, batch_size: int, seed: int, epoch: int):

@@ -167,15 +167,16 @@ class LabelHierarchy:
         """Lift finest-layer scores to the parent layer by max over children.
 
         ``entity_scores`` has shape (..., n_entities); the result has shape
-        (..., n_parent). A label with no children gets score 0, the floor of
-        the probability range.
+        (..., n_parent), in the dtype of float scores. A label with no
+        children gets score 0, the floor of the probability range.
         """
-        scores = np.asarray(entity_scores, dtype=np.float64)
+        scores = np.asarray(entity_scores)
+        scores = scores.astype(np.promote_types(scores.dtype, np.float32), copy=False)
         if scores.shape[-1] != self.layers[-1].size:
             raise ValueError(
                 f"expected last axis {self.layers[-1].size}, got {scores.shape[-1]}"
             )
-        out = np.zeros(scores.shape[:-1] + (self.layers[-2].size,), dtype=np.float64)
+        out = np.zeros(scores.shape[:-1] + (self.layers[-2].size,), dtype=scores.dtype)
         for v, kids in enumerate(self.children_of):
             if kids:
                 out[..., v] = scores[..., list(kids)].max(axis=-1)

@@ -23,6 +23,10 @@ DEFAULT_TOP_K = 20
 class PredictionSet:
     """Scores (V, C) for V videos over C labels plus per-video positives.
 
+    Float scores are kept in their dtype, without a copy; the metrics only
+    compare them, so float32 scores give the same results as their float64
+    upcast.
+
     ``positives`` holds each video's labels: a list of label sequences, or
     compressed sparse rows (any object with ``indptr`` and ``indices``, such
     as a shard's ``CsrLabels``). They are kept flat, sorted and unique per
@@ -32,7 +36,8 @@ class PredictionSet:
     """
 
     def __init__(self, scores, positives) -> None:
-        self.scores = np.asarray(scores, dtype=np.float64)
+        scores = np.asarray(scores)
+        self.scores = scores.astype(np.promote_types(scores.dtype, np.float32), copy=False)
         if self.scores.ndim != 2 or 0 in self.scores.shape:
             raise ValueError(f"scores must be a non-empty (V, C) array, got {self.scores.shape}")
         if not np.isfinite(self.scores).all():

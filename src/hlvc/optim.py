@@ -2,8 +2,9 @@
 
 Parameters and gradients travel as flat name-to-array dicts (the models'
 ``tensors()`` views), so the optimizer never knows model structure. Updates
-happen in place; moments are plain arrays on the state so checkpoints can
-carry them and training can resume bit for bit.
+happen in place, in each parameter's dtype; moments are plain arrays of that
+dtype on the state so checkpoints can carry them and training can resume bit
+for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ class AdamState:
     step: int = 0
     m: dict = dataclasses.field(default_factory=dict)
     v: dict = dataclasses.field(default_factory=dict)
+    # Two flat work arrays per dtype, as long as the largest tensor, built on
+    # the first update; each tensor's update runs in views of them.
+    scratch: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
 
 
 def init_adam(
@@ -44,7 +48,7 @@ def init_adam(
     decay_factor: float = 1.0,
     decay_every: int = 0,
 ) -> AdamState:
-    """Fresh state with zero moments shaped like the given tensors."""
+    """Fresh state with zero moments shaped like the given tensors, in their dtypes."""
     if base_lr <= 0:
         raise ValueError(f"base_lr must be positive, got {base_lr}")
     state = AdamState(
@@ -55,8 +59,8 @@ def init_adam(
     )
     for name in sorted(tensors):
         arr = np.asarray(tensors[name])
-        state.m[name] = np.zeros_like(arr, dtype=np.float64)
-        state.v[name] = np.zeros_like(arr, dtype=np.float64)
+        state.m[name] = np.zeros_like(arr)
+        state.v[name] = np.zeros_like(arr)
     return state
 
 
@@ -74,6 +78,12 @@ def adam_step(state: AdamState, tensors, grads) -> float:
     update is corrected with t = 1. Weight decay is decoupled: lr *
     weight_decay * param is subtracted alongside the Adam direction rather
     than being folded into the gradient.
+
+    Each tensor is updated in its own dtype, gradients cast to it. The
+    arithmetic writes into the moments, the tensor and two scratch arrays
+    instead of temporaries, and rounds the same operations in the same
+    order as the expression ``param -= lr * ((m / c1) / (sqrt(v / c2) + EPS)
+    + weight_decay * param)``.
     """
     if set(tensors) != set(state.m):
         missing = sorted(set(state.m) - set(tensors))
@@ -85,7 +95,7 @@ def adam_step(state: AdamState, tensors, grads) -> float:
     c2 = 1.0 - BETA2**t
     for name in sorted(tensors):
         param = tensors[name]
-        grad = np.asarray(grads[name], dtype=np.float64)
+        grad = np.asarray(grads[name], dtype=param.dtype)
         if grad.shape != param.shape:
             raise ValueError(
                 f"gradient for {name} has shape {grad.shape}, expected {param.shape}"
@@ -94,13 +104,36 @@ def adam_step(state: AdamState, tensors, grads) -> float:
             raise FloatingPointError(f"non-finite gradient for {name}")
         m = state.m[name]
         v = state.v[name]
+        s1, s2 = (buf[: param.size].reshape(param.shape) for buf in _scratch(state, param))
         m *= BETA1
-        m += (1.0 - BETA1) * grad
+        np.multiply(1.0 - BETA1, grad, out=s1)
+        m += s1
         v *= BETA2
-        v += (1.0 - BETA2) * grad * grad
-        direction = (m / c1) / (np.sqrt(v / c2) + EPS)
+        np.multiply(1.0 - BETA2, grad, out=s1)
+        s1 *= grad
+        v += s1
+        np.divide(v, c2, out=s1)
+        np.sqrt(s1, out=s1)
+        s1 += EPS
+        np.divide(m, c1, out=s2)
+        s2 /= s1
         if state.weight_decay:
-            direction = direction + state.weight_decay * param
-        param -= lr * direction
+            np.multiply(state.weight_decay, param, out=s1)
+            s2 += s1
+        s2 *= lr
+        param -= s2
     state.step = t
     return lr
+
+
+def _scratch(state: AdamState, param: np.ndarray) -> tuple:
+    """The state's two work arrays for ``param``'s dtype, grown to fit it."""
+    bufs = state.scratch.get(param.dtype)
+    if bufs is None or bufs[0].size < param.size:
+        same = [m.size for m in state.m.values() if m.dtype == param.dtype]
+        largest = max([param.size] + same)
+        bufs = state.scratch[param.dtype] = (
+            np.empty(largest, param.dtype),
+            np.empty(largest, param.dtype),
+        )
+    return bufs

@@ -159,6 +159,31 @@ class TestLossGrad:
         assert acc == 1.0
 
 
+class TestFloat32:
+    def test_loss_grad_keeps_float32(self):
+        rng = np.random.default_rng(8)
+        params = baseline.init_params(4, 5, dtype=np.float32)
+        params.weights[...] = rng.normal(scale=0.3, size=params.weights.shape)
+        wide = LogRegParams(params.weights.astype(np.float64))
+        x = rng.normal(size=(6, 5)).astype(np.float32)
+        y = (rng.random((6, 4)) < 0.4).astype(np.float32)
+        xb, _ = baseline._with_bias(params, x)
+        assert xb.dtype == np.float32
+        value, grad = baseline.loss_grad(params, x, y, l2_penalty=0.1)
+        want_value, want_grad = baseline.loss_grad(wide, x, y, l2_penalty=0.1)
+        assert grad.dtype == np.float32
+        assert value == pytest.approx(want_value, rel=1e-5)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-4, atol=1e-5)
+        assert baseline.predict(params, x).dtype == np.float32
+
+    def test_family_init_is_float32(self):
+        class Hierarchy:
+            sizes = (2, 3)
+
+        params = baseline.init(Hierarchy, 4, seed=0)
+        assert params.weights.dtype == np.float32 and params.weights.shape == (3, 5)
+
+
 class TestParams:
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -376,3 +376,47 @@ class TestBackward:
         params = binn.init_params([3, 4], 2, seed=21)
         with pytest.raises(ValueError):
             binn.backward(params, np.zeros((1, 2)), [np.zeros((1, 3))])
+
+
+class TestFloat32:
+    """A model computes in its parameters' dtype; float32 stays float32."""
+
+    def test_family_init_is_float32_rounding_of_float64_init(self):
+        class Hierarchy:
+            sizes = (3, 5)
+
+        small = binn.init(Hierarchy, 4, seed=9)
+        wide = binn.init_params([3, 5], 4, seed=9)
+        assert small.dtype == np.float32 and wide.dtype == np.float64
+        for name, tensor in small.tensors().items():
+            assert tensor.dtype == np.float32
+            np.testing.assert_array_equal(tensor, wide.tensors()[name].astype(np.float32))
+
+    def test_backward_keeps_float32_without_upcasting_inputs(self):
+        rng = np.random.default_rng(21)
+        wide = binn.init_params([3, 5], 6, seed=21)
+        params = binn.init_params([3, 5], 6, seed=21, dtype=np.float32)
+        x = rng.normal(size=(8, 6)).astype(np.float32)
+        zs = [z.astype(np.float32) for z in random_labels(rng, params.sizes, 8)]
+        # Input and targets in the parameters' dtype are used as they are.
+        assert binn._as_batch(params, x)[0] is x
+        assert np.shares_memory(binn._as_multi_hot(zs[0], zs[0].shape, params.dtype), zs[0])
+
+        acts = binn.forward(params, x)
+        for arrays in (acts.x_t, acts.fwd, acts.bwd, acts.a, acts.p):
+            assert all(a.dtype == np.float32 for a in arrays)
+        loss, grads = binn.backward(params, x, zs)
+        want_loss, want = binn.backward(wide, x, zs)
+        assert loss == pytest.approx(want_loss, rel=1e-5)
+        for name, grad in grads.tensors().items():
+            assert grad.dtype == np.float32
+            np.testing.assert_allclose(grad, want.tensors()[name], rtol=1e-3, atol=1e-4)
+
+    def test_predict_keeps_float32(self):
+        rng = np.random.default_rng(22)
+        params = binn.init_params([3, 4], 5, seed=22, dtype=np.float32)
+        wide = binn.init_params([3, 4], 5, seed=22)
+        x = rng.normal(size=(7, 5))
+        for got, want in zip(binn.predict(params, x), binn.predict(wide, x)):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, atol=1e-6)

@@ -604,6 +604,123 @@ class TestDeterminismAndResume:
         assert code == 2
 
 
+class TestFloat32:
+    def test_training_runs_in_float32(self, dataset, tmp_path, monkeypatch, capsys):
+        seen = []
+        family = cli.MODELS["binn"]
+        real = family.train_grads
+
+        def spy(params, x, targets):
+            seen.append((params.dtype, x.dtype, {z.dtype for z in targets}))
+            return real(params, x, targets)
+
+        monkeypatch.setattr(family, "train_grads", spy)
+        out = tmp_path / "f.ckpt"
+        assert main(train_args(dataset, out, "--model", "binn", "--iters", "3",
+                               "--batch-size", "64")) == 0
+        capsys.readouterr()
+        assert seen == [(np.float32, np.float32, {np.dtype(np.float32)})] * 3
+        tensors = load_checkpoint(out).tensors
+        assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
+        assert any(name.startswith("adam.v.") for name in tensors)
+
+    @pytest.mark.parametrize("model", ["logreg", "binn"])
+    def test_float64_checkpoint_still_works(self, dataset, tmp_path, capsys, model):
+        """A checkpoint with float64 tensors, as older versions wrote them, is
+        restored into the float32 model: its evaluate and predict outputs and
+        its resumed run equal those of the float32 checkpoint it was cast from."""
+        small = tmp_path / "f32.ckpt"
+        assert main(train_args(dataset, small, "--model", model, "--iters", "20",
+                               "--batch-size", "64", "--lr", "0.01")) == 0
+        ckpt = load_checkpoint(small)
+        wide = tmp_path / "f64.ckpt"
+        save_checkpoint(
+            wide, step=ckpt.step, config=ckpt.config, normalizer=ckpt.normalizer,
+            tensors={k: v.astype(np.float64) for k, v in ckpt.tensors.items()},
+        )
+        assert {t.dtype for t in load_checkpoint(wide).tensors.values()} == {np.dtype(np.float64)}
+        outputs = {}
+        for tag, path in (("small", small), ("wide", wide)):
+            common = ["--ckpt", str(path), "--vocab", str(dataset / "vocab.txt"),
+                      "--shard", str(dataset / "val.shard")]
+            rep = tmp_path / f"rep_{tag}"
+            preds = tmp_path / f"{tag}.tsv"
+            resumed = tmp_path / f"resumed_{tag}.ckpt"
+            assert main(["evaluate", *common, "--out", str(rep)]) == 0
+            assert main(["predict", *common, "--out", str(preds)]) == 0
+            assert main(train_args(dataset, resumed, "--resume", str(path), "--iters", "30")) == 0
+            outputs[tag] = [
+                (rep / "eval_entities.json").read_bytes(),
+                (rep / "eval_verticals.json").read_bytes(),
+                preds.read_bytes(),
+                resumed.read_bytes(),
+            ]
+        capsys.readouterr()
+        assert outputs["wide"] == outputs["small"]
+
+
+class TestTrainingSetIdentity:
+    def test_checkpoint_records_the_training_shard(self, dataset, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, out, "--model", "logreg", "--iters", "2")) == 0
+        capsys.readouterr()
+        shard = read_shard(dataset / "train.shard")
+        config = load_checkpoint(out).config
+        assert config["train_records"] == len(shard) == 300
+        assert config["train_crc32"] == shard.crc32
+
+    @pytest.mark.parametrize("change", ["records", "content"])
+    def test_resume_on_another_shard_is_data_error(self, dataset, tmp_path, capsys, change):
+        base = tmp_path / "base.ckpt"
+        assert main(train_args(dataset, base, "--model", "logreg", "--iters", "5",
+                               "--batch-size", "64")) == 0
+        records = list(read_shard(dataset / "train.shard"))
+        if change == "records":
+            records = records[:-1]
+        else:  # same count, one feature moved
+            records[5].pooled[0] += 1.0
+        other = tmp_path / "other.shard"
+        write_shard(other, records)
+        train = read_shard(dataset / "train.shard")
+        capsys.readouterr()
+        code = main(["train", "--vocab", str(dataset / "vocab.txt"), "--train", str(other),
+                     "--out", str(tmp_path / "r.ckpt"), "--resume", str(base), "--iters", "10"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"({len(records)} records, CRC32 {read_shard(other).crc32:#010x})" in err
+        assert f"({len(train)} records, CRC32 {train.crc32:#010x})" in err
+        assert not (tmp_path / "r.ckpt").exists()
+
+    @pytest.mark.parametrize("value", [[1, 2], {"a": 1}, "0x1", 3.0, True])
+    def test_non_integer_identity_is_data_error(self, dataset, tmp_path, capsys, value):
+        base = tmp_path / "base.ckpt"
+        assert main(train_args(dataset, base, "--model", "logreg", "--iters", "5")) == 0
+        ckpt = load_checkpoint(base)
+        ckpt.config["train_crc32"] = value
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, step=ckpt.step, config=ckpt.config, tensors=ckpt.tensors,
+                        normalizer=ckpt.normalizer)
+        capsys.readouterr()
+        code = main(train_args(dataset, tmp_path / "r.ckpt", "--resume", str(bad), "--iters", "8"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"checkpoint {bad}: train_records and train_crc32 must be integers" in err
+        assert not (tmp_path / "r.ckpt").exists()
+
+    def test_checkpoint_without_identity_still_resumes(self, dataset, tmp_path, capsys):
+        base = tmp_path / "base.ckpt"
+        assert main(train_args(dataset, base, "--model", "logreg", "--iters", "5")) == 0
+        ckpt = load_checkpoint(base)
+        for key in ("train_records", "train_crc32"):
+            del ckpt.config[key]
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, step=ckpt.step, config=ckpt.config, tensors=ckpt.tensors,
+                        normalizer=ckpt.normalizer)
+        code = main(train_args(dataset, tmp_path / "r.ckpt", "--resume", str(old), "--iters", "8"))
+        capsys.readouterr()
+        assert code == 0
+
+
 @pytest.fixture()
 def perfect_setup(tmp_path):
     """Two videos, two entities, unit-separable features, an exact classifier."""

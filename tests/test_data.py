@@ -326,6 +326,12 @@ class TestColumnarDecode:
             np.stack([video_feature(r, include_audio=True) for r in records]),
         )
 
+    def test_crc32_is_the_stored_checksum(self, tmp_path):
+        path = tmp_path / "s.shard"
+        write_shard(path, sample_records())
+        raw = path.read_bytes()
+        assert read_shard(path).crc32 == struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[6:-4])
+
     def test_records_are_copies_built_once(self, tmp_path):
         path = tmp_path / "s.shard"
         write_shard(path, sample_records())
@@ -344,7 +350,7 @@ class TestColumnarDecode:
             for t, size in enumerate(hierarchy.sizes):
                 dense = _dense_targets(train, t, size)
                 got = shard.labels[t].multi_hot(idx, size)
-                assert got.dtype == np.float64
+                assert got.dtype == np.float32
                 np.testing.assert_array_equal(got, dense[idx])
 
 
@@ -433,6 +439,18 @@ class TestCheckpoint:
         raw[-4:] = struct.pack("<I", zlib.crc32(body))
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_oversized_shape_is_truncation_not_allocation(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, step=0, config={}, tensors={"w": np.ones((2, 3))})
+        raw = bytearray(path.read_bytes())
+        blob_len = struct.unpack_from("<I", raw, 14)[0]
+        dims_off = 14 + 4 + blob_len + 4 + 2 + 1 + 2  # count, name, dtype, ndim
+        assert struct.unpack_from("<II", raw, dims_off) == (2, 3)
+        struct.pack_into("<II", raw, dims_off, 0xFFFFFFFF, 0xFFFFFFFF)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="need 147573952520956936200 bytes"):
             load_checkpoint(path)
 
     def test_bad_config_blob_rejected(self, tmp_path):

@@ -142,6 +142,13 @@ class TestInducedVerticals:
         with pytest.raises(ValueError):
             h.induce_vertical_scores(np.zeros(h.sizes[-1] + 1))
 
+    def test_scores_keep_float32(self):
+        h = make_hierarchy(num_parents=5, num_fine=12, seed=12)
+        scores = np.random.default_rng(12).random((6, h.sizes[-1])).astype(np.float32)
+        out = h.induce_vertical_scores(scores)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, h.induce_vertical_scores(scores.astype(np.float64)))
+
     def test_scores_preserve_leading_axes(self):
         h = make_hierarchy(seed=2)
         scores = np.random.default_rng(2).random((3, 4, h.sizes[-1]))

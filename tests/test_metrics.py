@@ -373,3 +373,33 @@ class TestEvalReport:
         assert "mean_ap = 0.500000" in text
         assert "hit_at_1 = 0.125000" in text
         assert text.endswith("\n")
+
+
+class TestFloat32Scores:
+    """Metrics only compare scores, and float32 -> float64 is exact and
+    order-preserving, so float32 scores report as their float64 upcast."""
+
+    @staticmethod
+    def cases():
+        cases = {k: v.astype(np.float32) for k, v in _score_cases().items()}
+        # Logits past ~17 round to exactly 1.0 in a float32 sigmoid (~37 in
+        # float64), so saturated float32 scores tie far more often.
+        logits = np.random.default_rng(45).normal(scale=20.0, size=(500, 80))
+        cases["sigmoid"] = expit(logits.astype(np.float32))
+        return cases
+
+    @pytest.mark.parametrize("case", ["random", "quantized", "saturated", "signed_zero", "sigmoid"])
+    def test_reports_equal_float64_upcast(self, case):
+        scores = self.cases()[case]
+        assert scores.dtype == np.float32
+        rng = np.random.default_rng(46)
+        positives = [rng.choice(78, size=int(rng.integers(1, 6)), replace=False)
+                     for _ in range(scores.shape[0])]
+        pred = PredictionSet(scores, positives)
+        assert pred.scores is scores  # kept without a copy
+        wide = PredictionSet(scores.astype(np.float64), positives)
+        for k in (1, 5, 20):
+            np.testing.assert_array_equal(pred.ranked_labels(k), wide.ranked_labels(k))
+        got, want = evaluate(pred, "x", top_k=7), evaluate(wide, "x", top_k=7)
+        assert got.to_json() == want.to_json()
+        assert got.to_text() == want.to_text()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hlvc.optim import AdamState, adam_step, current_lr, init_adam
+from reference_optim import reference_adam_step
 
 
 def reference_adam(params, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -120,6 +121,48 @@ class TestAdamStep:
         state = init_adam(p, 0.1)
         assert state.m["a"].shape == (2, 3) and state.v["b"].shape == (5,)
         assert all(not m.any() for m in state.m.values())
+
+
+class TestInPlaceUpdate:
+    @staticmethod
+    def tensors(rng, dtype):
+        # Mixed sizes, so the shared scratch arrays serve smaller tensors
+        # through views; a 0-d and an empty tensor at the edges.
+        shapes = {"big": (7, 9), "bias": (9,), "scalar": (), "empty": (0, 3)}
+        return {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_float64_bitwise_equal_to_reference(self, weight_decay):
+        rng = np.random.default_rng(3)
+        live = self.tensors(rng, np.float64)
+        ref = {k: v.copy() for k, v in live.items()}
+        kw = dict(weight_decay=weight_decay, decay_factor=0.5, decay_every=4)
+        state, ref_state = init_adam(live, 0.01, **kw), init_adam(ref, 0.01, **kw)
+        for _ in range(12):
+            grads = {k: rng.normal(scale=10.0, size=v.shape) for k, v in live.items()}
+            assert adam_step(state, live, grads) == reference_adam_step(ref_state, ref, grads)
+            for name in live:
+                assert live[name].tobytes() == ref[name].tobytes()
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes()
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes()
+
+    def test_float32_state_stays_float32(self):
+        rng = np.random.default_rng(4)
+        live = self.tensors(rng, np.float32)
+        wide = {k: v.astype(np.float64) for k, v in live.items()}
+        state = init_adam(live, 0.01, weight_decay=0.05)
+        wide_state = init_adam(wide, 0.01, weight_decay=0.05)
+        for _ in range(12):
+            # float64 gradients are cast to the parameters' dtype
+            grads = {k: rng.normal(size=v.shape) for k, v in live.items()}
+            adam_step(state, live, grads)
+            adam_step(wide_state, wide, {k: g.astype(np.float32) for k, g in grads.items()})
+        for name in live:
+            assert live[name].dtype == np.float32
+            assert state.m[name].dtype == state.v[name].dtype == np.float32
+            np.testing.assert_allclose(live[name], wide[name], rtol=1e-5, atol=1e-6)
+        assert set(state.scratch) == {np.dtype(np.float32)}
+        assert all(buf.size == 63 for buf in state.scratch[np.dtype(np.float32)])
 
 
 class TestValidation:
