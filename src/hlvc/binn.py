@@ -221,8 +221,10 @@ def forward(params: BinnParams, x) -> BinnActivations:
         params.agg_fwd_u[t] * fwd[t] + params.agg_bwd_u[t] * bwd[t] + params.agg_b[t]
         for t in range(m)
     ]
+    # A non-finite fwd[t] or bwd[t] always makes a[t] non-finite (inf * 0
+    # and inf - inf are nan), so checking a[t] alone covers the chains.
     for t in range(m):
-        if not np.isfinite(a[t]).all() or not np.isfinite(fwd[t]).all() or not np.isfinite(bwd[t]).all():
+        if not np.isfinite(a[t]).all():
             raise NumericError(f"non-finite activation in layer {t}")
     p = [sigmoid(a[t]) for t in range(m)]
     if squeeze:

@@ -1,4 +1,4 @@
-"""Command line pipeline: synthesize, fit normalizers, train, evaluate, predict.
+"""Command line pipeline: synthesize, train, evaluate, predict.
 
 Every subcommand accepts ``--config FILE`` with ``key = value`` lines (one
 per line, '#' starts a comment); explicitly passed flags override file
@@ -24,6 +24,7 @@ from .data import (
     Checkpoint,
     CheckpointError,
     CsrLabels,
+    FeatureRows,
     Shard,
     ShardError,
     SynthConfig,
@@ -36,6 +37,7 @@ from .data import (
     write_shard,
 )
 from .features import (
+    BLOCK_ROWS,
     ConvergenceError,
     apply_normalizer,
     fit_pca_whitening,
@@ -58,9 +60,6 @@ MODELS = {"binn": binn, "logreg": baseline}
 
 # Training-state names of the Adam moments: "adam.m.<param>" and "adam.v.<param>".
 _ADAM_PREFIX = "adam."
-
-# Rows per block when normalizing a shard's features (see ``_normalized``).
-_NORM_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -244,12 +243,6 @@ def build_parser() -> _Parser:
     _add_config_flags(p, SynthConfig)
     p.set_defaults(func=cmd_synth)
 
-    p = subs.add_parser("fit-norm", help="fit a feature normalizer only")
-    p.add_argument("--train", required=True, help="training shard")
-    p.add_argument("--out", required=True, help="output checkpoint")
-    _add_config_flags(p, RunConfig)
-    p.set_defaults(func=cmd_fit_norm)
-
     p = subs.add_parser("train", help="train a model")
     p.add_argument("--vocab", help="vocabulary file")
     p.add_argument("--train", help="training shard")
@@ -298,23 +291,23 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _fit_normalizer(cfg: RunConfig, features: np.ndarray):
+def _fit_normalizer(cfg: RunConfig, features: FeatureRows):
     if cfg.norm == "znorm":
         return fit_znorm(features, epsilon=cfg.epsilon, l2_after=cfg.l2)
     return fit_pca_whitening(features, epsilon=cfg.epsilon, l2_after=cfg.l2)
 
 
-def _normalized(stats, features: np.ndarray) -> np.ndarray:
-    """``apply_normalizer`` over ``_NORM_ROWS``-row blocks of ``features``.
+def _normalized(stats, features: FeatureRows) -> np.ndarray:
+    """``apply_normalizer`` over ``BLOCK_ROWS``-row blocks of ``features``.
 
-    Each block is normalized in float64 and rounded once into one (N, D)
-    float32 array, the shards' feature dtype, so no float64 temporary
+    Each block is read and normalized in float64 and rounded once into one
+    (N, D) float32 array, the shards' feature dtype, so no float64 array
     larger than a block exists.
     """
     out = np.empty(features.shape, np.float32)
-    for start in range(0, len(out), _NORM_ROWS):
-        out[start : start + _NORM_ROWS] = apply_normalizer(
-            stats, features[start : start + _NORM_ROWS]
+    for start in range(0, len(out), BLOCK_ROWS):
+        out[start : start + BLOCK_ROWS] = apply_normalizer(
+            stats, features[start : start + BLOCK_ROWS]
         )
     return out
 
@@ -340,9 +333,18 @@ def _check_training_set(path, shard, ckpt_path, config: dict) -> None:
         )
 
 
-def _load_features(shard, mode: str) -> np.ndarray:
+def _load_features(shard, mode: str) -> FeatureRows:
+    """The shard's feature rows for ``mode``; every row must be finite.
+
+    The check reads the float32 columns: a row is finite exactly when its
+    float64 upcast is, and a frame record's float32 mean pool exactly when
+    its float64 one is.
+    """
     features = shard.features(include_audio=mode == "rgb+audio")
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    finite = np.isfinite(shard.pooled).all(axis=1)
+    if features.shape[1] > shard.pooled.shape[1]:
+        finite &= np.isfinite(shard.audio).all(axis=1)
+    bad = np.flatnonzero(~finite)
     if bad.size:
         raise ValueError(f"record {shard.video_ids[bad[0]]!r} has non-finite features")
     return features
@@ -396,18 +398,6 @@ def _read_nonempty(path) -> Shard:
     if not len(shard):
         raise ValueError(f"shard {path} is empty")
     return shard
-
-
-def cmd_fit_norm(args) -> int:
-    cfg = _config_from_args(RunConfig, args)
-    features = _load_features(_read_nonempty(args.train), cfg.features)
-    stats = _fit_normalizer(cfg, features)
-    config = dataclasses.asdict(cfg)
-    config.update({"command": "fit-norm", "feature_dim": int(features.shape[1])})
-    save_checkpoint(args.out, step=0, config=config, tensors={}, normalizer=stats)
-    print(f"fitted {cfg.norm} on {features.shape[0]} videos, dim {features.shape[1]}")
-    print(f"wrote {args.out}")
-    return EXIT_OK
 
 
 def _load_inputs(path, hierarchy, features: str, ckpt: Checkpoint | None = None):
@@ -472,9 +462,8 @@ def cmd_train(args) -> int:
     dim = int(features.shape[1])
     stats = resume.normalizer if resume is not None else _fit_normalizer(cfg, features)
     # Training runs in the shard's float32: the model, the Adam state and
-    # the features; the float64 upcast is dropped once normalized.
+    # the features.
     x_all = _normalized(stats, features)
-    del features
 
     family = MODELS[cfg.model]
     params = family.init(hierarchy, dim, cfg.seed)
@@ -568,7 +557,6 @@ def _prepare_eval(args):
         args.shard, hierarchy, ckpt.config.get("features", "rgb"), ckpt
     )
     x = _normalized(ckpt.normalizer, features)
-    del features
     return hierarchy, shard, _layer_scores(ckpt, hierarchy, x)
 
 
@@ -599,22 +587,28 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Write one ``video, layer, label, score`` line per top-k label, best
+    first, ranked and written ``BLOCK_ROWS`` videos at a time."""
     hierarchy, shard, scores = _prepare_eval(args)
-    ranked = []
-    for t in sorted(scores):
-        top = top_labels(scores[t], args.top_k)
-        best = np.take_along_axis(scores[t], top, axis=1)
-        ranked.append((hierarchy.layers[t], top.tolist(), best.tolist()))
-    lines = []
-    for i, video_id in enumerate(shard.video_ids):
-        for layer, top, best in ranked:
-            for idx, score in zip(top[i], best[i]):
-                lines.append(
-                    f"{video_id}\t{layer.name}\t{layer.labels[idx]}\t{score:.6f}"
-                )
+    count = 0
     with atomic_open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-    print(f"wrote {len(lines)} predictions for {len(shard)} videos to {args.out}")
+        for start in range(0, len(shard), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            ranked = []
+            for t in sorted(scores):
+                block = scores[t][rows]
+                top = top_labels(block, args.top_k)
+                best = np.take_along_axis(block, top, axis=1)
+                ranked.append((hierarchy.layers[t], top.tolist(), best.tolist()))
+            lines = [
+                f"{video_id}\t{layer.name}\t{layer.labels[idx]}\t{score:.6f}\n"
+                for i, video_id in enumerate(shard.video_ids[rows])
+                for layer, top, best in ranked
+                for idx, score in zip(top[i], best[i])
+            ]
+            fh.write("".join(lines))
+            count += len(lines)
+    print(f"wrote {count} predictions for {len(shard)} videos to {args.out}")
     return EXIT_OK
 
 

@@ -331,6 +331,44 @@ def _label_columns(layer_counts, label_counts, values) -> list:
     return columns
 
 
+class FeatureRows:
+    """A shard's float64 (N, D) video features, read a block of rows at a time.
+
+    Row i equals ``video_feature(shard[i], include_audio)``: the float32
+    pooled row upcast, or a frame record's float64 ``mean_pool``, then the
+    audio row when it is included. A slice of rows returns that block as a
+    new float64 array, built from the float32 columns; ``np.asarray`` builds
+    the whole matrix.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, pooled: np.ndarray, frames: dict, audio: np.ndarray | None):
+        self._pooled = pooled
+        self._frames = frames
+        self._frame_rows = np.sort(np.fromiter(frames, dtype=np.int64, count=len(frames)))
+        self._audio = audio
+        width = pooled.shape[1] + (0 if audio is None else audio.shape[1])
+        self.shape = (pooled.shape[0], width)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise TypeError(f"feature rows are read by contiguous slices, got {rows!r}")
+        start, stop, _ = rows.indices(self.shape[0])
+        dim = self._pooled.shape[1]
+        block = np.empty((max(stop - start, 0), self.shape[1]))
+        block[:, :dim] = self._pooled[start:stop]
+        lo, hi = np.searchsorted(self._frame_rows, [start, stop])
+        for row in self._frame_rows[lo:hi]:
+            block[row - start, :dim] = mean_pool(self._frames[row])
+        if self._audio is not None:
+            block[:, dim:] = self._audio[start:stop]
+        return block
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
+
+
 @dataclasses.dataclass(eq=False, repr=False)
 class Shard(collections.abc.Sequence):
     """A decoded shard in columns; also a read-only sequence of VideoRecords.
@@ -384,23 +422,14 @@ class Shard(collections.abc.Sequence):
             audio=self.audio[r].copy() if self.has_audio[r] else None,
         )
 
-    def features(self, include_audio: bool = False) -> np.ndarray:
-        """Float64 (N, D) video features; row i equals ``video_feature(self[i], include_audio)``."""
-        dim = self.pooled.shape[1]
-        width = dim
+    def features(self, include_audio: bool = False) -> FeatureRows:
+        """Float64 (N, D) video features as a read-only row view; row i equals
+        ``video_feature(self[i], include_audio)``."""
         if include_audio:
             missing = np.flatnonzero(~self.has_audio)
             if missing.size:
                 raise ValueError(f"record {self.video_ids[missing[0]]!r} has no audio features")
-            if self.audio is not None:
-                width += self.audio.shape[1]
-        x = np.empty((len(self), width))
-        x[:, :dim] = self.pooled
-        for row, frames in self.frames.items():
-            x[row, :dim] = mean_pool(frames)
-        if width > dim:
-            x[:, dim:] = self.audio
-        return x
+        return FeatureRows(self.pooled, self.frames, self.audio if include_audio else None)
 
 
 _U16 = struct.Struct("<H").unpack_from

@@ -4,7 +4,9 @@ Frame features are mean-pooled over time (at most MAX_FRAMES frames, one per
 second); ``data.video_feature`` appends the audio vector. The (N, D) feature
 matrix is then normalized with either per-dimension standardization ("znorm")
 or PCA whitening ("pca"), optionally followed by L2 normalization. Fitting
-sums 512-row slices of the matrix, shifted by its first row.
+sums ``BLOCK_ROWS``-row slices of the matrix, shifted by its first row, so
+it accepts any object with a ``shape`` whose row slices are arrays, such as
+the row view ``data.Shard.features`` returns.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ DEFAULT_EPSILON = 1e-6
 L2_FLOOR = 1e-12
 
 NORMALIZER_KINDS = ("znorm", "pca")
+
+# Rows per block wherever a shard's videos are walked in blocks (the
+# normalizer fit, the CLI's normalization and its predict writer): a block
+# costs a few array operations, not one per row, and no temporary outgrows it.
+BLOCK_ROWS = 512
 
 
 class ConvergenceError(RuntimeError):
@@ -87,30 +94,30 @@ class NormalizerStats:
 
 
 def _shifted_moments(data, diagonal: bool):
-    """Moment sums of the rows of an (N, D) array shifted by its first row.
+    """Moment sums of the rows of (N, D) data shifted by its first row.
 
     Returns (count, shift, s1, s2): s1 sums the shifted rows and s2 their
-    outer products, or only their squares when ``diagonal``. Rows are summed
-    in slices of 512, so a slice costs a few array operations, not one per row.
+    outer products, or only their squares when ``diagonal``. Only ``shape``
+    and row slices of ``data`` are read, ``BLOCK_ROWS`` rows at a time.
     """
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError(f"expected (N, D) data, got shape {data.shape}")
-    count, d = data.shape
+    shape = getattr(data, "shape", None)
+    if shape is None or len(shape) != 2:
+        raise ValueError(f"expected (N, D) data, got shape {shape}")
+    count, d = shape
     if count < 2:
         raise ValueError(f"need at least 2 samples to fit a normalizer, got {count}")
-    shift = data[0].astype(np.float64)
+    shift = data[:1][0].astype(np.float64)
     s1 = np.zeros(d)
     s2 = np.zeros(d) if diagonal else np.zeros((d, d))
-    for start in range(0, count, 512):
-        block = data[start : start + 512] - shift
+    for start in range(0, count, BLOCK_ROWS):
+        block = data[start : start + BLOCK_ROWS] - shift
         s1 += block.sum(axis=0)
         s2 += (block * block).sum(axis=0) if diagonal else block.T @ block
     return count, shift, s1, s2
 
 
 def fit_znorm(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) -> NormalizerStats:
-    """Fit per-dimension standardization to an (N, D) array.
+    """Fit per-dimension standardization to (N, D) data (see ``_shifted_moments``).
 
     Variance is the population variance (divide by N), from sums shifted by
     the first sample for stability. Needs at least two samples; dimensions
@@ -127,7 +134,7 @@ def fit_znorm(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) 
 
 
 def fit_pca_whitening(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool = True) -> NormalizerStats:
-    """Fit a PCA whitening transform to an (N, D) array.
+    """Fit a PCA whitening transform to (N, D) data (see ``_shifted_moments``).
 
     The covariance is accumulated shifted by the first sample for stability,
     then diagonalized by LAPACK through jacobi_eigh. Whitening rows are

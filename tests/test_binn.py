@@ -129,6 +129,20 @@ class TestForward:
             with pytest.raises(NumericError):
                 binn.predict(params, x)
 
+    @pytest.mark.parametrize("chain, layer", [("fwd", 1), ("bwd", 0)])
+    def test_overflow_in_one_chain_is_caught_through_its_gate(self, chain, layer):
+        # The chain overflows float32 while its gate is 0, so only 0 * inf
+        # (nan) in the pre-activation shows it.
+        params = binn.init_params([2, 3], 4, seed=6, dtype=np.float32)
+        params.proj_w[layer][:] = 1.0
+        getattr(params, f"{chain}_h")[layer][:] = 3e38
+        getattr(params, f"agg_{chain}_u")[layer][:] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_t = np.ones(4, np.float32) @ params.proj_w[layer].T
+            assert not np.isfinite(x_t @ getattr(params, f"{chain}_h")[layer].T).any()
+            with pytest.raises(NumericError, match=f"non-finite activation in layer {layer}$"):
+                binn.forward(params, np.ones(4, np.float32))
+
     def test_wrong_input_dim_rejected(self):
         params = binn.init_params([2, 3], 4, seed=7)
         with pytest.raises(ValueError):

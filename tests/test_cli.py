@@ -3,15 +3,17 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hlvc import cli
 from hlvc.cli import RunConfig, UsageError, main
-from hlvc.data import load_checkpoint, read_shard, save_checkpoint, write_shard, VideoRecord
+from hlvc.data import Shard, load_checkpoint, read_shard, save_checkpoint, write_shard, VideoRecord
 from hlvc.features import fit_znorm
 from hlvc.hierarchy import ConceptLayer, LabelHierarchy, load_vocabulary, save_vocabulary
+from reference_predict import reference_predict
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +82,7 @@ class TestConfigMachinery:
         cfg_file.write_text("lr = 0.05\nbatch_size = 32\n")
         out = tmp_path / "a.ckpt"
         code = main(
-            ["fit-norm", "--train", str(dataset / "train.shard"),
-             "--out", str(out), "--config", str(cfg_file), "--lr", "0.07"]
+            train_args(dataset, out, "--iters", "1", "--config", str(cfg_file), "--lr", "0.07")
         )
         assert code == 0
         stored = load_checkpoint(out).config
@@ -92,10 +93,7 @@ class TestConfigMachinery:
     def test_unknown_config_key(self, dataset, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("learning_rate = 0.1\n")
-        code = main(
-            ["fit-norm", "--train", str(dataset / "train.shard"),
-             "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg_file)]
-        )
+        code = main(train_args(dataset, tmp_path / "x.ckpt", "--config", str(cfg_file)))
         assert code == 1
 
 
@@ -272,6 +270,48 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestSetup:
+    def test_non_finite_frame_or_audio_names_video(self, tmp_path):
+        records = [
+            VideoRecord(f"v{i}", [[0], [0]], frames=np.full((2, 4), 3e38, np.float32),
+                        audio=np.zeros(2, np.float32))
+            for i in range(4)
+        ]
+        records[2].audio[0] = np.nan
+        path = tmp_path / "s.shard"
+        write_shard(path, records)
+        cli._load_features(read_shard(path), "rgb")  # audio is not read
+        with pytest.raises(ValueError, match="'v2' has non-finite"):
+            cli._load_features(read_shard(path), "rgb+audio")
+        records[1].frames[1, 2] = -np.inf
+        write_shard(path, records)
+        for mode in ("rgb", "rgb+audio"):
+            with pytest.raises(ValueError, match="'v1' has non-finite"):
+                cli._load_features(read_shard(path), mode)
+
+    @pytest.mark.parametrize("norm", ["znorm", "pca"])
+    def test_setup_builds_no_float64_matrix(self, norm):
+        n, d = 20000, 64
+        rng = np.random.default_rng(0)
+        frames = {7: rng.normal(size=(3, d)).astype(np.float32)}
+        pooled = rng.normal(size=(n, d)).astype(np.float32)
+        pooled[7] = frames[7].mean(axis=0, dtype=np.float64)
+        shard = Shard([f"v{i}" for i in range(n)], np.zeros(n, np.int64), [], pooled,
+                      frames, None, np.zeros(n, bool), 0)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            features = cli._load_features(shard, "rgb")
+            x = cli._normalized(cli._fit_normalizer(RunConfig(norm=norm), features), features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (n, d) and x.dtype == np.float32
+        # The float32 result takes n * d * 4 bytes; a float64 (n, d) array
+        # would add n * d * 8 on its own.
+        assert peak - start < n * d * 8
+
+
 class TestSynth:
     def test_outputs_are_loadable_and_consistent(self, dataset):
         h = load_vocabulary(dataset / "vocab.txt")
@@ -320,40 +360,6 @@ class TestSynth:
         assert code == 1
 
 
-class TestFitNorm:
-    def test_writes_normalizer_only_checkpoint(self, dataset, tmp_path):
-        out = tmp_path / "norm.ckpt"
-        assert main(["fit-norm", "--train", str(dataset / "train.shard"), "--out", str(out)]) == 0
-        ckpt = load_checkpoint(out)
-        assert ckpt.step == 0 and ckpt.tensors == {}
-        assert ckpt.normalizer.kind == "znorm"
-        assert ckpt.normalizer.dim == 8
-        assert ckpt.config["command"] == "fit-norm"
-        assert ckpt.config["feature_dim"] == 8
-
-    def test_pca_mode(self, dataset, tmp_path):
-        out = tmp_path / "pca.ckpt"
-        code = main(
-            ["fit-norm", "--train", str(dataset / "train.shard"), "--out", str(out),
-             "--norm", "pca", "--no-l2"]
-        )
-        assert code == 0
-        ckpt = load_checkpoint(out)
-        assert ckpt.normalizer.kind == "pca"
-        assert ckpt.normalizer.scale.shape == (8, 8)
-        assert ckpt.normalizer.l2_after is False
-
-    @pytest.mark.parametrize("command", ["fit-norm", "train"])
-    def test_empty_shard_is_data_error(self, dataset, tmp_path, capsys, command):
-        empty = tmp_path / "empty.shard"
-        write_shard(empty, [])
-        argv = [command, "--train", str(empty), "--out", str(tmp_path / "o.ckpt")]
-        if command == "train":
-            argv += ["--vocab", str(dataset / "vocab.txt")]
-        assert main(argv) == 2
-        assert f"data error: shard {empty} is empty" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "flag", ["--lr", "--weight-decay", "--epsilon", "--decay-factor"]
 )
@@ -365,6 +371,14 @@ def test_non_finite_train_setting_is_usage_error(dataset, tmp_path, capsys, flag
 
 
 class TestTrain:
+    def test_empty_shard_is_data_error(self, dataset, tmp_path, capsys):
+        empty = tmp_path / "empty.shard"
+        write_shard(empty, [])
+        argv = ["train", "--train", str(empty), "--out", str(tmp_path / "o.ckpt"),
+                "--vocab", str(dataset / "vocab.txt")]
+        assert main(argv) == 2
+        assert f"data error: shard {empty} is empty" in capsys.readouterr().err
+
     def test_logreg_smoke(self, dataset, tmp_path, capsys):
         out = tmp_path / "lr.ckpt"
         code = main(
@@ -810,6 +824,22 @@ class TestPredict:
         assert first[0] == "vid0" and first[1] == "verticals" and first[2] == "va"
         assert float(first[3]) > 0.99
         assert lines[2].split("\t")[0] == "vid1"
+
+    @pytest.mark.parametrize("model", ["binn", "logreg"])
+    def test_blocks_write_the_bytes_of_one_list(self, tmp_path, capsys, model):
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--num-verticals", "4", "--num-entities",
+                     "12", "--dim", "8", "--num-train", "200", "--num-val", "1100"]) == 0
+        ckpt = str(tmp_path / "m.ckpt")
+        assert main(train_args(data, ckpt, "--model", model, "--iters", "5")) == 0
+        argv = ["predict", "--ckpt", ckpt, "--vocab", str(data / "vocab.txt"),
+                "--shard", str(data / "val.shard"), "--top-k", "5", "--out"]
+        assert main(argv + [str(tmp_path / "got.tsv")]) == 0
+        assert "wrote 9900 predictions for 1100 videos" in capsys.readouterr().out
+        reference_predict(cli.build_parser().parse_args(argv + [str(tmp_path / "want.tsv")]))
+        got = (tmp_path / "got.tsv").read_bytes()
+        assert got == (tmp_path / "want.tsv").read_bytes()
+        assert got.count(b"\n") == 1100 * (4 + 5)
 
     def test_top_k_capped_by_layer_size(self, perfect_setup, tmp_path, capsys):
         vocab, shard, ckpt = perfect_setup

@@ -26,7 +26,7 @@ from hlvc.data import (
     _encode_record,
     _poisson_rate_for_mean,
 )
-from hlvc.features import NormalizerStats
+from hlvc.features import BLOCK_ROWS, NormalizerStats, fit_pca_whitening, fit_znorm
 from reference_shard import ref_read_shard
 
 
@@ -352,6 +352,69 @@ class TestColumnarDecode:
                 got = shard.labels[t].multi_hot(idx, size)
                 assert got.dtype == np.float32
                 np.testing.assert_array_equal(got, dense[idx])
+
+
+class TestFeatureRows:
+    """``Shard.features`` row blocks against the per-record ``video_feature``."""
+
+    N = 1100  # three blocks, the last one partial
+
+    @classmethod
+    def records(cls, kind: str) -> list:
+        rng = np.random.default_rng(21)
+
+        def record(i, frames, audio):
+            features = (
+                dict(frames=rng.normal(size=(1 + i % 3, 6)).astype(np.float32))
+                if frames
+                else dict(pooled=rng.normal(loc=3.0, size=6).astype(np.float32))
+            )
+            if audio:
+                features["audio"] = rng.normal(size=3).astype(np.float32)
+            return VideoRecord(f"v{i}", [[0], [i % 5]], **features)
+
+        # In the mixed shards every seventh record has frames, row 512 among them.
+        return [
+            record(i, kind == "frames" or (kind != "pooled" and i % 7 == 1), kind == "mixed_audio")
+            for i in range(cls.N)
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, include_audio",
+        [("pooled", False), ("frames", False), ("mixed", False),
+         ("mixed_audio", False), ("mixed_audio", True)],
+    )
+    def test_blocks_equal_video_feature_rows(self, tmp_path, kind, include_audio):
+        records = self.records(kind)
+        assert BLOCK_ROWS == 512 and (kind == "pooled") == (records[512].frames is None)
+        path = tmp_path / "s.shard"
+        write_shard(path, records)
+        rows = read_shard(path).features(include_audio=include_audio)
+        want = np.stack([video_feature(r, include_audio) for r in records])
+        assert rows.shape == want.shape and rows.dtype == np.float64
+        for cut in (slice(0, 512), slice(511, 514), slice(512, 513), slice(512, 1024),
+                    slice(1024, None), slice(1000, 5000), slice(None), slice(7, 7)):
+            block = rows[cut]
+            assert block.dtype == np.float64
+            np.testing.assert_array_equal(block, want[cut], strict=True)
+        np.testing.assert_array_equal(np.asarray(rows), want, strict=True)
+
+    @pytest.mark.parametrize("cut", [3, slice(0, 10, 2), [1, 2]])
+    def test_only_contiguous_slices(self, tmp_path, cut):
+        path = tmp_path / "s.shard"
+        write_shard(path, sample_records())
+        with pytest.raises(TypeError):
+            read_shard(path).features()[cut]
+
+    @pytest.mark.parametrize("fit", [fit_znorm, fit_pca_whitening], ids=["znorm", "pca"])
+    @pytest.mark.parametrize("kind, include_audio", [("mixed", False), ("mixed_audio", True)])
+    def test_fit_on_rows_equals_fit_on_matrix(self, tmp_path, fit, kind, include_audio):
+        path = tmp_path / "s.shard"
+        write_shard(path, self.records(kind))
+        rows = read_shard(path).features(include_audio=include_audio)
+        got, want = fit(rows), fit(np.asarray(rows))
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.scale, want.scale)
 
 
 class TestCheckpoint:
