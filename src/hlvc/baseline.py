@@ -59,8 +59,9 @@ def _with_bias(params: LogRegParams, x) -> tuple[np.ndarray, bool]:
 
 def predict(params: LogRegParams, x) -> np.ndarray:
     """Class probabilities for one vector (C,) or a batch (B, C)."""
-    xb, squeeze = _with_bias(params, x)
-    z = xb @ params.weights.T
+    x, squeeze = _as_batch(params, x)
+    z = x @ params.weights[:, :-1].T
+    z += params.weights[:, -1]
     if not np.isfinite(z).all():
         raise NumericError("non-finite logistic scores")
     probs = sigmoid(z, out=z)
@@ -96,7 +97,7 @@ def loss_grad(
 
 
 # Model-family interface for the CLI (see ``cli.MODELS``); only the finest
-# layer is trained, and its parent layer's scores are induced from it.
+# layer is trained, and the CLI induces its parent layer's scores from it.
 DEFAULT_LR = 0.01
 DEFAULT_ITERS = 35000
 
@@ -110,10 +111,5 @@ def train_grads(params: LogRegParams, x, targets) -> tuple[float, dict]:
     return value, {"weights": grad}
 
 
-def scores(params: LogRegParams, x, hierarchy) -> dict:
-    probs = predict(params, x)
-    m = hierarchy.num_layers
-    out = {m - 1: probs}
-    if m >= 2:
-        out[m - 2] = hierarchy.induce_vertical_scores(probs)
-    return out
+def layer_weights(params: LogRegParams, hierarchy) -> dict:
+    return {hierarchy.num_layers - 1: params.weights}

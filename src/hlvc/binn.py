@@ -339,27 +339,6 @@ def backward(params: BinnParams, x, positives) -> tuple[float, BinnParams]:
     return loss_value, grads
 
 
-def predict(params: BinnParams, x) -> list:
-    """Per-layer label probabilities for one vector (D,) or a batch (B, D).
-
-    Every pre-activation is affine in the input (the chains are linear and
-    the sigmoid comes last), so one ``forward`` over the origin and the D
-    unit vectors reads off each layer's exact map a_t = x @ A_t + c_t: c_t
-    is the origin's row and A_t the unit rows minus it. The batch then costs
-    one matrix product per layer.
-    """
-    xb, squeeze = _as_batch(params, x)
-    basis = forward(params, np.eye(params.dim + 1, params.dim, k=-1, dtype=params.dtype)).a
-    probs = []
-    for t, a_basis in enumerate(basis):
-        a = xb @ (a_basis[1:] - a_basis[0])
-        a += a_basis[0]
-        if not np.isfinite(a).all():
-            raise NumericError(f"non-finite activation in layer {t}")
-        probs.append(sigmoid(a, out=a))
-    return [p[0] for p in probs] if squeeze else probs
-
-
 # Model-family interface for the CLI (see ``cli.MODELS``).
 DEFAULT_LR = 0.001
 DEFAULT_ITERS = 90000
@@ -374,5 +353,14 @@ def train_grads(params: BinnParams, x, targets) -> tuple[float, dict]:
     return loss_value, grads.tensors()
 
 
-def scores(params: BinnParams, x, hierarchy) -> dict:
-    return dict(enumerate(predict(params, x)))
+def layer_weights(params: BinnParams, hierarchy) -> dict:
+    """Each layer's exact affine map as (n_t, D+1) weights, bias last.
+
+    Every pre-activation is affine in the input (the chains are linear and
+    the sigmoid comes last), so one ``forward`` over the origin and the D
+    unit vectors reads off a_t = x @ A_t + c_t: c_t is the origin's row and
+    A_t the unit rows minus it. Plain arrays, not ``LogRegParams``: the
+    ``baseline`` module imports this one.
+    """
+    basis = forward(params, np.eye(params.dim + 1, params.dim, k=-1, dtype=params.dtype)).a
+    return {t: np.column_stack([(a[1:] - a[0]).T, a[0]]) for t, a in enumerate(basis)}

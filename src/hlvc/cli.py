@@ -54,8 +54,9 @@ EXIT_NUMERIC = 3
 # Model families by name, the first the default. Each module provides the
 # DEFAULT_LR and DEFAULT_ITERS applied when lr/iters are unset, and
 # init(hierarchy, dim, seed) -> float32 parameters, train_grads(params, x,
-# per_layer_targets) -> (loss, {name: grad}) and scores(params, x, hierarchy)
-# -> {layer: probs}, both computing in the parameters' dtype.
+# per_layer_targets) -> (loss, {name: grad}), computing in the parameters'
+# dtype, and layer_weights(params, hierarchy) -> {layer: (n_t, D+1) weights,
+# bias last}, the affine logits of each layer the model scores.
 MODELS = {"binn": binn, "logreg": baseline}
 
 # Training-state names of the Adam moments: "adam.m.<param>" and "adam.v.<param>".
@@ -535,7 +536,12 @@ def cmd_train(args) -> int:
 
 
 def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
-    """Per-layer label probabilities from the checkpoint's model."""
+    """Per-layer label probabilities from the checkpoint's model.
+
+    Every layer the model exports weights for is scored by
+    ``baseline.predict``; the parent of the finest layer, if the model
+    exports none for it, is induced from the finest layer's scores.
+    """
     model = ckpt.config.get("model")
     family = MODELS.get(model) if isinstance(model, str) else None
     if family is None:
@@ -545,7 +551,14 @@ def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
         params.tensors(),
         {k: v for k, v in ckpt.tensors.items() if not k.startswith(_ADAM_PREFIX)},
     )
-    return family.scores(params, x, hierarchy)
+    scores = {
+        t: baseline.predict(baseline.LogRegParams(w), x)
+        for t, w in family.layer_weights(params, hierarchy).items()
+    }
+    m = hierarchy.num_layers
+    if m >= 2 and m - 2 not in scores:
+        scores[m - 2] = hierarchy.induce_vertical_scores(scores[m - 1])
+    return scores
 
 
 def _prepare_eval(args):

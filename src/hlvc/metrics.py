@@ -93,9 +93,9 @@ class PredictionSet:
         """``top_labels(self.scores, k)``, read as a prefix of one cached call.
 
         A miss ranks at least as many labels as any video has positives
-        (PERR's largest G), so PERR reads the same result as GAP. A stable ranking's top-k is the first k of its top-K
-        for any K >= k, so narrower requests reuse the cache and only a
-        wider one recomputes.
+        (PERR's largest G), so PERR reads the same result as GAP. A stable
+        ranking's top-k is the first k of its top-K for any K >= k, so
+        narrower requests reuse the cache and only a wider one recomputes.
         """
         k = min(k, self.num_labels)
         if self._top is None or self._top.shape[1] < k:
@@ -145,7 +145,7 @@ def perr(pred: PredictionSet) -> float:
     g = pred.num_positives
     if not g.all():
         v = int(np.argmin(g))
-        raise ValueError(f"video {v} has no positive labels; PERR is undefined")
+        raise ValueError(f"video index {v} has no positive labels; PERR is undefined")
     rows = np.arange(pred.num_videos)
     hits = pred.pos_mask[rows[:, None], pred.ranked_labels(int(g.max()))]
     precision = np.cumsum(hits, axis=1)[rows, g - 1] / g

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hlvc import binn
+from hlvc import baseline, binn
 from hlvc.binn import NumericError
 
 
@@ -29,6 +29,14 @@ def naive_forward(params, x):
     ]
     p = [1.0 / (1.0 + np.exp(-v)) for v in a]
     return a, p
+
+
+def layer_scores(params, x):
+    """Every layer's probabilities as the CLI computes them: ``baseline.predict``
+    over the weights ``binn.layer_weights`` exports (it reads no hierarchy)."""
+    weights = binn.layer_weights(params, None)
+    assert sorted(weights) == list(range(params.num_layers))
+    return [baseline.predict(baseline.LogRegParams(weights[t]), x) for t in sorted(weights)]
 
 
 def random_labels(rng, sizes, batch):
@@ -126,8 +134,21 @@ class TestForward:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
                 binn.forward(params, x)
-            with pytest.raises(NumericError):
-                binn.predict(params, x)
+            # With the bias as large, the basis pass of ``layer_weights``
+            # overflows too.
+            params.proj_b[0][:] = 1e308
+            with pytest.raises(NumericError, match="non-finite activation in layer 0$"):
+                layer_scores(params, x)
+
+    def test_overflow_of_the_input_product_is_caught(self):
+        # The affine maps are finite; only x @ A_t overflows.
+        params = binn.init_params([2, 3], 4, seed=6)
+        weights = binn.layer_weights(params, None)
+        assert all(np.isfinite(w).all() for w in weights.values())
+        x = np.full(4, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite logistic scores"):
+                layer_scores(params, x)
 
     @pytest.mark.parametrize("chain, layer", [("fwd", 1), ("bwd", 0)])
     def test_overflow_in_one_chain_is_caught_through_its_gate(self, chain, layer):
@@ -148,16 +169,17 @@ class TestForward:
         with pytest.raises(ValueError):
             binn.forward(params, np.zeros(5))
 
-    def test_predict_matches_forward(self):
+    def test_layer_weights_match_forward(self):
         rng = np.random.default_rng(8)
         params = binn.init_params([2, 3, 4], 5, seed=8)
         for name, tensor in params.tensors().items():
             if name.startswith(("proj_b", "fwd_b", "bwd_b", "agg_")):
                 tensor[...] = rng.normal(size=tensor.shape)
+        for t, w in binn.layer_weights(params, None).items():
+            assert w.shape == (params.sizes[t], 6) and w.dtype == np.float64
         for x in (rng.normal(size=(7, 5)), rng.normal(size=5)):
             want = binn.forward(params, x).p
-            got = binn.predict(params, x)
-            assert len(got) == 3
+            got = layer_scores(params, x)
             for t in range(3):
                 assert got[t].shape == want[t].shape
                 np.testing.assert_allclose(got[t], want[t], rtol=0, atol=1e-9)
@@ -426,11 +448,12 @@ class TestFloat32:
             assert grad.dtype == np.float32
             np.testing.assert_allclose(grad, want.tensors()[name], rtol=1e-3, atol=1e-4)
 
-    def test_predict_keeps_float32(self):
+    def test_layer_weights_keep_float32(self):
         rng = np.random.default_rng(22)
         params = binn.init_params([3, 4], 5, seed=22, dtype=np.float32)
         wide = binn.init_params([3, 4], 5, seed=22)
         x = rng.normal(size=(7, 5))
-        for got, want in zip(binn.predict(params, x), binn.predict(wide, x)):
+        assert all(w.dtype == np.float32 for w in binn.layer_weights(params, None).values())
+        for got, want in zip(layer_scores(params, x), layer_scores(wide, x)):
             assert got.dtype == np.float32
             np.testing.assert_allclose(got, want, atol=1e-6)

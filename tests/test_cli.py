@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hlvc import cli
+from hlvc import baseline, cli
 from hlvc.cli import RunConfig, UsageError, main
 from hlvc.data import Shard, load_checkpoint, read_shard, save_checkpoint, write_shard, VideoRecord
 from hlvc.features import fit_znorm
@@ -851,6 +851,60 @@ class TestPredict:
         assert code == 0
         capsys.readouterr()
         assert len(out.read_text().splitlines()) == 8  # capped at 2 per layer
+
+
+class TestModelInterface:
+    @pytest.mark.parametrize("model", list(cli.MODELS))
+    def test_family_exports_float32_layer_weights(self, dataset, model):
+        family = cli.MODELS[model]
+        for name in ("init", "train_grads", "layer_weights"):
+            assert callable(getattr(family, name))
+        assert not hasattr(family, "scores")
+        hierarchy = load_vocabulary(dataset / "vocab.txt")
+        weights = family.layer_weights(family.init(hierarchy, 8, seed=0), hierarchy)
+        assert weights and set(weights) <= set(range(hierarchy.num_layers))
+        for t, w in weights.items():
+            assert w.dtype == np.float32 and w.shape == (hierarchy.sizes[t], 9)
+
+    def test_logreg_parent_layer_is_induced(self, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "20")) == 0
+        capsys.readouterr()
+        hierarchy = load_vocabulary(dataset / "vocab.txt")
+        x = np.random.default_rng(0).normal(size=(50, 8)).astype(np.float32)
+        scores = cli._layer_scores(load_checkpoint(ckpt), hierarchy, x)
+        assert sorted(scores) == [0, 1]
+        want = baseline.predict(baseline.LogRegParams(load_checkpoint(ckpt).tensors["weights"]), x)
+        np.testing.assert_array_equal(scores[1], want)
+        np.testing.assert_array_equal(scores[0], hierarchy.induce_vertical_scores(scores[1]))
+
+    @pytest.mark.parametrize("model", list(cli.MODELS))
+    def test_one_layer_vocabulary(self, dataset, tmp_path, capsys, model):
+        entities = load_vocabulary(dataset / "vocab.txt").layers[-1]
+        data = tmp_path / "d"
+        data.mkdir()
+        save_vocabulary(LabelHierarchy((entities,), {}), data / "vocab.txt")
+        for part in ("train", "val"):
+            shard = read_shard(dataset / f"{part}.shard")
+            labels = shard.labels[-1]
+            write_shard(data / f"{part}.shard", [
+                VideoRecord(video_id, [labels.indices[labels.indptr[i] : labels.indptr[i + 1]]],
+                            pooled=shard.pooled[i])
+                for i, video_id in enumerate(shard.video_ids)
+            ])
+        ckpt = str(tmp_path / "m.ckpt")
+        assert main(train_args(data, ckpt, "--model", model, "--iters", "20")) == 0
+        inputs = ["--ckpt", ckpt, "--vocab", str(data / "vocab.txt"),
+                  "--shard", str(data / "val.shard")]
+        rep = tmp_path / "rep"
+        assert main(["evaluate", *inputs, "--out", str(rep)]) == 0
+        assert sorted(p.name for p in rep.iterdir()) == ["eval_entities.json", "eval_entities.txt"]
+        tsv = tmp_path / "preds.tsv"
+        assert main(["predict", *inputs, "--out", str(tsv), "--top-k", "25"]) == 0
+        capsys.readouterr()
+        rows = tsv.read_text().splitlines()
+        assert len(rows) == 60 * min(25, entities.size)
+        assert {row.split("\t")[1] for row in rows} == {"entities"}
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])

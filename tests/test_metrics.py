@@ -105,8 +105,8 @@ class TestPerr:
         assert perr(pred) == 0.0  # rank order 0,1,2 so top-1 is label 0
 
     def test_video_without_positives_rejected(self):
-        with pytest.raises(ValueError):
-            perr(PredictionSet(np.array([[0.5, 0.5]]), [[]]))
+        with pytest.raises(ValueError, match="^video index 1 has no positive labels"):
+            perr(PredictionSet(np.array([[0.5, 0.5], [0.2, 0.1]]), [[0], []]))
 
 
 class TestMeanAveragePrecision:
