@@ -102,7 +102,7 @@ DEFAULT_LR = 0.01
 DEFAULT_ITERS = 35000
 
 
-def init(hierarchy, dim: int, seed: int) -> LogRegParams:
+def init(hierarchy, dim: int, seed: int | None) -> LogRegParams:
     return init_params(hierarchy.sizes[-1], dim, dtype=np.float32)
 
 

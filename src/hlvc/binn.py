@@ -103,22 +103,25 @@ class BinnActivations:
 GATE_INIT = 0.5
 
 
-def init_params(layers, dim: int, seed: int, dtype=np.float64) -> BinnParams:
+def init_params(layers, dim: int, seed: int | None, dtype=np.float64) -> BinnParams:
     """Deterministic initialization for a given seed.
 
     Weight matrices draw from the uniform Glorot range
     +-sqrt(6 / (fan_in + fan_out)) in a fixed order (projections, then the
     forward chain, then the backward chain, layer by layer), in float64, and
     are then rounded to ``dtype``. Biases start at zero and both gate
-    vectors at GATE_INIT.
+    vectors at GATE_INIT. With ``seed`` None the weight matrices are zero
+    and nothing is drawn: a container for restored parameters.
     """
     sizes = _layer_sizes(layers)
     if dim < 1:
         raise ValueError(f"feature dim must be positive, got {dim}")
     m = len(sizes)
-    rng = np.random.default_rng(seed)
+    rng = None if seed is None else np.random.default_rng(seed)
 
     def glorot(rows: int, cols: int) -> np.ndarray:
+        if rng is None:
+            return np.zeros((rows, cols), dtype)
         lim = math.sqrt(6.0 / (rows + cols))
         return rng.uniform(-lim, lim, size=(rows, cols)).astype(dtype, copy=False)
 
@@ -344,7 +347,7 @@ DEFAULT_LR = 0.001
 DEFAULT_ITERS = 90000
 
 
-def init(hierarchy, dim: int, seed: int) -> BinnParams:
+def init(hierarchy, dim: int, seed: int | None) -> BinnParams:
     return init_params(hierarchy.sizes, dim, seed, dtype=np.float32)
 
 

@@ -53,7 +53,8 @@ EXIT_NUMERIC = 3
 
 # Model families by name, the first the default. Each module provides the
 # DEFAULT_LR and DEFAULT_ITERS applied when lr/iters are unset, and
-# init(hierarchy, dim, seed) -> float32 parameters, train_grads(params, x,
+# init(hierarchy, dim, seed) -> float32 parameters (seed None: drawn from no
+# RNG, the container a checkpoint is restored into), train_grads(params, x,
 # per_layer_targets) -> (loss, {name: grad}), computing in the parameters'
 # dtype, and layer_weights(params, hierarchy) -> {layer: (n_t, D+1) weights,
 # bias last}, the affine logits of each layer the model scores.
@@ -546,7 +547,7 @@ def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
     family = MODELS.get(model) if isinstance(model, str) else None
     if family is None:
         raise ValueError(f"checkpoint has unknown model {model!r}")
-    params = family.init(hierarchy, x.shape[1], seed=0)
+    params = family.init(hierarchy, x.shape[1], seed=None)
     _restore(
         params.tensors(),
         {k: v for k, v in ckpt.tensors.items() if not k.startswith(_ADAM_PREFIX)},
@@ -599,28 +600,92 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+# Bytes of each score's text: one integer digit, '.', six decimals, '\n'.
+_SCORE_BYTES = 9
+_DECIMAL_PLACES = 10 ** np.arange(6, -1, -1, dtype=np.int32)
+
+
+def _utf8_table(strings) -> tuple[np.ndarray, np.ndarray]:
+    """Each string's UTF-8 bytes as a row of a zero-padded uint8 table,
+    with the mask of its real bytes."""
+    encoded = list(map(str.encode, strings))
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    table = np.zeros(keep.shape, np.uint8)
+    table[keep] = np.frombuffer(b"".join(encoded), np.uint8)
+    return table, keep
+
+
+def _score_text(scores: np.ndarray) -> np.ndarray:
+    """The bytes of ``f"{s:.6f}\\n"`` for each float32 score s in [+0, 1], on a
+    new last axis of length 9.
+
+    A float32 times 1e6 = 15625 * 2**6 is exact in float64 (a 24-bit
+    mantissa times a 14-bit integer), and ``rint`` rounds it half to even,
+    as Python's correctly rounded '.6f' does, so the digits are exact. Any
+    other dtype or value (negative, -0.0, above 1, NaN) is a ValueError.
+    """
+    if scores.dtype != np.float32:
+        raise ValueError(f"scores must be float32 to be written, got {scores.dtype}")
+    if not ((scores >= 0) & (scores <= 1)).all() or np.signbit(scores).any():
+        raise ValueError("scores to be written must lie in [+0, 1]")
+    micro = np.rint(scores.astype(np.float64) * 1e6).astype(np.int32)
+    text = np.empty(scores.shape + (_SCORE_BYTES,), np.uint8)
+    text[..., [0, 2, 3, 4, 5, 6, 7]] = micro[..., None] // _DECIMAL_PLACES % 10 + ord("0")
+    text[..., 1] = ord(".")
+    text[..., 8] = ord("\n")
+    return text
+
+
 def cmd_predict(args) -> int:
     """Write one ``video, layer, label, score`` line per top-k label, best
-    first, ranked and written ``BLOCK_ROWS`` videos at a time."""
+    first, ranked and written ``BLOCK_ROWS`` videos at a time.
+
+    Each block's bytes are one (videos, lines per video, width) uint8
+    matrix: the zero-padded video id, the padded "\\tlayer\\tlabel\\t" field of
+    the line's label and the 9-byte score text. The masked real bytes, in
+    row-major order, are the block's lines.
+    """
     hierarchy, shard, scores = _prepare_eval(args)
+    scored = sorted(scores)
+    layers = [hierarchy.layers[t] for t in scored]
+    # One field row per label of every scored layer; a layer's rows start at
+    # its offset.
+    fields, field_keep = _utf8_table(
+        [f"\t{layer.name}\t{label}\t" for layer in layers for label in layer.labels]
+    )
+    offsets = np.cumsum([0] + [layer.size for layer in layers[:-1]])
     count = 0
-    with atomic_open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_open(args.out, "wb") as fh:
         for start in range(0, len(shard), BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
-            ranked = []
-            for t in sorted(scores):
+            picked, best = [], []
+            for t, offset in zip(scored, offsets):
                 block = scores[t][rows]
                 top = top_labels(block, args.top_k)
-                best = np.take_along_axis(block, top, axis=1)
-                ranked.append((hierarchy.layers[t], top.tolist(), best.tolist()))
-            lines = [
-                f"{video_id}\t{layer.name}\t{layer.labels[idx]}\t{score:.6f}\n"
-                for i, video_id in enumerate(shard.video_ids[rows])
-                for layer, top, best in ranked
-                for idx, score in zip(top[i], best[i])
-            ]
-            fh.write("".join(lines))
-            count += len(lines)
+                picked.append(top + offset)
+                best.append(np.take_along_axis(block, top, axis=1))
+            picked = np.hstack(picked)
+            ids, id_keep = _utf8_table(shard.video_ids[rows])
+            id_shape = picked.shape + (ids.shape[1],)
+            text = np.concatenate(
+                [
+                    np.broadcast_to(ids[:, None], id_shape),
+                    fields[picked],
+                    _score_text(np.hstack(best)),
+                ],
+                axis=2,
+            )
+            keep = np.concatenate(
+                [
+                    np.broadcast_to(id_keep[:, None], id_shape),
+                    field_keep[picked],
+                    np.ones(picked.shape + (_SCORE_BYTES,), bool),
+                ],
+                axis=2,
+            )
+            fh.write(text[keep])
+            count += picked.size
     print(f"wrote {count} predictions for {len(shard)} videos to {args.out}")
     return EXIT_OK
 

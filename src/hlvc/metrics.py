@@ -124,7 +124,7 @@ def top_labels(scores: np.ndarray, k: int) -> np.ndarray:
     if split.size:
         ties = tied[split]
         take[split] &= ~ties | (np.cumsum(ties, axis=1, dtype=np.int32) <= need[split, None])
-    cols = np.nonzero(take)[1].reshape(-1, k)
+    cols = (np.flatnonzero(take) % c).reshape(-1, k)
     order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
 

@@ -196,6 +196,21 @@ class TestInit:
             not np.array_equal(t, c.tensors()[n]) for n, t in a.tensors().items()
         )
 
+    def test_no_seed_gives_zero_weights_without_a_draw(self, monkeypatch):
+        seeded = binn.init_params([3, 5], 7, seed=0, dtype=np.float32)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("init_params drew from np.random")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        empty = binn.init_params([3, 5], 7, seed=None, dtype=np.float32)
+        assert empty.tensors().keys() == seeded.tensors().keys()
+        for name, tensor in empty.tensors().items():
+            assert tensor.shape == seeded.tensors()[name].shape
+            assert tensor.dtype == np.float32
+        for w in empty.proj_w + empty.fwd_h + empty.bwd_h:
+            assert not w.any()
+
     def test_glorot_bounds(self):
         params = binn.init_params([30, 50], 20, seed=0)
         lim = np.sqrt(6.0 / (20 + 30))

@@ -827,9 +827,24 @@ class TestPredict:
 
     @pytest.mark.parametrize("model", ["binn", "logreg"])
     def test_blocks_write_the_bytes_of_one_list(self, tmp_path, capsys, model):
+        """1100 videos span three blocks; --top-k 5 is wider than the 4
+        verticals, so k differs per layer; ids of 1 to 4 UTF-8 bytes per
+        character mix within each block, and layer and label names are
+        multibyte too."""
         data = tmp_path / "d"
         assert main(["synth", "--out", str(data), "--num-verticals", "4", "--num-entities",
                      "12", "--dim", "8", "--num-train", "200", "--num-val", "1100"]) == 0
+        hierarchy = load_vocabulary(data / "vocab.txt")
+        renamed = tuple(
+            ConceptLayer(f"{layer.name}_ñ", [f"{label}·実{i % 3 * '🎬'}" for i, label in
+                                             enumerate(layer.labels)])
+            for layer in hierarchy.layers
+        )
+        save_vocabulary(LabelHierarchy(renamed, hierarchy.edges), data / "vocab.txt")
+        val = list(read_shard(data / "val.shard"))
+        for i, rec in enumerate(val):
+            rec.video_id = ["v", "é", "日本", "🎥"][i % 4] * (1 + i % 3) + str(i)
+        write_shard(data / "val.shard", val)
         ckpt = str(tmp_path / "m.ckpt")
         assert main(train_args(data, ckpt, "--model", model, "--iters", "5")) == 0
         argv = ["predict", "--ckpt", ckpt, "--vocab", str(data / "vocab.txt"),
@@ -900,11 +915,78 @@ class TestModelInterface:
         assert main(["evaluate", *inputs, "--out", str(rep)]) == 0
         assert sorted(p.name for p in rep.iterdir()) == ["eval_entities.json", "eval_entities.txt"]
         tsv = tmp_path / "preds.tsv"
-        assert main(["predict", *inputs, "--out", str(tsv), "--top-k", "25"]) == 0
+        argv = ["predict", *inputs, "--top-k", "25", "--out"]
+        assert main(argv + [str(tsv)]) == 0
         capsys.readouterr()
         rows = tsv.read_text().splitlines()
         assert len(rows) == 60 * min(25, entities.size)
         assert {row.split("\t")[1] for row in rows} == {"entities"}
+        reference_predict(cli.build_parser().parse_args(argv + [str(tmp_path / "want.tsv")]))
+        assert tsv.read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    @pytest.mark.parametrize("model", list(cli.MODELS))
+    def test_evaluate_and_predict_draw_no_random_numbers(self, dataset, tmp_path, capsys,
+                                                         monkeypatch, model):
+        """The model a checkpoint restores into is built without an RNG."""
+        ckpt = str(tmp_path / "m.ckpt")
+        assert main(train_args(dataset, ckpt, "--model", model, "--iters", "5")) == 0
+        inputs = ["--ckpt", ckpt, "--vocab", str(dataset / "vocab.txt"),
+                  "--shard", str(dataset / "val.shard")]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("np.random.default_rng called")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        legacy = np.random.get_state()
+        assert main(["evaluate", *inputs, "--out", str(tmp_path / "rep")]) == 0
+        assert main(["predict", *inputs, "--out", str(tmp_path / "preds.tsv")]) == 0
+        capsys.readouterr()
+        after = np.random.get_state()
+        assert legacy[0] == after[0] and all(
+            np.array_equal(a, b) for a, b in zip(legacy[1:], after[1:])
+        )
+
+
+class TestScoreText:
+    """``cli._score_text`` against Python's ``f"{s:.6f}"`` of the same float32."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, np.float32)
+        want = "".join(f"{v:.6f}\n" for v in values.tolist()).encode()
+        assert cli._score_text(values).tobytes() == want
+
+    def test_ends_of_the_range(self):
+        self.check([0.0, 1.0, np.nextafter(np.float32(1), np.float32(0))])
+
+    def test_exact_half_micro_ties_round_to_even(self):
+        # (2j + 1) / 128 * 1e6 = (2j + 1) * 7812.5: exactly half-way.
+        self.check((2 * np.arange(64) + 1) / 128)
+
+    def test_neighbours_of_half_micro_points(self):
+        mid = ((np.arange(0, 10**6, 7) + 0.5) / 1e6).astype(np.float32)
+        self.check(np.concatenate([mid, np.nextafter(mid, np.float32(0)),
+                                   np.nextafter(mid, np.float32(1))]))
+
+    def test_subnormals(self):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        normal = np.finfo(np.float32).smallest_normal
+        self.check(np.concatenate([np.arange(1, 1000, dtype=np.float32) * tiny,
+                                   [np.nextafter(normal, np.float32(0)), normal]]))
+
+    def test_random_values(self):
+        self.check(np.random.default_rng(15).random(100_000, dtype=np.float32))
+
+    @pytest.mark.parametrize("values", [
+        np.array([0.5], np.float64),
+        np.array([0.5, -1e-7], np.float32),
+        np.array([-0.0], np.float32),
+        np.array([np.nextafter(np.float32(1), np.float32(2))], np.float32),
+        np.array([np.nan], np.float32),
+    ], ids=["float64", "negative", "negative-zero", "above-one", "nan"])
+    def test_outside_the_exact_domain_is_an_error(self, values):
+        with pytest.raises(ValueError):
+            cli._score_text(values)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
