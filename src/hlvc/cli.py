@@ -300,17 +300,19 @@ def _fit_normalizer(cfg: RunConfig, features: FeatureRows):
 
 
 def _normalized(stats, features: FeatureRows) -> np.ndarray:
-    """``apply_normalizer`` over ``BLOCK_ROWS``-row blocks of ``features``.
+    """``apply_normalizer`` over ``BLOCK_ROWS``-row blocks of ``features``,
+    written over them in place.
 
-    Each block is read and normalized in float64 and rounded once into one
-    (N, D) float32 array, the shards' feature dtype, so no float64 array
-    larger than a block exists.
+    Each block is read and normalized in float64, then rounded once into the
+    float32 shard rows it was read from (``FeatureRows.consume``), which no
+    later block reads. So the result is a view of the shard's feature block,
+    the shard is consumed, and neither a second (N, D) array nor a float64
+    array larger than a block exists.
     """
-    out = np.empty(features.shape, np.float32)
+    out = features.consume()
     for start in range(0, len(out), BLOCK_ROWS):
-        out[start : start + BLOCK_ROWS] = apply_normalizer(
-            stats, features[start : start + BLOCK_ROWS]
-        )
+        rows = slice(start, start + BLOCK_ROWS)
+        out[rows] = apply_normalizer(stats, features[rows])
     return out
 
 
@@ -340,13 +342,11 @@ def _load_features(shard, mode: str) -> FeatureRows:
 
     The check reads the float32 columns: a row is finite exactly when its
     float64 upcast is, and a frame record's float32 mean pool exactly when
-    its float64 one is.
+    its float64 one is. It sums each row in float64, which no sum of finite
+    float32 values overflows, so a row is finite exactly when its sum is.
     """
     features = shard.features(include_audio=mode == "rgb+audio")
-    finite = np.isfinite(shard.pooled).all(axis=1)
-    if features.shape[1] > shard.pooled.shape[1]:
-        finite &= np.isfinite(shard.audio).all(axis=1)
-    bad = np.flatnonzero(~finite)
+    bad = np.flatnonzero(~np.isfinite(features.storage.sum(axis=1, dtype=np.float64)))
     if bad.size:
         raise ValueError(f"record {shard.video_ids[bad[0]]!r} has non-finite features")
     return features
@@ -537,7 +537,8 @@ def cmd_train(args) -> int:
 
 
 def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
-    """Per-layer label probabilities from the checkpoint's model.
+    """Per-layer label probabilities from the checkpoint's model, loaded
+    without its Adam moments.
 
     Every layer the model exports weights for is scored by
     ``baseline.predict``; the parent of the finest layer, if the model
@@ -548,10 +549,7 @@ def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
     if family is None:
         raise ValueError(f"checkpoint has unknown model {model!r}")
     params = family.init(hierarchy, x.shape[1], seed=None)
-    _restore(
-        params.tensors(),
-        {k: v for k, v in ckpt.tensors.items() if not k.startswith(_ADAM_PREFIX)},
-    )
+    _restore(params.tensors(), ckpt.tensors)
     scores = {
         t: baseline.predict(baseline.LogRegParams(w), x)
         for t, w in family.layer_weights(params, hierarchy).items()
@@ -565,7 +563,7 @@ def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
 def _prepare_eval(args):
     if args.top_k < 1:
         raise UsageError(f"top_k must be at least 1, got {args.top_k}")
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, skip=(_ADAM_PREFIX,))
     hierarchy = load_vocabulary(args.vocab)
     shard, features = _load_inputs(
         args.shard, hierarchy, ckpt.config.get("features", "rgb"), ckpt

@@ -16,9 +16,10 @@ Shard layout (all integers little-endian)::
         audio:   dim u32, dim * f32   (only when bit 1 is set)
     crc32   u32 over every byte after the 6-byte magic+version header
 
-``read_shard`` decodes a shard into columns (a ``Shard``): float32 features,
-per-layer labels as compressed sparse rows, and the video ids; the same
-object reads as a sequence of ``VideoRecord``s, built on first access.
+``read_shard`` decodes a shard, a chunk of the file at a time, into columns
+(a ``Shard``): one float32 block of features, per-layer labels as compressed
+sparse rows, and the video ids; the same object reads as a sequence of
+``VideoRecord``s, built on first access.
 
 Checkpoints share the framing with magic b"HLVC": step u64, a JSON config
 blob, then a tensor directory of named float arrays (dtype byte 0 = f32,
@@ -40,7 +41,7 @@ import zlib
 import numpy as np
 
 from .atomic import atomic_open
-from .features import NormalizerStats, mean_pool
+from .features import BLOCK_ROWS, NormalizerStats, mean_pool
 from .hierarchy import LabelHierarchy, ConceptLayer
 
 SHARD_MAGIC = b"HLVS"
@@ -200,6 +201,10 @@ def _write_file(path, magic: bytes, version: int, chunks) -> None:
 # Bytes of magic and u16 version before a file's body.
 _HEADER = 6
 
+# Bytes read from a file at a time. A shard record longer than this is read
+# whole, so the read buffer holds at most one chunk plus one record.
+CHUNK_BYTES = 1 << 20
+
 
 class _Stream:
     """Bounds-checked reader of a file's body, front to back, that folds every
@@ -244,6 +249,13 @@ class _Stream:
         self.crc = zlib.crc32(view, self.crc)
         return arr
 
+    def skip(self, n: int) -> None:
+        """Read past the next ``n`` bytes, ``CHUNK_BYTES`` at a time."""
+        while n > 0:
+            step = min(n, CHUNK_BYTES)
+            self.take(step)
+            n -= step
+
 
 def _check_header(
     path, head: bytes, size: int, magic: bytes, version: int, fmt_error, trunc_error
@@ -268,11 +280,27 @@ def _check_end(path, off: int, end: int, stored: int, actual: int, fmt_error, cr
         raise crc_error(f"{path}: checksum mismatch (stored {stored:#x}, computed {actual:#x})")
 
 
-def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Positions ``starts[j] .. starts[j] + lengths[j] - 1`` for every j, in order."""
+def _spans(starts: np.ndarray, lengths: np.ndarray, step: int = 1) -> np.ndarray:
+    """Positions ``starts[j] + step * k`` for k < ``lengths[j]``, for every j, in order."""
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if ends.size else 0
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+    return np.repeat(starts - step * (ends - lengths), lengths) + step * np.arange(total)
+
+
+def _gather(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` at each of ``offsets``, one row each."""
+    if not offsets.size:
+        return np.empty((0, width), np.uint8)
+    return np.lib.stride_tricks.sliding_window_view(buf, width)[offsets]
+
+
+def _copy_rows(dest: np.ndarray, rows: np.ndarray, buf: np.ndarray, offsets: np.ndarray) -> None:
+    """Set each row ``dest[rows[j]]`` to the float32 values stored in ``buf``
+    at ``offsets[j]``, ``BLOCK_ROWS`` rows at a time, so no more than a block
+    of rows is gathered on its way."""
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        part = slice(lo, lo + BLOCK_ROWS)
+        dest[rows[part]] = _gather(buf, offsets[part], 4 * dest.shape[1]).view("<f4")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -331,42 +359,63 @@ def _label_columns(layer_counts, label_counts, values) -> list:
     return columns
 
 
+def _concat_labels(pieces: list) -> list:
+    """One CsrLabels per layer position from consecutive runs of records,
+    each a (record count, its ``_label_columns``) pair."""
+    columns = []
+    for t in range(max((len(cols) for _, cols in pieces), default=0)):
+        counts = [
+            np.diff(cols[t].indptr) if t < len(cols) else np.zeros(n, np.int64)
+            for n, cols in pieces
+        ]
+        indices = [cols[t].indices for _, cols in pieces if t < len(cols)]
+        columns.append(
+            CsrLabels(np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+                      np.concatenate(indices))
+        )
+    return columns
+
+
 class FeatureRows:
     """A shard's float64 (N, D) video features, read a block of rows at a time.
 
     Row i equals ``video_feature(shard[i], include_audio)``: the float32
     pooled row upcast, or a frame record's float64 ``mean_pool``, then the
     audio row when it is included. A slice of rows returns that block as a
-    new float64 array, built from the float32 columns; ``np.asarray`` builds
-    the whole matrix.
+    new float64 array, built from ``storage``, the float32 (N, D) columns of
+    the shard's feature block that hold the rows; ``np.asarray`` builds the
+    whole matrix.
+
+    ``consume`` hands ``storage`` over to be written in place. From then on
+    the shard's records and features raise, and rows read here come from
+    whatever was written.
     """
 
     dtype = np.dtype(np.float64)
 
-    def __init__(self, pooled: np.ndarray, frames: dict, audio: np.ndarray | None):
-        self._pooled = pooled
-        self._frames = frames
-        self._frame_rows = np.sort(np.fromiter(frames, dtype=np.int64, count=len(frames)))
-        self._audio = audio
-        width = pooled.shape[1] + (0 if audio is None else audio.shape[1])
-        self.shape = (pooled.shape[0], width)
+    def __init__(self, shard: "Shard", include_audio: bool):
+        self._shard = shard
+        self.storage = shard.block if include_audio else shard.block[:, : shard.dim]
+        self.shape = self.storage.shape
+        self._frame_rows = np.sort(np.fromiter(shard.frames, np.int64, len(shard.frames)))
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         if not isinstance(rows, slice) or rows.step not in (None, 1):
             raise TypeError(f"feature rows are read by contiguous slices, got {rows!r}")
         start, stop, _ = rows.indices(self.shape[0])
-        dim = self._pooled.shape[1]
-        block = np.empty((max(stop - start, 0), self.shape[1]))
-        block[:, :dim] = self._pooled[start:stop]
+        block = self.storage[start:stop].astype(np.float64)
         lo, hi = np.searchsorted(self._frame_rows, [start, stop])
         for row in self._frame_rows[lo:hi]:
-            block[row - start, :dim] = mean_pool(self._frames[row])
-        if self._audio is not None:
-            block[:, dim:] = self._audio[start:stop]
+            block[row - start, : self._shard.dim] = mean_pool(self._shard.frames[row])
         return block
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self[:], dtype=dtype)
+
+    def consume(self) -> np.ndarray:
+        """``storage``, for the caller to overwrite; the shard is consumed."""
+        self._shard._consumed = True
+        return self.storage
 
 
 @dataclasses.dataclass(eq=False, repr=False)
@@ -378,31 +427,53 @@ class Shard(collections.abc.Sequence):
     - ``video_ids``: list of N strings;
     - ``layer_counts``: (N,) number of label layers of each record;
     - ``labels``: one CsrLabels per layer position;
-    - ``pooled``: (N, D) float32 features. A frame record's row holds its
-      mean pool rounded to float32; its frames are ``frames[row]``;
-    - ``audio``: (N, Da) float32, or None when no record has audio;
-      ``has_audio`` marks the rows that carry it (the others are 0).
+    - ``block``: (N, D + Da) float32, the only copy of the features: the
+      ``dim`` = D pooled columns, then the Da audio columns. A frame
+      record's pooled columns hold its mean pool rounded to float32; its
+      frames are ``frames[row]``. ``pooled`` and ``audio`` are views of it,
+      ``audio`` None when no record has audio; ``has_audio`` marks the rows
+      that carry it (the others are 0).
 
     ``crc32`` is the file's checksum, which names the data it holds.
 
     Indexing, slicing or iterating builds every VideoRecord once, on first
     access. Records hold copies, so editing one leaves the columns as read.
+
+    ``FeatureRows.consume`` lets a caller overwrite the features in place,
+    which consumes the shard: its features and records raise from then on,
+    and only the ids, labels and checksum remain readable.
     """
 
     video_ids: list
     layer_counts: np.ndarray
     labels: list
-    pooled: np.ndarray
+    block: np.ndarray
+    dim: int
     frames: dict
-    audio: np.ndarray | None
     has_audio: np.ndarray
     crc32: int
     _records: list | None = dataclasses.field(default=None, init=False)
+    _consumed: bool = dataclasses.field(default=False, init=False)
+
+    def _unconsumed(self) -> None:
+        if self._consumed:
+            raise RuntimeError("the shard's features were overwritten in place")
+
+    @property
+    def pooled(self) -> np.ndarray:
+        self._unconsumed()
+        return self.block[:, : self.dim]
+
+    @property
+    def audio(self) -> np.ndarray | None:
+        self._unconsumed()
+        return self.block[:, self.dim :] if self.has_audio.any() else None
 
     def __len__(self) -> int:
         return len(self.video_ids)
 
     def __getitem__(self, i):
+        self._unconsumed()
         if self._records is None:
             self._records = [self._record(r) for r in range(len(self))]
         return self._records[i]
@@ -417,19 +488,20 @@ class Shard(collections.abc.Sequence):
         return VideoRecord(
             self.video_ids[r],
             [layer.row(r) for layer in self.labels[: self.layer_counts[r]]],
-            pooled=None if frames is not None else self.pooled[r].copy(),
+            pooled=None if frames is not None else self.block[r, : self.dim].copy(),
             frames=None if frames is None else frames.copy(),
-            audio=self.audio[r].copy() if self.has_audio[r] else None,
+            audio=self.block[r, self.dim :].copy() if self.has_audio[r] else None,
         )
 
     def features(self, include_audio: bool = False) -> FeatureRows:
-        """Float64 (N, D) video features as a read-only row view; row i equals
+        """Float64 (N, D) video features as a row view; row i equals
         ``video_feature(self[i], include_audio)``."""
+        self._unconsumed()
         if include_audio:
             missing = np.flatnonzero(~self.has_audio)
             if missing.size:
                 raise ValueError(f"record {self.video_ids[missing[0]]!r} has no audio features")
-        return FeatureRows(self.pooled, self.frames, self.audio if include_audio else None)
+        return FeatureRows(self, include_audio)
 
 
 _U16 = struct.Struct("<H").unpack_from
@@ -438,122 +510,228 @@ _U32X2 = struct.Struct("<II").unpack_from
 _U64 = struct.Struct("<Q").unpack_from
 
 
+class _Short(Exception):
+    """A record runs past the bytes read so far."""
+
+
+class _ShardDecoder:
+    """The records of a shard, decoded chunk by chunk into Shard columns.
+
+    ``read`` reads the file a chunk at a time. ``decode`` unpacks the header
+    fields of the whole records at the front of a chunk, one record at a
+    time, then copies the chunk's pooled and audio payloads into their rows
+    of one (N, D + Da) float32 block and its labels into CsrLabels of those
+    rows. The block is allocated when the first chunk is decoded, with
+    audio columns if that chunk has audio, and widened once if audio first
+    appears in a later chunk.
+    """
+
+    def __init__(self, path, count: int, size: int):
+        self.path = path
+        self.count = count
+        self.size = size  # bytes of the records in the file
+        self.video_ids = []
+        self.layer_counts = []
+        self.labels = []  # (record count, _label_columns) per chunk
+        self.frames = {}
+        self.dim = self.audio_dim = -1
+        self.block = None
+        self.has_audio = None
+
+    def read(self, fh, pos: int, end: int, crc: int) -> tuple[int, int]:
+        """Read and decode the records that start at file offset ``pos``,
+        where ``fh`` stands; ``end`` is the offset of the checksum. Returns
+        the offset just past the last record and ``crc`` continued over the
+        bytes read.
+
+        Each read fills the buffer behind the bytes of the record that the
+        last chunk cut off; a record longer than the buffer grows it.
+        """
+        buf = np.empty(0, np.uint8)
+        filled = used = 0
+        while len(self.video_ids) < self.count:
+            tail = filled - used
+            if tail == len(buf):
+                buf = np.concatenate((buf, np.empty(min(CHUNK_BYTES, end - pos), np.uint8)))
+            else:
+                buf[:tail] = buf[used:filled]
+            n = min(len(buf) - tail, end - pos)
+            view = memoryview(buf)[tail : tail + n]
+            if fh.readinto(view) != n:
+                raise ShardTruncatedError(f"{self.path}: file ended before offset {pos + n}")
+            crc = zlib.crc32(view, crc)
+            pos += n
+            filled = tail + n
+            used = self.decode(buf[:filled], at_end=pos == end)
+        return pos - (filled - used), crc
+
+    def decode(self, buf: np.ndarray, at_end: bool) -> int:
+        """Decode the whole records at the front of ``buf`` and return the
+        bytes they take. With ``at_end``, ``buf`` holds every remaining
+        byte, so a record that runs past it is truncation."""
+        path, view, size = self.path, memoryview(buf), len(buf)
+        video_ids, layer_counts = self.video_ids, self.layer_counts
+        dim, audio_dim = self.dim, self.audio_dim
+        first = row = len(video_ids)
+        # Per (record, layer), the offset and count of its labels; per
+        # record, the offsets of its pooled and audio payloads, -1 if none.
+        label_starts, label_counts, pooled, audio = [], [], [], []
+        frames = {}
+        off = 0
+        try:
+            while row < self.count:
+                start = off
+                (n,) = _U16(view, off)
+                off += 2
+                if off + n > size:
+                    raise _Short
+                try:
+                    video_id = str(view[off : off + n], "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ShardFormatError(f"{path}: undecodable video id: {exc}") from None
+                off += n
+                layers = view[off]
+                off += 1
+                for _ in range(layers):
+                    (n,) = _U16(view, off)
+                    label_starts.append(off + 2)
+                    label_counts.append(n)
+                    off += 2 + 4 * n
+                kind = view[off]
+                if kind > 3:
+                    raise ShardFormatError(f"{path}: unknown feature kind {kind}")
+                if kind & _KIND_FRAMES:
+                    d, t = _U32X2(view, off + 1)
+                    off += 9
+                    if t == 0:
+                        raise ShardFormatError(f"{path}: record {video_id!r} has zero frames")
+                    if off + 4 * d * t > size:
+                        raise _Short
+                    payload = -1
+                    frame_block = np.frombuffer(buf, "<f4", d * t, off).reshape(t, d)
+                    off += 4 * d * t
+                else:
+                    (d,) = _U32(view, off + 1)
+                    payload = off + 5
+                    off += 5 + 4 * d
+                if d != dim:
+                    if dim >= 0:
+                        raise ShardFormatError(
+                            f"{path}: record {video_id!r} has feature dim {d}, "
+                            f"the records before it have {dim}"
+                        )
+                    dim = d
+                sound = -1
+                if kind & _KIND_AUDIO:
+                    (da,) = _U32(view, off)
+                    if da != audio_dim:
+                        if audio_dim >= 0:
+                            raise ShardFormatError(
+                                f"{path}: record {video_id!r} has audio dim {da}, "
+                                f"the records before it have {audio_dim}"
+                            )
+                        audio_dim = da
+                    sound = off + 4
+                    off += 4 + 4 * da
+                if off > size:
+                    raise _Short
+                video_ids.append(video_id)
+                layer_counts.append(layers)
+                pooled.append(payload)
+                audio.append(sound)
+                if payload < 0:
+                    frames[row] = frame_block.copy()
+                row += 1
+        except (_Short, struct.error, IndexError, OverflowError):
+            if at_end:
+                raise ShardTruncatedError(
+                    f"{path}: record {row} runs past the end of the file"
+                ) from None
+            off = start
+            pairs = sum(layer_counts[first:])
+            del label_starts[pairs:], label_counts[pairs:]
+        self.dim, self.audio_dim = dim, audio_dim
+        if row > first:
+            counts = np.array(label_counts, np.int64)
+            values = _gather(buf, _spans(np.array(label_starts, np.int64), counts, 4), 4)
+            columns = _label_columns(
+                np.array(layer_counts[first:], np.int64),
+                counts,
+                values.view("<u4")[:, 0].astype(np.int64),
+            )
+            self.labels.append((row - first, columns))
+            self._store(buf, first, np.array(pooled, np.int64), np.array(audio, np.int64), frames)
+        return off
+
+    def _store(self, buf, first: int, pooled, audio, frames: dict) -> None:
+        """Copy the feature rows of records ``first`` onward into the block."""
+        dim = self.dim
+        width = dim + max(self.audio_dim, 0)
+        if self.block is None:
+            # Each record takes at least 8 + 4 * dim bytes, so a corrupt
+            # count asks for no more rows than the file can hold.
+            rows = min(self.count, self.size // (8 + 4 * dim))
+            self.block = np.zeros((rows, width), np.float32)
+            self.has_audio = np.zeros(rows, bool)
+        elif self.block.shape[1] < width:
+            block = np.zeros((len(self.block), width), np.float32)
+            block[:first, :dim] = self.block[:first]
+            self.block = block
+        here = self.block[first : first + len(pooled)]
+        rgb = np.flatnonzero(pooled >= 0)
+        _copy_rows(here[:, :dim], rgb, buf, pooled[rgb])
+        for row, frame_block in frames.items():
+            self.block[row, :dim] = mean_pool(frame_block)
+            self.frames[row] = frame_block
+        sound = audio >= 0
+        if sound.any():
+            rows = np.flatnonzero(sound)
+            _copy_rows(here[:, dim:], rows, buf, audio[rows])
+            self.has_audio[first : first + len(audio)] = sound
+
+    def shard(self, crc: int) -> Shard:
+        if self.block is None:
+            self.block, self.has_audio = np.zeros((0, 0), np.float32), np.zeros(0, bool)
+        return Shard(
+            self.video_ids,
+            np.array(self.layer_counts, np.int64),
+            _concat_labels(self.labels),
+            self.block,
+            max(self.dim, 0),
+            self.frames,
+            self.has_audio,
+            crc,
+        )
+
+
 def read_shard(path) -> Shard:
     """Read a shard into columns; magic, version, truncation, and checksum
     failures raise distinct error types, and so does a record whose feature
     or audio dim differs from the first record's.
 
-    One pass over the records unpacks only their header fields and appends
-    each payload to a flat buffer: labels to one, pooled features to another
-    (a frame record's mean pool in its place), audio to a third. Those
-    buffers become the columns.
+    The file is read ``CHUNK_BYTES`` at a time and folded into the checksum
+    as it comes; each chunk's records are decoded into the columns before
+    the next chunk is read over it (``_ShardDecoder``). So besides the
+    columns it returns, reading holds one chunk (and a record it cut off),
+    that chunk's payload offsets, and a block of rows on its way into the
+    feature block.
     """
     with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
-    _check_header(
-        path, bytes(buf[:_HEADER]), len(buf), SHARD_MAGIC, SHARD_VERSION,
-        ShardFormatError, ShardTruncatedError,
-    )
-    end = len(buf) - 4
-    # Bounded at the checksum, so reading a field past the last record raises.
-    body = buf[:end]
-    video_ids, layer_counts, label_counts, audio_rows = [], [], [], []
-    labels, pooled, audio = bytearray(), bytearray(), bytearray()
-    frames = {}
-    dim = audio_dim = -1
-    try:
-        (count,) = _U64(body, _HEADER)
-        off = _HEADER + 8
-        for row in range(count):
-            (n,) = _U16(body, off)
-            off += 2
-            if off + n > end:
-                raise ShardTruncatedError(f"{path}: record {row}'s video id runs past the end")
-            try:
-                video_id = str(body[off : off + n], "utf-8")
-            except UnicodeDecodeError as exc:
-                raise ShardFormatError(f"{path}: undecodable video id: {exc}") from None
-            video_ids.append(video_id)
-            off += n
-            layers = body[off]
-            layer_counts.append(layers)
-            off += 1
-            for _ in range(layers):
-                (n,) = _U16(body, off)
-                label_counts.append(n)
-                labels += body[off + 2 : off + 2 + 4 * n]
-                off += 2 + 4 * n
-            kind = body[off]
-            if kind > 3:
-                raise ShardFormatError(f"{path}: unknown feature kind {kind}")
-            if kind & _KIND_FRAMES:
-                d, t = _U32X2(body, off + 1)
-                off += 9
-                if t == 0:
-                    raise ShardFormatError(f"{path}: record {video_id!r} has zero frames")
-                if off + 4 * d * t > end:
-                    raise ShardTruncatedError(f"{path}: record {video_id!r} runs past the end")
-                block = np.frombuffer(body, dtype="<f4", count=d * t, offset=off)
-                frames[row] = block.reshape(t, d).copy()
-                pooled += mean_pool(frames[row]).astype(np.float32).tobytes()
-                off += 4 * d * t
-            else:
-                (d,) = _U32(body, off + 1)
-                off += 5
-                pooled += body[off : off + 4 * d]
-                off += 4 * d
-            if d != dim:
-                if dim >= 0:
-                    raise ShardFormatError(
-                        f"{path}: record {video_id!r} has feature dim {d}, "
-                        f"the records before it have {dim}"
-                    )
-                dim = d
-            if kind & _KIND_AUDIO:
-                (da,) = _U32(body, off)
-                off += 4
-                if da != audio_dim:
-                    if audio_dim >= 0:
-                        raise ShardFormatError(
-                            f"{path}: record {video_id!r} has audio dim {da}, "
-                            f"the records before it have {audio_dim}"
-                        )
-                    audio_dim = da
-                audio_rows.append(row)
-                audio += body[off : off + 4 * da]
-                off += 4 * da
-    except (struct.error, IndexError, OverflowError):
-        raise ShardTruncatedError(
-            f"{path}: record {len(video_ids)} runs past the end of the file"
-        ) from None
-    if off > end:
-        raise ShardTruncatedError(f"{path}: the last record runs past the end of the file")
-    (crc,) = _U32(buf, end)
-    _check_end(
-        path, off, end, crc, zlib.crc32(body[_HEADER:]), ShardFormatError, ShardChecksumError
-    )
-
-    n = len(video_ids)
-    layer_counts = np.array(layer_counts, dtype=np.int64)
-    values = np.frombuffer(labels, dtype="<u4").astype(np.int64)
-    has_audio = np.zeros(n, dtype=bool)
-    has_audio[audio_rows] = True
-    audio_block = None
-    if audio_rows:
-        audio_block = np.frombuffer(audio, dtype="<f4").reshape(len(audio_rows), audio_dim)
-        if len(audio_rows) < n:
-            audio_block, packed = np.zeros((n, audio_dim), dtype=np.float32), audio_block
-            audio_block[audio_rows] = packed
-    return Shard(
-        video_ids,
-        layer_counts,
-        _label_columns(layer_counts, np.array(label_counts, dtype=np.int64), values),
-        np.frombuffer(pooled, dtype="<f4").reshape(n, max(dim, 0)),
-        frames,
-        audio_block,
-        has_audio,
-        crc,
-    )
+        size = os.fstat(fh.fileno()).st_size
+        _check_header(
+            path, fh.read(_HEADER), size, SHARD_MAGIC, SHARD_VERSION,
+            ShardFormatError, ShardTruncatedError,
+        )
+        end = size - 4
+        if end < _HEADER + 8:
+            raise ShardTruncatedError(f"{path}: file too short for the record count")
+        head = fh.read(8)
+        decoder = _ShardDecoder(path, _U64(head)[0], end - _HEADER - 8)
+        parsed, crc = decoder.read(fh, _HEADER + 8, end, zlib.crc32(head))
+        fh.seek(end)
+        (stored,) = struct.unpack("<I", fh.read(4))
+    _check_end(path, parsed, end, stored, crc, ShardFormatError, ShardChecksumError)
+    return decoder.shard(crc)
 
 
 @dataclasses.dataclass
@@ -616,11 +794,13 @@ def _checkpoint_chunks(step: int, config: dict, entries: dict):
         yield np.ascontiguousarray(arr, dtype=code)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, *, skip: tuple = ()) -> Checkpoint:
     """Read a checkpoint; any corruption raises CheckpointError.
 
     Each tensor is read straight into its own array, and the checksum is
     accumulated on the way, so loading holds no second copy of the file.
+    Tensors whose names start with one of the ``skip`` prefixes are read and
+    checked the same way, ``CHUNK_BYTES`` at a time, but not kept.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -629,7 +809,7 @@ def load_checkpoint(path) -> Checkpoint:
             CheckpointError, CheckpointError,
         )
         cur = _Stream(fh, _HEADER, size - 4, CheckpointError)
-        step, config, tensors = _read_checkpoint_body(cur, path)
+        step, config, tensors = _read_checkpoint_body(cur, path, skip)
         # At least 4 bytes follow the body, so this reads a full u32.
         (stored,) = struct.unpack("<I", fh.read(4))
     _check_end(path, cur.off, cur.end, stored, cur.crc, CheckpointError, CheckpointError)
@@ -650,8 +830,9 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(step=step, config=config, tensors=tensors, normalizer=normalizer)
 
 
-def _read_checkpoint_body(cur: _Stream, path) -> tuple[int, dict, dict]:
-    """The step, config and tensors of a checkpoint body."""
+def _read_checkpoint_body(cur: _Stream, path, skip: tuple) -> tuple[int, dict, dict]:
+    """The step, config and tensors of a checkpoint body, without the
+    tensors whose names start with a ``skip`` prefix."""
     (step,) = cur.unpack("<Q")
     (blob_len,) = cur.unpack("<I")
     try:
@@ -671,7 +852,10 @@ def _read_checkpoint_body(cur: _Stream, path) -> tuple[int, dict, dict]:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype {dtype_byte}")
         shape = tuple(cur.unpack("<" + "I" * ndim)) if ndim else ()
         code = "<f4" if dtype_byte == 0 else "<f8"
-        tensors[name] = cur.array(math.prod(shape), code).reshape(shape)
+        if name.startswith(skip):
+            cur.skip(math.prod(shape) * np.dtype(code).itemsize)
+        else:
+            tensors[name] = cur.array(math.prod(shape), code).reshape(shape)
     return step, config, tensors
 
 

@@ -11,7 +11,7 @@ import pytest
 from hlvc import baseline, cli
 from hlvc.cli import RunConfig, UsageError, main
 from hlvc.data import Shard, load_checkpoint, read_shard, save_checkpoint, write_shard, VideoRecord
-from hlvc.features import fit_znorm
+from hlvc.features import BLOCK_ROWS, apply_normalizer, fit_znorm
 from hlvc.hierarchy import ConceptLayer, LabelHierarchy, load_vocabulary, save_vocabulary
 from reference_predict import reference_predict
 
@@ -296,8 +296,8 @@ class TestSetup:
         frames = {7: rng.normal(size=(3, d)).astype(np.float32)}
         pooled = rng.normal(size=(n, d)).astype(np.float32)
         pooled[7] = frames[7].mean(axis=0, dtype=np.float64)
-        shard = Shard([f"v{i}" for i in range(n)], np.zeros(n, np.int64), [], pooled,
-                      frames, None, np.zeros(n, bool), 0)
+        shard = Shard([f"v{i}" for i in range(n)], np.zeros(n, np.int64), [], pooled, d,
+                      frames, np.zeros(n, bool), 0)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -310,6 +310,49 @@ class TestSetup:
         # The float32 result takes n * d * 4 bytes; a float64 (n, d) array
         # would add n * d * 8 on its own.
         assert peak - start < n * d * 8
+
+    @pytest.mark.parametrize("norm", ["znorm", "pca"])
+    @pytest.mark.parametrize("mode, audio_dim", [("rgb", 0), ("rgb+audio", 16), ("rgb", 16)])
+    def test_normalization_allocates_no_second_feature_array(self, norm, mode, audio_dim):
+        # Normalizing a block of rows takes about 18 KB per column in float64
+        # temporaries, well below the bound's n bytes per column at this n.
+        n, d = 40000, 64
+        rng = np.random.default_rng(1)
+        frames = {7: rng.normal(size=(3, d)).astype(np.float32)}
+        block = rng.normal(size=(n, d + audio_dim)).astype(np.float32)
+        block[7, :d] = frames[7].mean(axis=0, dtype=np.float64)
+
+        def shard():
+            return Shard([f"v{i}" for i in range(n)], np.zeros(n, np.int64), [], block.copy(),
+                         d, frames, np.full(n, audio_dim > 0), 0)
+
+        # The reference is built the way it was before normalizing in place:
+        # a new array filled in BLOCK_ROWS-row blocks.
+        features = cli._load_features(shard(), mode)
+        stats = cli._fit_normalizer(RunConfig(norm=norm), features)
+        want = np.empty(features.shape, np.float32)
+        for start in range(0, n, BLOCK_ROWS):
+            want[start : start + BLOCK_ROWS] = apply_normalizer(
+                stats, features[start : start + BLOCK_ROWS]
+            )
+        fresh = shard()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            features = cli._load_features(fresh, mode)
+            x = cli._normalized(cli._fit_normalizer(RunConfig(norm=norm), features), features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        width = x.shape[1]
+        assert width == (d + audio_dim if mode == "rgb+audio" else d)
+        assert np.array_equal(x, want) and x.dtype == np.float32
+        assert np.shares_memory(x, fresh.block)
+        # A second float32 feature array would take n * width * 4 bytes.
+        assert peak - start < n * width * 4 / 4
+        for read in (lambda: fresh.features(), lambda: fresh[0], lambda: fresh.pooled):
+            with pytest.raises(RuntimeError, match="overwritten in place"):
+                read()
 
 
 class TestSynth:
@@ -887,7 +930,7 @@ class TestModelInterface:
         capsys.readouterr()
         hierarchy = load_vocabulary(dataset / "vocab.txt")
         x = np.random.default_rng(0).normal(size=(50, 8)).astype(np.float32)
-        scores = cli._layer_scores(load_checkpoint(ckpt), hierarchy, x)
+        scores = cli._layer_scores(load_checkpoint(ckpt, skip=("adam.",)), hierarchy, x)
         assert sorted(scores) == [0, 1]
         want = baseline.predict(baseline.LogRegParams(load_checkpoint(ckpt).tensors["weights"]), x)
         np.testing.assert_array_equal(scores[1], want)

@@ -1,11 +1,13 @@
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from hlvc import data
 from hlvc.data import (
     CHECKPOINT_MAGIC,
     SHARD_MAGIC,
@@ -201,6 +203,18 @@ class TestShardErrors:
             read_shard(path)
 
 
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    """Read shards 7 bytes at a time, so that every id, label list, pooled
+    row and frame block straddles a chunk edge."""
+    monkeypatch.setattr(data, "CHUNK_BYTES", 7)
+
+
+@pytest.mark.usefixtures("tiny_chunks")
+class TestShardErrorsInTinyChunks(TestShardErrors):
+    """The error cases again, the file read in tiny chunks."""
+
+
 def _shard_bytes(records_body: list) -> bytes:
     """A shard file from hand-encoded record bodies."""
     body = struct.pack("<Q", len(records_body)) + b"".join(records_body)
@@ -352,6 +366,48 @@ class TestColumnarDecode:
                 got = shard.labels[t].multi_hot(idx, size)
                 assert got.dtype == np.float32
                 np.testing.assert_array_equal(got, dense[idx])
+
+    def test_audio_after_the_first_record(self, tmp_path):
+        records = self.record_sets()["mixed_audio"]
+        assert records[0].audio is None and records[2].audio is not None
+        path = tmp_path / "s.shard"
+        write_shard(path, records)
+        shard = read_shard(path)
+        assert shard == records and shard.block.shape == (len(records), 6 + 3)
+        np.testing.assert_array_equal(shard.has_audio, [r.audio is not None for r in records])
+        assert not shard.audio[~shard.has_audio].any()
+        assert np.shares_memory(shard.pooled, shard.block)
+        assert np.shares_memory(shard.audio, shard.block)
+
+
+@pytest.mark.usefixtures("tiny_chunks")
+class TestColumnarDecodeInTinyChunks(TestColumnarDecode):
+    """The decoder cases again, the file read in tiny chunks; the late-audio
+    case widens the feature block."""
+
+
+class TestReadMemory:
+    def test_read_holds_two_chunks_beyond_its_result(self, tmp_path):
+        n, d = 20000, 64
+        rng = np.random.default_rng(4)
+        records = [
+            VideoRecord(f"video_{i:05d}", [[i % 25, 25 + i % 3], [i % 200]],
+                        pooled=rng.normal(size=d).astype(np.float32))
+            for i in range(n)
+        ]
+        path = tmp_path / "big.shard"
+        write_shard(path, records)
+        largest = max(len(_encode_record(r)) for r in records)
+        tracemalloc.start()
+        try:
+            shard = read_shard(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(shard) == n and shard.block.shape == (n, d)
+        # Beyond the shard it returns (kept: features, labels and ids), the
+        # read holds its chunk buffer and one chunk's offsets and rows in transit.
+        assert peak - kept < 2 * data.CHUNK_BYTES + largest
 
 
 class TestFeatureRows:
@@ -515,6 +571,27 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="need 147573952520956936200 bytes"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_skipped_tensors_are_checked_but_not_kept(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(data, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(3)
+        tensors = {name: rng.normal(size=(4, 6)).astype(np.float32)
+                   for name in ("w", "adam.m.w", "adam.v.w")}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, step=9, config={"a": 1}, tensors=tensors)
+        ckpt = load_checkpoint(path, skip=("adam.",))
+        assert ckpt.step == 9 and list(ckpt.tensors) == ["w"]
+        np.testing.assert_array_equal(ckpt.tensors["w"], tensors["w"])
+        assert set(load_checkpoint(path).tensors) == set(tensors)
+        raw = path.read_bytes()
+        inside = raw.index(tensors["adam.m.w"].tobytes()) + 37
+        flipped = raw[:inside] + bytes([raw[inside] ^ 0xFF]) + raw[inside + 1 :]
+        for bad in (flipped, raw[:inside]):
+            path.write_bytes(bad)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path, skip=("adam.",))
 
     def test_bad_config_blob_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
