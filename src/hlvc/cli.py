@@ -303,16 +303,17 @@ def _normalized(stats, features: FeatureRows) -> np.ndarray:
     """``apply_normalizer`` over ``BLOCK_ROWS``-row blocks of ``features``,
     written over them in place.
 
-    Each block is read and normalized in float64, then rounded once into the
-    float32 shard rows it was read from (``FeatureRows.consume``), which no
-    later block reads. So the result is a view of the shard's feature block,
-    the shard is consumed, and neither a second (N, D) array nor a float64
-    array larger than a block exists.
+    Each block is read into a new float64 array and normalized in it, then
+    rounded once into the float32 shard rows it was read from
+    (``FeatureRows.consume``), which no later block reads. So the result is a
+    view of the shard's feature block, the shard is consumed, and neither a
+    second (N, D) array nor a float64 array larger than a block exists.
     """
     out = features.consume()
     for start in range(0, len(out), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        out[rows] = apply_normalizer(stats, features[rows])
+        block = features[rows]
+        out[rows] = apply_normalizer(stats, block, out=block)
     return out
 
 
@@ -368,9 +369,16 @@ def _check_records(shard, hierarchy) -> None:
             raise ValueError(f"record {shard.video_ids[row]!r} labels out of range in layer {t}")
 
 
+# Records per chunk of ``_warn_missing_parents``, whose temporaries grow
+# with a chunk's labels, not with the shard's.
+_PARENT_CHECK_ROWS = 65536
+
+
 def _warn_missing_parents(path, shard, hierarchy) -> None:
     """Warn on stderr, naming the shard and a count, when records miss a
-    parent of their finest-layer labels in the layer above."""
+    parent of their finest-layer labels in the layer above.
+
+    Records are checked ``_PARENT_CHECK_ROWS`` at a time."""
     if hierarchy.num_layers < 2:
         return
     coarse, fine = shard.labels[-2], shard.labels[-1]
@@ -379,13 +387,17 @@ def _warn_missing_parents(path, shard, hierarchy) -> None:
         np.cumsum([0] + [len(p) for p in edges]),
         np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64),
     )
-    fanout, need = parents.gather(fine.indices)
-    rows = np.arange(len(shard))
-    need_rows = np.repeat(np.repeat(rows, np.diff(fine.indptr)), fanout)
-    have_rows = np.repeat(rows, np.diff(coarse.indptr))
     width = hierarchy.sizes[-2]
-    missing = ~np.isin(need_rows * width + need, have_rows * width + coarse.indices)
-    count = np.unique(need_rows[missing]).size
+    count = 0
+    for start in range(0, len(shard), _PARENT_CHECK_ROWS):
+        rows = np.arange(start, min(start + _PARENT_CHECK_ROWS, len(shard)))
+        fine_counts, fine_labels = fine.gather(rows)
+        fanout, need = parents.gather(fine_labels)
+        need_rows = np.repeat(np.repeat(rows, fine_counts), fanout)
+        coarse_counts, coarse_labels = coarse.gather(rows)
+        have_keys = np.repeat(rows, coarse_counts) * width + coarse_labels
+        missing = ~np.isin(need_rows * width + need, have_keys)
+        count += np.unique(need_rows[missing]).size
     if count:
         print(
             f"warning: shard {path}: {count} records miss a parent of their "
@@ -602,11 +614,15 @@ def cmd_evaluate(args) -> int:
 _SCORE_BYTES = 9
 _DECIMAL_PLACES = 10 ** np.arange(6, -1, -1, dtype=np.int32)
 
+# Longest video id, in UTF-8 bytes, for which predict writes a whole block
+# of videos at once. A block with a longer id is written in row slices, each
+# no larger than a whole block padded to this id length.
+_ID_BYTES = 64
 
-def _utf8_table(strings) -> tuple[np.ndarray, np.ndarray]:
-    """Each string's UTF-8 bytes as a row of a zero-padded uint8 table,
-    with the mask of its real bytes."""
-    encoded = list(map(str.encode, strings))
+
+def _utf8_table(encoded) -> tuple[np.ndarray, np.ndarray]:
+    """Each byte string as a row of a zero-padded uint8 table, with the mask
+    of its real bytes."""
     lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
     keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
     table = np.zeros(keep.shape, np.uint8)
@@ -635,14 +651,35 @@ def _score_text(scores: np.ndarray) -> np.ndarray:
     return text
 
 
+def _lines(ids, fields, field_keep, picked, score_text) -> np.ndarray:
+    """The TSV bytes of the videos ``ids`` (UTF-8), whose lines print the
+    field rows ``picked`` and the texts ``score_text`` (see ``cmd_predict``)."""
+    ids, id_keep = _utf8_table(ids)
+    id_shape = picked.shape + (ids.shape[1],)
+    text = np.concatenate(
+        [np.broadcast_to(ids[:, None], id_shape), fields[picked], score_text], axis=2
+    )
+    keep = np.concatenate(
+        [
+            np.broadcast_to(id_keep[:, None], id_shape),
+            field_keep[picked],
+            np.ones(score_text.shape, bool),
+        ],
+        axis=2,
+    )
+    return text[keep]
+
+
 def cmd_predict(args) -> int:
     """Write one ``video, layer, label, score`` line per top-k label, best
     first, ranked and written ``BLOCK_ROWS`` videos at a time.
 
-    Each block's bytes are one (videos, lines per video, width) uint8
-    matrix: the zero-padded video id, the padded "\\tlayer\\tlabel\\t" field of
-    the line's label and the 9-byte score text. The masked real bytes, in
-    row-major order, are the block's lines.
+    A block's bytes are one (videos, lines per video, width) uint8 matrix:
+    the zero-padded video id, the padded "\\tlayer\\tlabel\\t" field of the
+    line's label and the 9-byte score text. The masked real bytes, in
+    row-major order, are the block's lines. A block whose longest id exceeds
+    ``_ID_BYTES`` builds that matrix for a slice of its videos at a time, so
+    one long id cannot inflate it beyond a block of ordinary ids.
     """
     hierarchy, shard, scores = _prepare_eval(args)
     scored = sorted(scores)
@@ -650,8 +687,9 @@ def cmd_predict(args) -> int:
     # One field row per label of every scored layer; a layer's rows start at
     # its offset.
     fields, field_keep = _utf8_table(
-        [f"\t{layer.name}\t{label}\t" for layer in layers for label in layer.labels]
+        [f"\t{layer.name}\t{label}\t".encode() for layer in layers for label in layer.labels]
     )
+    line_bytes = fields.shape[1] + _SCORE_BYTES
     offsets = np.cumsum([0] + [layer.size for layer in layers[:-1]])
     count = 0
     with atomic_open(args.out, "wb") as fh:
@@ -664,25 +702,13 @@ def cmd_predict(args) -> int:
                 picked.append(top + offset)
                 best.append(np.take_along_axis(block, top, axis=1))
             picked = np.hstack(picked)
-            ids, id_keep = _utf8_table(shard.video_ids[rows])
-            id_shape = picked.shape + (ids.shape[1],)
-            text = np.concatenate(
-                [
-                    np.broadcast_to(ids[:, None], id_shape),
-                    fields[picked],
-                    _score_text(np.hstack(best)),
-                ],
-                axis=2,
-            )
-            keep = np.concatenate(
-                [
-                    np.broadcast_to(id_keep[:, None], id_shape),
-                    field_keep[picked],
-                    np.ones(picked.shape + (_SCORE_BYTES,), bool),
-                ],
-                axis=2,
-            )
-            fh.write(text[keep])
+            best = _score_text(np.hstack(best))
+            ids = [video_id.encode() for video_id in shard.video_ids[rows]]
+            longest = max(map(len, ids))
+            step = max(1, BLOCK_ROWS * (_ID_BYTES + line_bytes) // (longest + line_bytes))
+            for i in range(0, len(ids), step):
+                fh.write(_lines(ids[i : i + step], fields, field_keep,
+                                picked[i : i + step], best[i : i + step]))
             count += picked.size
     print(f"wrote {count} predictions for {len(shard)} videos to {args.out}")
     return EXIT_OK

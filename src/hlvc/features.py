@@ -50,11 +50,19 @@ def l2_normalize(x) -> tuple[np.ndarray, np.ndarray]:
     Returns (normalized, degenerate) where degenerate marks rows with norm
     at or below L2_FLOOR; those rows are returned unchanged.
     """
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    degenerate = norms[..., 0] <= L2_FLOOR
-    safe = np.where(norms <= L2_FLOOR, 1.0, norms)
-    return x / safe, degenerate
+    x = np.array(x, dtype=np.float64)
+    return x, _l2_divide(x)
+
+
+def _l2_divide(x: np.ndarray) -> np.ndarray:
+    """Divide the rows of the float64 array ``x`` in place by their Euclidean
+    norms (``np.linalg.norm``'s sum of squares), leaving rows with norm at or
+    below L2_FLOOR unchanged; returns the mask of those rows."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    degenerate = norms <= L2_FLOOR
+    norms[degenerate] = 1.0
+    x /= norms
+    return degenerate[..., 0]
 
 
 @dataclasses.dataclass
@@ -153,18 +161,25 @@ def fit_pca_whitening(data, *, epsilon: float = DEFAULT_EPSILON, l2_after: bool 
     )
 
 
-def apply_normalizer(stats: NormalizerStats, x) -> np.ndarray:
-    """Apply fitted normalization to one vector (D,) or a batch (N, D)."""
-    x = np.asarray(x, dtype=np.float64)
+def apply_normalizer(stats: NormalizerStats, x, out=None) -> np.ndarray:
+    """Apply fitted normalization to one vector (D,) or a batch (N, D).
+
+    Centering, the znorm division and the L2 division work in place on one
+    float64 array: ``out``, a float64 array of ``x``'s shape (``x`` itself
+    may be passed, to normalize a float64 block in place), or else a new
+    one. That array is returned, except that PCA's product is a second,
+    new array.
+    """
+    x = np.asarray(x)
     if x.shape[-1] != stats.dim:
         raise ValueError(f"feature dim {x.shape[-1]} does not match fitted dim {stats.dim}")
-    centered = x - stats.mean
+    out = np.subtract(x, stats.mean, out=out, dtype=np.float64)
     if stats.kind == "znorm":
-        out = centered / stats.scale
+        out /= stats.scale
     else:
-        out = centered @ stats.scale.T
+        out = out @ stats.scale.T
     if stats.l2_after:
-        out, _ = l2_normalize(out)
+        _l2_divide(out)
     return out
 
 

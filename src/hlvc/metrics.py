@@ -3,10 +3,12 @@
 All metrics share one deterministic tie rule: equal scores rank by lower
 index (video index for per-class rankings, label index within a video, and
 video-then-label in the pooled global ranking). Per-video rankings sort only
-the top labels they read (``top_labels``), once per prediction set; per-class
+the top labels they read (``top_labels``), once per prediction set, and
+hit@1, PERR and the global pool all read that one ranking. Per-class
 rankings are never sorted at all: each positive's rank is counted from the
-class's sorted score values (``_ranks``). The pooled global ranking is a
-stable sort on negated scores.
+class's sorted score values (``_ranks``), read from class-major copies of
+``CLASS_GROUP`` columns at a time. The pooled global ranking is one stable
+sort on negated scores.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from functools import cached_property
 
 import numpy as np
 
+from .features import BLOCK_ROWS
+
 DEFAULT_TOP_K = 20
+
+# Classes whose scores ``mean_average_precision`` copies into class-major
+# order at once: 16 float32 columns are one 64-byte cache line of each row.
+# The copy goes ``BLOCK_ROWS`` rows at a time, so each tile it reads stays in
+# cache while it is transposed.
+CLASS_GROUP = 16
 
 
 class PredictionSet:
@@ -114,24 +124,27 @@ def top_labels(scores: np.ndarray, k: int) -> np.ndarray:
     c = scores.shape[1]
     k = min(k, c)
     kth = np.partition(scores, c - k, axis=1)[:, c - k, None]
-    take = scores > kth
-    tied = scores == kth
-    need = k - take.sum(axis=1)
-    # Only a row whose tie at the k-th score is split needs the running count
-    # that keeps its lowest tied indices; every other row takes all its ties.
-    split = np.flatnonzero(tied.sum(axis=1) > need)
-    take |= tied
+    take = scores >= kth
+    # A row that takes more than k labels splits its tie at the k-th score.
+    # Only those rows need the running count that keeps their lowest tied
+    # indices; every other row takes exactly its k.
+    split = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
     if split.size:
-        ties = tied[split]
-        take[split] &= ~ties | (np.cumsum(ties, axis=1, dtype=np.int32) <= need[split, None])
+        ties = scores[split] == kth[split]
+        need = k - np.count_nonzero(take[split] & ~ties, axis=1)
+        take[split] &= ~ties | (np.cumsum(ties, axis=1, dtype=np.int32) <= need[:, None])
     cols = (np.flatnonzero(take) % c).reshape(-1, k)
     order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
 
 
 def hit_at_1(pred: PredictionSet) -> float:
-    """Fraction of videos whose single top-scored label is a positive."""
-    top = pred.scores.argmax(axis=1)
+    """Fraction of videos whose single top-scored label is a positive.
+
+    The top label is the first of the cached ranking: like ``argmax``, the
+    first maximum.
+    """
+    top = pred.ranked_labels(1)[:, 0]
     return float(pred.pos_mask[np.arange(pred.num_videos), top].mean())
 
 
@@ -154,8 +167,9 @@ def perr(pred: PredictionSet) -> float:
     return float(np.cumsum(precision)[-1]) / pred.num_videos
 
 
-def _ranks(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """1-based ranks of the videos ``rows`` when ranked by ``column``.
+def _ranks(column: np.ndarray, ordered: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """1-based ranks of the videos ``rows`` when ranked by ``column``, given
+    ``ordered``, the column's values sorted ascending.
 
     A video's rank is 1 + the videos with a higher score + the videos with
     an equal score at a lower index, which is its position in a stable
@@ -164,10 +178,7 @@ def _ranks(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
     that one of ``rows`` shares with another video. Both counts are sums
     over videos, so they add up over blocks of rows.
     """
-    # One gather of a strided column, so the passes below read it in cache.
-    column = np.ascontiguousarray(column)
     scores = column[rows]
-    ordered = np.sort(column)
     first = np.searchsorted(ordered, scores, side="left")
     after = np.searchsorted(ordered, scores, side="right")
     ranks = column.size - after + 1
@@ -189,7 +200,14 @@ def mean_average_precision(pred: PredictionSet) -> tuple[float, np.ndarray]:
     Each class with at least one positive ranks all videos by its score;
     AP averages precision at each positive's rank. Classes without any
     positive get NaN and are excluded from the mean.
+
+    The scores are read ``CLASS_GROUP`` classes at a time: the group's
+    columns are copied ``BLOCK_ROWS`` rows at a time into one contiguous
+    class-major array, and the rows of its classes with positives into a
+    second one, where each is sorted. Those two (``CLASS_GROUP``, V) arrays
+    are all the score memory it adds.
     """
+    scores = pred.scores
     counts = np.bincount(pred.pos_labels, minlength=pred.num_labels)
     has_pos = counts > 0
     if not has_pos.any():
@@ -197,9 +215,24 @@ def mean_average_precision(pred: PredictionSet) -> tuple[float, np.ndarray]:
     per_class = np.full(pred.num_labels, np.nan)
     videos = pred.pos_videos[np.argsort(pred.pos_labels, kind="stable")]
     ends = np.cumsum(counts)
-    for c in np.flatnonzero(has_pos):
-        ranks = np.sort(_ranks(pred.scores[:, c], videos[ends[c] - counts[c] : ends[c]]))
-        per_class[c] = float((np.arange(1, ranks.size + 1) / ranks).mean())
+    starts = ends - counts
+    columns = np.empty((min(CLASS_GROUP, pred.num_labels), pred.num_videos), scores.dtype)
+    ordered = np.empty_like(columns)
+    for c0 in range(0, pred.num_labels, CLASS_GROUP):
+        classes = np.flatnonzero(has_pos[c0 : c0 + CLASS_GROUP])
+        if not classes.size:
+            continue
+        group = scores[:, c0 : c0 + CLASS_GROUP]
+        cols = columns[: group.shape[1]]
+        for r in range(0, pred.num_videos, BLOCK_ROWS):
+            cols[:, r : r + BLOCK_ROWS] = group[r : r + BLOCK_ROWS].T
+        # ``classes`` are in range; "clip" skips the buffer that the default
+        # "raise" mode would copy ``out`` through.
+        sorted_cols = np.take(cols, classes, axis=0, out=ordered[: classes.size], mode="clip")
+        sorted_cols.sort(axis=1)
+        for j, c in enumerate(classes + c0):
+            ranks = np.sort(_ranks(cols[c - c0], sorted_cols[j], videos[starts[c] : ends[c]]))
+            per_class[c] = float((np.arange(1, ranks.size + 1) / ranks).mean())
     return float(per_class[has_pos].mean()), per_class
 
 
@@ -215,13 +248,13 @@ def global_average_precision(pred: PredictionSet, top_k: int = DEFAULT_TOP_K) ->
     total_pos = pred.pos_labels.size
     if total_pos == 0:
         raise ValueError("no positives anywhere; global AP is undefined")
-    k = min(top_k, pred.num_labels)
-    rows = np.repeat(np.arange(pred.num_videos), k)
-    cols = pred.ranked_labels(k).ravel()
-    pooled_scores = pred.scores[rows, cols]
-    rel = pred.pos_mask[rows, cols]
-    ranking = np.lexsort((cols, rows, -pooled_scores))
-    rel = rel[ranking]
+    # The pool is row-major: video by video, each in ranked order. Equal
+    # scores of one video are ranked in label order, so a stable sort of the
+    # pool orders ties by (video, label), as ``lexsort((cols, rows, -score))``.
+    cols = pred.ranked_labels(top_k)
+    pooled_scores = np.take_along_axis(pred.scores, cols, axis=1).ravel()
+    rel = np.take_along_axis(pred.pos_mask, cols, axis=1).ravel()
+    rel = rel[np.argsort(-pooled_scores, kind="stable")]
     cum = np.cumsum(rel)
     ranks = np.arange(1, rel.size + 1, dtype=np.float64)
     return float((cum[rel] / ranks[rel]).sum() / total_pos)

@@ -242,6 +242,28 @@ class TestExitCodes:
         assert main(predict) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 7, 60])
+    def test_missing_parents_count_over_chunks(self, dataset, tmp_path, capsys, monkeypatch,
+                                                chunk):
+        """Records that miss parents sit on both sides of chunk edges; every
+        chunk size gives the same count and text."""
+        hierarchy = load_vocabulary(dataset / "vocab.txt")
+        records = read_shard(dataset / "val.shard")
+        orphans = [2, 3, 4, 7, 8, 11, 12, 59]
+        for row in orphans:
+            rec = records[row]
+            rec.labels[0] = np.setdiff1d(
+                rec.labels[0], hierarchy.parents_of(int(rec.labels[1][-1]))
+            )
+        path = tmp_path / "orphans.shard"
+        write_shard(path, records)
+        monkeypatch.setattr(cli, "_PARENT_CHECK_ROWS", chunk)
+        cli._warn_missing_parents(path, read_shard(path), hierarchy)
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: shard {path}: {len(orphans)} records miss a parent of their "
+            "entities labels in their verticals labels"
+        ]
+
     def test_train_evaluate_predict_build_no_video_records(self, dataset, tmp_path, monkeypatch, capsys):
         def refuse(self):
             raise AssertionError("VideoRecord built on the CLI path")
@@ -353,6 +375,36 @@ class TestSetup:
         for read in (lambda: fresh.features(), lambda: fresh[0], lambda: fresh.pooled):
             with pytest.raises(RuntimeError, match="overwritten in place"):
                 read()
+
+
+    @pytest.mark.parametrize("norm, blocks", [("znorm", 2), ("pca", 3)])
+    @pytest.mark.parametrize("mode, audio_dim", [("rgb", 0), ("rgb+audio", 16)])
+    def test_normalization_works_in_one_float64_block(self, norm, blocks, mode, audio_dim):
+        """Normalizing holds a few float64 blocks: the rows read, which are
+        normalized in place, the squares behind their L2 norms and, for PCA,
+        the product."""
+        n, d = 20000, 64
+        rng = np.random.default_rng(2)
+        block = rng.normal(size=(n, d + audio_dim)).astype(np.float32)
+        fresh = Shard([f"v{i}" for i in range(n)], np.zeros(n, np.int64), [], block, d, {},
+                      np.full(n, audio_dim > 0), 0)
+        features = cli._load_features(fresh, mode)
+        stats = cli._fit_normalizer(RunConfig(norm=norm), features)
+        want = np.empty(features.shape, np.float32)
+        for start in range(0, n, BLOCK_ROWS):
+            want[start : start + BLOCK_ROWS] = apply_normalizer(
+                stats, features[start : start + BLOCK_ROWS]
+            )
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            x = cli._normalized(stats, features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x, want)
+        width = x.shape[1]
+        assert peak - start < (blocks + 0.25) * BLOCK_ROWS * width * 8
 
 
 class TestSynth:
@@ -898,6 +950,69 @@ class TestPredict:
         got = (tmp_path / "got.tsv").read_bytes()
         assert got == (tmp_path / "want.tsv").read_bytes()
         assert got.count(b"\n") == 1100 * (4 + 5)
+
+    @staticmethod
+    def long_id_setup(dataset, tmp_path, ids):
+        """A checkpoint on ``dataset`` and a copy of its val shard with the ids
+        ``ids`` (row -> id) replaced."""
+        ckpt = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "5")) == 0
+        val = list(read_shard(dataset / "val.shard"))
+        for row, video_id in ids.items():
+            val[row].video_id = video_id
+        shard = tmp_path / "long.shard"
+        write_shard(shard, val)
+        return ["predict", "--ckpt", str(ckpt), "--vocab", str(dataset / "vocab.txt"),
+                "--shard", str(shard), "--top-k", "20", "--out"]
+
+    @staticmethod
+    def count_slices(monkeypatch) -> list:
+        """The number of videos in each slice predict writes, once it runs."""
+        slices = []
+        lines = cli._lines
+
+        def counted(ids, *rest):
+            slices.append(len(ids))
+            return lines(ids, *rest)
+
+        monkeypatch.setattr(cli, "_lines", counted)
+        return slices
+
+    def test_long_ids_write_the_bytes_of_one_list(self, dataset, tmp_path, capsys, monkeypatch):
+        """A block with an id longer than ``_ID_BYTES`` is written in row
+        slices; the bytes stay those of the one-list writer."""
+        argv = self.long_id_setup(dataset, tmp_path, {
+            0: "x" * 16000, 1: "short", 29: "é" * 3000 + "·", 59: "y" * (cli._ID_BYTES + 1),
+        })
+        slices = self.count_slices(monkeypatch)
+        assert main(argv + [str(tmp_path / "got.tsv")]) == 0
+        assert len(slices) > 1 and sum(slices) == 60
+        capsys.readouterr()
+        reference_predict(cli.build_parser().parse_args(argv + [str(tmp_path / "want.tsv")]))
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    def test_short_ids_write_each_block_at_once(self, dataset, tmp_path, capsys, monkeypatch):
+        argv = self.long_id_setup(dataset, tmp_path, {0: "z" * cli._ID_BYTES})
+        slices = self.count_slices(monkeypatch)
+        assert main(argv + [str(tmp_path / "got.tsv")]) == 0
+        capsys.readouterr()
+        assert slices == [60]
+
+    def test_one_long_id_does_not_inflate_the_block(self, dataset, tmp_path, capsys):
+        argv = self.long_id_setup(dataset, tmp_path, {0: "x" * 16000})
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            assert main(argv + [str(tmp_path / "got.tsv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        # Padding the 60 videos' 26 lines each to the long id would take
+        # 60 * 26 * 16000 bytes in the byte matrix and as much in its mask,
+        # 50 MB. A slice's matrix and mask stay within those of a whole block
+        # of ids of ``_ID_BYTES``, with lines of under 100 bytes here.
+        assert peak - start < 2 * BLOCK_ROWS * 26 * 100 + 1_000_000
 
     def test_top_k_capped_by_layer_size(self, perfect_setup, tmp_path, capsys):
         vocab, shard, ckpt = perfect_setup

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import hlvc.metrics
+from hlvc.features import BLOCK_ROWS
 from hlvc.metrics import (
+    CLASS_GROUP,
     EvalReport,
     PredictionSet,
     evaluate,
@@ -186,6 +190,97 @@ class TestRankCountedMap:
         for j in range(c):
             positives[(7 * j) % v].append(j)
         self.assert_bitwise(PredictionSet(scores, positives))
+
+
+def _lexsort_gap(pred, top_k):
+    """Global AP with the pool ordered by ``np.lexsort((cols, rows, -score))``,
+    the three-key tiebreak that one stable sort of the row-major pool replaced."""
+    k = min(top_k, pred.num_labels)
+    rows = np.repeat(np.arange(pred.num_videos), k)
+    cols = pred.ranked_labels(k).ravel()
+    pooled = pred.scores[rows, cols]
+    rel = pred.pos_mask[rows, cols][np.lexsort((cols, rows, -pooled))]
+    cum = np.cumsum(rel)
+    ranks = np.arange(1, rel.size + 1, dtype=np.float64)
+    return float((cum[rel] / ranks[rel]).sum() / pred.pos_labels.size)
+
+
+class TestTileAndGroupEdges:
+    """Shapes on both sides of mAP's row tiles (``BLOCK_ROWS``) and class
+    groups (``CLASS_GROUP``), with integer-valued, tie-heavy scores and rows
+    that mix -0.0 and 0.0, in float32 and float64."""
+
+    @staticmethod
+    def instance(v, c, dtype):
+        rng = np.random.default_rng(1000 * v + c)
+        scores = rng.integers(-2, 3, size=(v, c)).astype(dtype)
+        negative_zero = (scores == 0) & (rng.random((v, c)) < 0.5)
+        scores[negative_zero] = -0.0
+        positives = [rng.choice(c, size=int(rng.integers(1, min(c, 3) + 1)), replace=False)
+                     for _ in range(v)]
+        return PredictionSet(scores, positives)
+
+    def test_edges_are_the_tile_and_group_sizes(self):
+        assert (BLOCK_ROWS, CLASS_GROUP) == (512, 16)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 15, 16, 17, 33])
+    @pytest.mark.parametrize("v", [1, 511, 512, 513, 1030])
+    def test_metrics_match_references(self, v, c, dtype):
+        pred = self.instance(v, c, dtype)
+        assert pred.scores.dtype == dtype
+        assert np.signbit(pred.scores[pred.scores == 0]).any() or v * c < 20
+        rows, pos = pred.scores.tolist(), [p.tolist() for p in pred.positives]
+        got_map, got_pc = mean_average_precision(pred)
+        want_map, want_pc = argsort_mean_average_precision(pred.scores, pred.positives)
+        assert got_pc.tobytes() == want_pc.tobytes()
+        assert got_map == want_map
+        ref_map, ref_pc = ref_mean_average_precision(rows, pos)
+        assert got_map == pytest.approx(ref_map, abs=1e-12)
+        np.testing.assert_allclose(got_pc, [np.nan if a is None else a for a in ref_pc],
+                                   rtol=0, atol=1e-12)
+        for k in (1, 5, 20):
+            want = np.argsort(-pred.scores, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(top_labels(pred.scores, k), want)
+            got = global_average_precision(pred, top_k=k)
+            assert got == _lexsort_gap(pred, k)
+            assert got == pytest.approx(ref_global_average_precision(rows, pos, k), abs=1e-12)
+        assert perr(pred) == pytest.approx(ref_perr(rows, pos), abs=1e-12)
+        assert hit_at_1(pred) == pytest.approx(ref_hit_at_1(rows, pos), abs=1e-12)
+        assert hit_at_1(pred) == pred.pos_mask[np.arange(v), pred.scores.argmax(axis=1)].mean()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stable_pool_order_is_the_lexsort_order(self, dtype):
+        pred = self.instance(1030, 33, dtype)
+        for k in (1, 7, 33):
+            cols = pred.ranked_labels(k)
+            pooled = np.take_along_axis(pred.scores, cols, axis=1).ravel()
+            rows = np.repeat(np.arange(pred.num_videos), k)
+            assert np.unique(pooled).size <= 5  # a handful of levels: mostly ties
+            np.testing.assert_array_equal(
+                np.argsort(-pooled, kind="stable"),
+                np.lexsort((cols.ravel(), rows, -pooled)),
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_map_adds_two_class_groups_of_memory(self, dtype):
+        v, c = 20000, 64
+        rng = np.random.default_rng(47)
+        pred = PredictionSet(rng.random((v, c)).astype(dtype), rng.integers(0, c, (v, 1)))
+        want = argsort_mean_average_precision(pred.scores, pred.positives)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            got = mean_average_precision(pred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got[1].tobytes() == want[1].tobytes()
+        # Two (CLASS_GROUP, V) class-major arrays, plus a few int64 arrays
+        # over the positives (one per video here); the whole (C, V)
+        # transpose alone would be twice that.
+        itemsize = np.dtype(dtype).itemsize
+        assert peak - start < 2 * CLASS_GROUP * v * itemsize + 4 * 8 * v
 
 
 class TestGlobalAveragePrecision:
