@@ -391,12 +391,13 @@ def _warn_missing_parents(path, shard, hierarchy) -> None:
     count = 0
     for start in range(0, len(shard), _PARENT_CHECK_ROWS):
         rows = np.arange(start, min(start + _PARENT_CHECK_ROWS, len(shard)))
-        fine_counts, fine_labels = fine.gather(rows)
-        fanout, need = parents.gather(fine_labels)
-        need_rows = np.repeat(np.repeat(rows, fine_counts), fanout)
-        coarse_counts, coarse_labels = coarse.gather(rows)
-        have_keys = np.repeat(rows, coarse_counts) * width + coarse_labels
-        missing = ~np.isin(need_rows * width + need, have_keys)
+        fine_ptr = fine.indptr[start : rows[-1] + 2]
+        coarse_ptr = coarse.indptr[start : rows[-1] + 2]
+        fanout, need = parents.gather(fine.indices[fine_ptr[0] : fine_ptr[-1]])
+        need_rows = np.repeat(np.repeat(rows, np.diff(fine_ptr)), fanout)
+        have_rows = np.repeat(rows, np.diff(coarse_ptr))
+        have = have_rows * width + coarse.indices[coarse_ptr[0] : coarse_ptr[-1]]
+        missing = ~np.isin(need_rows * width + need, have)
         count += np.unique(need_rows[missing]).size
     if count:
         print(
@@ -702,13 +703,13 @@ def cmd_predict(args) -> int:
                 picked.append(top + offset)
                 best.append(np.take_along_axis(block, top, axis=1))
             picked = np.hstack(picked)
-            best = _score_text(np.hstack(best))
+            score_text = _score_text(np.hstack(best))
             ids = [video_id.encode() for video_id in shard.video_ids[rows]]
             longest = max(map(len, ids))
             step = max(1, BLOCK_ROWS * (_ID_BYTES + line_bytes) // (longest + line_bytes))
             for i in range(0, len(ids), step):
                 fh.write(_lines(ids[i : i + step], fields, field_keep,
-                                picked[i : i + step], best[i : i + step]))
+                                picked[i : i + step], score_text[i : i + step]))
             count += picked.size
     print(f"wrote {count} predictions for {len(shard)} videos to {args.out}")
     return EXIT_OK
