@@ -376,7 +376,6 @@ class TestSetup:
             with pytest.raises(RuntimeError, match="overwritten in place"):
                 read()
 
-
     @pytest.mark.parametrize("norm, blocks", [("znorm", 2), ("pca", 3)])
     @pytest.mark.parametrize("mode, audio_dim", [("rgb", 0), ("rgb+audio", 16)])
     def test_normalization_works_in_one_float64_block(self, norm, blocks, mode, audio_dim):
