@@ -338,21 +338,6 @@ def _check_training_set(path, shard, ckpt_path, config: dict) -> None:
         )
 
 
-def _load_features(shard, mode: str) -> FeatureRows:
-    """The shard's feature rows for ``mode``; every row must be finite.
-
-    The check reads the float32 columns: a row is finite exactly when its
-    float64 upcast is, and a frame record's float32 mean pool exactly when
-    its float64 one is. It sums each row in float64, which no sum of finite
-    float32 values overflows, so a row is finite exactly when its sum is.
-    """
-    features = shard.features(include_audio=mode == "rgb+audio")
-    bad = np.flatnonzero(~np.isfinite(features.storage.sum(axis=1, dtype=np.float64)))
-    if bad.size:
-        raise ValueError(f"record {shard.video_ids[bad[0]]!r} has non-finite features")
-    return features
-
-
 def _check_records(shard, hierarchy) -> None:
     sizes = hierarchy.sizes
     wrong = np.flatnonzero(shard.layer_counts != len(sizes))
@@ -419,11 +404,11 @@ def _load_inputs(path, hierarchy, features: str, ckpt: Checkpoint | None = None)
     """A shard's columns and raw features, checked against the vocabulary and,
     when a checkpoint is given, against its layer sizes, feature dim and
     normalizer."""
-    if ckpt is not None and list(ckpt.config.get("layer_sizes", [])) != list(hierarchy.sizes):
+    if ckpt is not None and ckpt.config.get("layer_sizes") != list(hierarchy.sizes):
         raise ValueError("checkpoint layer sizes do not match the vocabulary")
     shard = _read_nonempty(path)
     _check_records(shard, hierarchy)
-    x = _load_features(shard, features)
+    x = shard.features(include_audio=features == "rgb+audio")
     if ckpt is not None:
         if x.shape[1] != ckpt.config.get("feature_dim"):
             raise ValueError(

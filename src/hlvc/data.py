@@ -18,8 +18,9 @@ Shard layout (all integers little-endian)::
 
 ``read_shard`` decodes a shard, a chunk of the file at a time, into columns
 (a ``Shard``): one float32 block of features, per-layer labels as compressed
-sparse rows, and the video ids; the same object reads as a sequence of
-``VideoRecord``s, built on first access.
+sparse rows, and the video ids. Iterating a ``Shard`` builds its
+``VideoRecord``s one at a time, so ``write_shard`` can copy a shard without
+holding its records.
 
 Checkpoints share the framing with magic b"HLVC": step u64, a JSON config
 blob, then a tensor directory of named float arrays (dtype byte 0 = f32,
@@ -29,7 +30,6 @@ along under reserved "norm." tensor names plus a "normalizer" config entry.
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
 import itertools
 import json
@@ -176,8 +176,7 @@ def _encode_record(rec: VideoRecord) -> bytes:
 
 
 def write_shard(path, records) -> None:
-    """Write records to a shard file with a trailing checksum."""
-    records = list(records)
+    """Write records (a list or a ``Shard``) to a shard file with a trailing checksum."""
     chunks = itertools.chain([struct.pack("<Q", len(records))], map(_encode_record, records))
     _write_file(path, SHARD_MAGIC, SHARD_VERSION, chunks)
 
@@ -379,12 +378,11 @@ def _concat_labels(pieces: list) -> list:
 class FeatureRows:
     """A shard's float64 (N, D) video features, read a block of rows at a time.
 
-    Row i equals ``video_feature(shard[i], include_audio)``: the float32
+    Row i equals ``video_feature`` of the shard's record i: the float32
     pooled row upcast, or a frame record's float64 ``mean_pool``, then the
     audio row when it is included. A slice of rows returns that block as a
     new float64 array, built from ``storage``, the float32 (N, D) columns of
-    the shard's feature block that hold the rows; ``np.asarray`` builds the
-    whole matrix.
+    the shard's feature block that hold the rows.
 
     ``consume`` hands ``storage`` over to be written in place. From then on
     the shard's records and features raise, and rows read here come from
@@ -409,9 +407,6 @@ class FeatureRows:
             block[row - start, : self._shard.dim] = mean_pool(self._shard.frames[row])
         return block
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self[:], dtype=dtype)
-
     def consume(self) -> np.ndarray:
         """``storage``, for the caller to overwrite; the shard is consumed."""
         self._shard._consumed = True
@@ -419,8 +414,8 @@ class FeatureRows:
 
 
 @dataclasses.dataclass(eq=False, repr=False)
-class Shard(collections.abc.Sequence):
-    """A decoded shard in columns; also a read-only sequence of VideoRecords.
+class Shard:
+    """A decoded shard in columns.
 
     Columns, one row per record in file order:
 
@@ -430,14 +425,15 @@ class Shard(collections.abc.Sequence):
     - ``block``: (N, D + Da) float32, the only copy of the features: the
       ``dim`` = D pooled columns, then the Da audio columns. A frame
       record's pooled columns hold its mean pool rounded to float32; its
-      frames are ``frames[row]``. ``pooled`` and ``audio`` are views of it,
-      ``audio`` None when no record has audio; ``has_audio`` marks the rows
-      that carry it (the others are 0).
+      frames are ``frames[row]``. ``has_audio`` marks the rows that carry
+      audio (the others' audio columns are 0).
 
     ``crc32`` is the file's checksum, which names the data it holds.
 
-    Indexing, slicing or iterating builds every VideoRecord once, on first
-    access. Records hold copies, so editing one leaves the columns as read.
+    Iterating builds one VideoRecord per row, in file order, and keeps none;
+    each holds copies, so editing one leaves the columns as read. A shard
+    equals another shard, or a list of records, whose records equal its own
+    pair by pair.
 
     ``FeatureRows.consume`` lets a caller overwrite the features in place,
     which consumes the shard: its features and records raise from then on,
@@ -452,36 +448,23 @@ class Shard(collections.abc.Sequence):
     frames: dict
     has_audio: np.ndarray
     crc32: int
-    _records: list | None = dataclasses.field(default=None, init=False)
     _consumed: bool = dataclasses.field(default=False, init=False)
 
     def _unconsumed(self) -> None:
         if self._consumed:
             raise RuntimeError("the shard's features were overwritten in place")
 
-    @property
-    def pooled(self) -> np.ndarray:
-        self._unconsumed()
-        return self.block[:, : self.dim]
-
-    @property
-    def audio(self) -> np.ndarray | None:
-        self._unconsumed()
-        return self.block[:, self.dim :] if self.has_audio.any() else None
-
     def __len__(self) -> int:
         return len(self.video_ids)
 
-    def __getitem__(self, i):
+    def __iter__(self):
         self._unconsumed()
-        if self._records is None:
-            self._records = [self._record(r) for r in range(len(self))]
-        return self._records[i]
+        return map(self._record, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Shard, list, tuple)):
             return NotImplemented
-        return list(self) == list(other)
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def _record(self, r: int) -> VideoRecord:
         frames = self.frames.get(r)
@@ -495,13 +478,25 @@ class Shard(collections.abc.Sequence):
 
     def features(self, include_audio: bool = False) -> FeatureRows:
         """Float64 (N, D) video features as a row view; row i equals
-        ``video_feature(self[i], include_audio)``."""
+        ``video_feature`` of record i. Every record must have audio when it
+        is included, and every row must be finite.
+
+        The finiteness check reads the float32 columns: a row is finite
+        exactly when its float64 upcast is, and a frame record's float32
+        mean pool exactly when its float64 one is. It sums each row in
+        float64, which no sum of finite float32 values overflows, so a row
+        is finite exactly when its sum is.
+        """
         self._unconsumed()
         if include_audio:
             missing = np.flatnonzero(~self.has_audio)
             if missing.size:
                 raise ValueError(f"record {self.video_ids[missing[0]]!r} has no audio features")
-        return FeatureRows(self, include_audio)
+        rows = FeatureRows(self, include_audio)
+        bad = np.flatnonzero(~np.isfinite(rows.storage.sum(axis=1, dtype=np.float64)))
+        if bad.size:
+            raise ValueError(f"record {self.video_ids[bad[0]]!r} has non-finite features")
+        return rows
 
 
 _U16 = struct.Struct("<H").unpack_from
@@ -825,7 +820,7 @@ def load_checkpoint(path, *, skip: tuple = ()) -> Checkpoint:
                 epsilon=float(norm_cfg["epsilon"]),
                 l2_after=bool(norm_cfg["l2_after"]),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: bad normalizer block: {exc}") from None
     return Checkpoint(step=step, config=config, tensors=tensors, normalizer=normalizer)
 
@@ -839,6 +834,8 @@ def _read_checkpoint_body(cur: _Stream, path, skip: tuple) -> tuple[int, dict, d
         config = json.loads(str(cur.take(blob_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad config blob: {exc}") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config is not a JSON object")
     (count,) = cur.unpack("<I")
     tensors = {}
     for _ in range(count):

@@ -107,6 +107,10 @@ def _shifted_moments(data, diagonal: bool):
     Returns (count, shift, s1, s2): s1 sums the shifted rows and s2 their
     outer products, or only their squares when ``diagonal``. Only ``shape``
     and row slices of ``data`` are read, ``BLOCK_ROWS`` rows at a time.
+
+    Each block is shifted into one float64 buffer (and squared there when
+    ``diagonal``), so besides the sums the loop holds that buffer and the
+    block ``data`` returns, and ``data`` is never written.
     """
     shape = getattr(data, "shape", None)
     if shape is None or len(shape) != 2:
@@ -117,10 +121,12 @@ def _shifted_moments(data, diagonal: bool):
     shift = data[:1][0].astype(np.float64)
     s1 = np.zeros(d)
     s2 = np.zeros(d) if diagonal else np.zeros((d, d))
+    buf = np.empty((min(BLOCK_ROWS, count), d))
     for start in range(0, count, BLOCK_ROWS):
-        block = data[start : start + BLOCK_ROWS] - shift
+        stop = min(start + BLOCK_ROWS, count)
+        block = np.subtract(data[start:stop], shift, out=buf[: stop - start])
         s1 += block.sum(axis=0)
-        s2 += (block * block).sum(axis=0) if diagonal else block.T @ block
+        s2 += np.square(block, out=block).sum(axis=0) if diagonal else block.T @ block
     return count, shift, s1, s2
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hlvc import baseline, cli
+from hlvc import baseline, cli, data
 from hlvc.cli import RunConfig, UsageError, main
 from hlvc.data import Shard, load_checkpoint, read_shard, save_checkpoint, write_shard, VideoRecord
 from hlvc.features import BLOCK_ROWS, apply_normalizer, fit_znorm
@@ -146,7 +146,7 @@ class TestExitCodes:
         assert "numeric failure" in capsys.readouterr().err
 
     def test_non_finite_feature_is_data_error_naming_video(self, dataset, tmp_path, capsys):
-        records = read_shard(dataset / "train.shard")
+        records = list(read_shard(dataset / "train.shard"))
         records[5].pooled[3] = np.nan
         bad = tmp_path / "nan.shard"
         write_shard(bad, records)
@@ -168,7 +168,7 @@ class TestExitCodes:
             assert "data error" in err and culprit in err and "non-finite" in err
 
     def test_unlabeled_video_is_data_error_naming_video(self, dataset, tmp_path, capsys):
-        records = read_shard(dataset / "val.shard")
+        records = list(read_shard(dataset / "val.shard"))
         records[2].labels[1] = np.zeros(0, dtype=np.int64)
         bad = tmp_path / "unlabeled.shard"
         write_shard(bad, records)
@@ -184,7 +184,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field", ["pooled", "audio"])
     def test_mixed_feature_dims_is_data_error_naming_video(self, dataset, tmp_path, capsys, field):
-        records = read_shard(dataset / "val.shard")[:]
+        records = list(read_shard(dataset / "val.shard"))
         records[7] = VideoRecord(
             "odd_dims", records[7].labels,
             pooled=records[7].pooled[: 5 if field == "pooled" else None],
@@ -211,7 +211,7 @@ class TestExitCodes:
 
     def test_missing_parents_warn_once_on_stderr(self, dataset, tmp_path, capsys):
         hierarchy = load_vocabulary(dataset / "vocab.txt")
-        records = read_shard(dataset / "val.shard")
+        records = list(read_shard(dataset / "val.shard"))
         entity = int(records[4].labels[1][0])
         parent = hierarchy.parents_of(entity)[0]
         records[4].labels[0] = np.setdiff1d(records[4].labels[0], [parent])
@@ -248,7 +248,7 @@ class TestExitCodes:
         """Records that miss parents sit on both sides of chunk edges; every
         chunk size gives the same count and text."""
         hierarchy = load_vocabulary(dataset / "vocab.txt")
-        records = read_shard(dataset / "val.shard")
+        records = list(read_shard(dataset / "val.shard"))
         orphans = [2, 3, 4, 7, 8, 11, 12, 59]
         for row in orphans:
             rec = records[row]
@@ -291,6 +291,38 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "resume"])
+    @pytest.mark.parametrize(
+        "change",
+        [[1, 2], {"normalizer": "x"}, {"normalizer": [1]}, {"layer_sizes": 5},
+         {"layer_sizes": None}],
+        ids=["list", "normalizer_str", "normalizer_list", "sizes_int", "sizes_null"],
+    )
+    def test_malformed_checkpoint_config_is_data_error(self, dataset, tmp_path, capsys,
+                                                        command, change):
+        """A config of the wrong JSON shape passes the checksum; it is a data
+        error, not a traceback."""
+        base = tmp_path / "base.ckpt"
+        assert main(train_args(dataset, base, "--model", "logreg", "--iters", "5")) == 0
+        ckpt = load_checkpoint(base)
+        config = change if isinstance(change, list) else {**ckpt.config, **change}
+        entries = {**ckpt.tensors, "norm.mean": ckpt.normalizer.mean,
+                   "norm.scale": ckpt.normalizer.scale}
+        bad = tmp_path / "bad.ckpt"
+        data._write_file(bad, data.CHECKPOINT_MAGIC, data.CHECKPOINT_VERSION,
+                         data._checkpoint_chunks(ckpt.step, config, entries))
+        capsys.readouterr()
+        inputs = ["--ckpt", str(bad), "--vocab", str(dataset / "vocab.txt"),
+                  "--shard", str(dataset / "val.shard")]
+        argv = {
+            "evaluate": ["evaluate", *inputs, "--out", str(tmp_path / "rep")],
+            "predict": ["predict", *inputs, "--out", str(tmp_path / "p.tsv")],
+            "resume": train_args(dataset, tmp_path / "r.ckpt", "--resume", str(bad),
+                                 "--iters", "8"),
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
 
 class TestSetup:
     def test_non_finite_frame_or_audio_names_video(self, tmp_path):
@@ -302,14 +334,14 @@ class TestSetup:
         records[2].audio[0] = np.nan
         path = tmp_path / "s.shard"
         write_shard(path, records)
-        cli._load_features(read_shard(path), "rgb")  # audio is not read
+        read_shard(path).features()  # audio is not read
         with pytest.raises(ValueError, match="'v2' has non-finite"):
-            cli._load_features(read_shard(path), "rgb+audio")
+            read_shard(path).features(include_audio=True)
         records[1].frames[1, 2] = -np.inf
         write_shard(path, records)
-        for mode in ("rgb", "rgb+audio"):
+        for include_audio in (False, True):
             with pytest.raises(ValueError, match="'v1' has non-finite"):
-                cli._load_features(read_shard(path), mode)
+                read_shard(path).features(include_audio)
 
     @pytest.mark.parametrize("norm", ["znorm", "pca"])
     def test_setup_builds_no_float64_matrix(self, norm):
@@ -323,7 +355,7 @@ class TestSetup:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            features = cli._load_features(shard, "rgb")
+            features = shard.features()
             x = cli._normalized(cli._fit_normalizer(RunConfig(norm=norm), features), features)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -350,7 +382,7 @@ class TestSetup:
 
         # The reference is built the way it was before normalizing in place:
         # a new array filled in BLOCK_ROWS-row blocks.
-        features = cli._load_features(shard(), mode)
+        features = shard().features(include_audio=mode == "rgb+audio")
         stats = cli._fit_normalizer(RunConfig(norm=norm), features)
         want = np.empty(features.shape, np.float32)
         for start in range(0, n, BLOCK_ROWS):
@@ -361,7 +393,7 @@ class TestSetup:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            features = cli._load_features(fresh, mode)
+            features = fresh.features(include_audio=mode == "rgb+audio")
             x = cli._normalized(cli._fit_normalizer(RunConfig(norm=norm), features), features)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -372,7 +404,7 @@ class TestSetup:
         assert np.shares_memory(x, fresh.block)
         # A second float32 feature array would take n * width * 4 bytes.
         assert peak - start < n * width * 4 / 4
-        for read in (lambda: fresh.features(), lambda: fresh[0], lambda: fresh.pooled):
+        for read in (lambda: fresh.features(), lambda: iter(fresh)):
             with pytest.raises(RuntimeError, match="overwritten in place"):
                 read()
 
@@ -387,7 +419,7 @@ class TestSetup:
         block = rng.normal(size=(n, d + audio_dim)).astype(np.float32)
         fresh = Shard([f"v{i}" for i in range(n)], np.zeros(n, np.int64), [], block, d, {},
                       np.full(n, audio_dim > 0), 0)
-        features = cli._load_features(fresh, mode)
+        features = fresh.features(include_audio=mode == "rgb+audio")
         stats = cli._fit_normalizer(RunConfig(norm=norm), features)
         want = np.empty(features.shape, np.float32)
         for start in range(0, n, BLOCK_ROWS):
@@ -413,7 +445,7 @@ class TestSynth:
         train = read_shard(dataset / "train.shard")
         val = read_shard(dataset / "val.shard")
         assert len(train) == 300 and len(val) == 60
-        for rec in train[:20]:
+        for rec in list(train)[:20]:
             want = sorted(h.induce_vertical_labels(rec.labels[1]))
             np.testing.assert_array_equal(rec.labels[0], want)
 
@@ -1061,7 +1093,7 @@ class TestModelInterface:
             labels = shard.labels[-1]
             write_shard(data / f"{part}.shard", [
                 VideoRecord(video_id, [labels.indices[labels.indptr[i] : labels.indptr[i + 1]]],
-                            pooled=shard.pooled[i])
+                            pooled=shard.block[i, : shard.dim])
                 for i, video_id in enumerate(shard.video_ids)
             ])
         ckpt = str(tmp_path / "m.ckpt")

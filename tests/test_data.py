@@ -102,7 +102,7 @@ class TestShardRoundTrip:
         path = tmp_path / "mix.shard"
         records = sample_records()
         write_shard(path, records)
-        back = read_shard(path)
+        back = list(read_shard(path))
         assert back == records
         assert back[0].pooled.dtype == np.float32
         np.testing.assert_array_equal(back[1].frames, records[1].frames)
@@ -276,8 +276,8 @@ class TestColumnarDecode:
         write_shard(path, records)
         shard = read_shard(path)
         assert shard == ref_read_shard(path) == records
-        assert len(shard) == len(records) and shard.pooled.dtype == np.float32
-        assert shard[1:3] == records[1:3] and list(shard) == records
+        assert len(shard) == len(records) and shard.block.dtype == np.float32
+        assert list(shard) == records and records == shard
         assert read_shard(path) == shard
         for layer in shard.labels:
             assert layer.indices.dtype == np.int64 and layer.indptr.shape == (len(records) + 1,)
@@ -330,13 +330,13 @@ class TestColumnarDecode:
         shard = read_shard(path)
         got = shard.features()
         assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, np.stack([video_feature(r) for r in records]))
+        np.testing.assert_array_equal(got[:], np.stack([video_feature(r) for r in records]))
         with pytest.raises(ValueError, match="'p0' has no audio"):
             shard.features(include_audio=True)
         records = [r for r in sample_records() if r.audio is not None]
         write_shard(path, records)
         np.testing.assert_array_equal(
-            read_shard(path).features(include_audio=True),
+            read_shard(path).features(include_audio=True)[:],
             np.stack([video_feature(r, include_audio=True) for r in records]),
         )
 
@@ -346,13 +346,17 @@ class TestColumnarDecode:
         raw = path.read_bytes()
         assert read_shard(path).crc32 == struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[6:-4])
 
-    def test_records_are_copies_built_once(self, tmp_path):
+    def test_records_are_copies(self, tmp_path):
         path = tmp_path / "s.shard"
         write_shard(path, sample_records())
         shard = read_shard(path)
-        shard[0].pooled[0] = np.nan
-        assert shard[0] is shard[0] and np.isnan(shard[0].pooled[0])
-        assert np.isfinite(shard.pooled).all()
+        block = shard.block.copy()
+        for rec in shard:
+            for array in (rec.pooled, rec.frames, rec.audio, *rec.labels):
+                if array is not None and array.size:
+                    array[...] = -7
+        np.testing.assert_array_equal(shard.block, block, strict=True)
+        assert shard == sample_records()
 
     def test_multi_hot_rows_equal_dense_targets(self, tmp_path):
         cfg = SynthConfig(num_verticals=5, num_entities=30, dim=4, num_train=300, num_val=1, seed=2)
@@ -375,9 +379,8 @@ class TestColumnarDecode:
         shard = read_shard(path)
         assert shard == records and shard.block.shape == (len(records), 6 + 3)
         np.testing.assert_array_equal(shard.has_audio, [r.audio is not None for r in records])
-        assert not shard.audio[~shard.has_audio].any()
-        assert np.shares_memory(shard.pooled, shard.block)
-        assert np.shares_memory(shard.audio, shard.block)
+        assert not shard.block[~shard.has_audio, shard.dim :].any()
+        assert np.shares_memory(shard.features().storage, shard.block)
 
 
 @pytest.mark.usefixtures("tiny_chunks")
@@ -398,16 +401,38 @@ class TestReadMemory:
         path = tmp_path / "big.shard"
         write_shard(path, records)
         largest = max(len(_encode_record(r)) for r in records)
-        tracemalloc.start()
-        try:
-            shard = read_shard(path)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        shard, kept, peak = self.traced(lambda: read_shard(path))
         assert len(shard) == n and shard.block.shape == (n, d)
         # Beyond the shard it returns (kept: features, labels and ids), the
         # read holds its chunk buffer and one chunk's offsets and rows in transit.
         assert peak - kept < 2 * data.CHUNK_BYTES + largest
+
+    @staticmethod
+    def traced(op):
+        """``op()``, and the bytes it left allocated and its peak, traced."""
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = op()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, kept - start, peak - start
+
+    def test_copy_and_compare_hold_no_records(self, tmp_path):
+        """Writing a read shard, and comparing two, build one record at a
+        time and keep none: on a 6 MB shard the peak is a few records."""
+        _, train, _ = synth_generate(SynthConfig(num_train=20000, num_val=0, dim=64, seed=1))
+        p, q = tmp_path / "p.shard", tmp_path / "q.shard"
+        write_shard(p, train)
+        del train
+        shard = read_shard(p)
+        _, kept, peak = self.traced(lambda: write_shard(q, shard))
+        assert peak < 1 << 20 and kept < 1 << 14
+        assert q.read_bytes() == p.read_bytes()
+        copy = read_shard(q)
+        same, kept, peak = self.traced(lambda: shard == copy)
+        assert same and peak < 1 << 20 and kept < 1 << 14
 
 
 class TestFeatureRows:
@@ -453,7 +478,7 @@ class TestFeatureRows:
             block = rows[cut]
             assert block.dtype == np.float64
             np.testing.assert_array_equal(block, want[cut], strict=True)
-        np.testing.assert_array_equal(np.asarray(rows), want, strict=True)
+        assert not hasattr(rows, "__array__")
 
     @pytest.mark.parametrize("cut", [3, slice(0, 10, 2), [1, 2]])
     def test_only_contiguous_slices(self, tmp_path, cut):
@@ -468,7 +493,7 @@ class TestFeatureRows:
         path = tmp_path / "s.shard"
         write_shard(path, self.records(kind))
         rows = read_shard(path).features(include_audio=include_audio)
-        got, want = fit(rows), fit(np.asarray(rows))
+        got, want = fit(rows), fit(rows[:])
         np.testing.assert_array_equal(got.mean, want.mean)
         np.testing.assert_array_equal(got.scale, want.scale)
 

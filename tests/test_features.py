@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hlvc.cli import main
 from hlvc.features import (
+    BLOCK_ROWS,
     DEFAULT_EPSILON,
     L2_FLOOR,
     MAX_FRAMES,
@@ -273,6 +275,34 @@ class TestFitInput:
         b = fit(x.astype(np.float64))
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.scale, b.scale)
+
+    def test_fit_holds_two_float64_blocks_and_writes_no_input(self, fit):
+        """Besides the D x D sums and product, fitting holds the new float64
+        block its input returns (as ``data.FeatureRows`` does) and the one
+        buffer that block is shifted into; numpy may add a ufunc buffer.
+        A plain ndarray's blocks are views, and the fit must not write them."""
+        n, d = 20000, 64
+        x = np.random.default_rng(15).normal(loc=2.0, size=(n, d))
+
+        class Rows:
+            shape = x.shape
+
+            def __getitem__(self, rows):
+                return x[rows].copy()
+
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            got = fit(Rows())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 8 * (2 * BLOCK_ROWS * d + 2 * d * d + np.getbufsize())
+        before = x.copy()
+        want = fit(x)
+        np.testing.assert_array_equal(x, before, strict=True)
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.scale, want.scale)
 
     def test_generator_and_1d_input_rejected(self, fit):
         x = np.ones((10, 3))
