@@ -24,7 +24,6 @@ from .data import (
     Checkpoint,
     CheckpointError,
     CsrLabels,
-    FeatureRows,
     Shard,
     ShardError,
     SynthConfig,
@@ -101,7 +100,7 @@ class RunConfig:
         if self.model not in MODELS:
             raise UsageError(f"unknown model {self.model!r}")
         if self.features not in ("rgb", "rgb+audio"):
-            raise UsageError(f"unknown feature mode {self.features!r}")
+            raise UsageError(f"features must be 'rgb' or 'rgb+audio', got {self.features!r}")
         if self.norm not in ("znorm", "pca"):
             raise UsageError(f"unknown normalizer {self.norm!r}")
         if self.lr is not None and self.lr <= 0:
@@ -134,26 +133,31 @@ def _field_types(cls) -> dict:
     return types
 
 
-def _stored_config(stored: dict) -> RunConfig:
-    """The settings a checkpoint was written with, type-checked and validated.
+def _stored_config(ckpt: Checkpoint, path) -> RunConfig:
+    """The settings checkpoint ``path`` was written with, type-checked and
+    validated.
 
     A JSON int is accepted where a float is meant; any other type mismatch,
-    or None in a field that is not optional, raises UsageError.
+    None in a field that is not optional, or a value ``validate`` rejects is
+    a data error (ValueError) naming the checkpoint.
     """
     hints = typing.get_type_hints(RunConfig)
     values = {}
-    for key, typ in _field_types(RunConfig).items():
-        if key not in stored:
-            continue
-        value = stored[key]
-        if typ is float and type(value) is int:
-            value = float(value)
-        optional = value is None and type(None) in typing.get_args(hints[key])
-        if type(value) is not typ and not optional:
-            raise UsageError(f"setting {key!r}: expected {typ.__name__}, got {value!r}")
-        values[key] = value
-    cfg = RunConfig(**values)
-    cfg.validate()
+    try:
+        for key, typ in _field_types(RunConfig).items():
+            if key not in ckpt.config:
+                continue
+            value = ckpt.config[key]
+            if typ is float and type(value) is int:
+                value = float(value)
+            optional = value is None and type(None) in typing.get_args(hints[key])
+            if type(value) is not typ and not optional:
+                raise UsageError(f"setting {key!r}: expected {typ.__name__}, got {value!r}")
+            values[key] = value
+        cfg = RunConfig(**values)
+        cfg.validate()
+    except UsageError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     return cfg
 
 
@@ -293,28 +297,26 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _fit_normalizer(cfg: RunConfig, features: FeatureRows):
+def _fit_normalizer(cfg: RunConfig, features: np.ndarray):
     if cfg.norm == "znorm":
         return fit_znorm(features, epsilon=cfg.epsilon, l2_after=cfg.l2)
     return fit_pca_whitening(features, epsilon=cfg.epsilon, l2_after=cfg.l2)
 
 
-def _normalized(stats, features: FeatureRows) -> np.ndarray:
-    """``apply_normalizer`` over ``BLOCK_ROWS``-row blocks of ``features``,
-    written over them in place.
+def _normalized(stats, features: np.ndarray) -> np.ndarray:
+    """``apply_normalizer`` over ``BLOCK_ROWS``-row blocks of the float32
+    ``features``, written back over them in place; returns ``features``.
 
-    Each block is read into a new float64 array and normalized in it, then
-    rounded once into the float32 shard rows it was read from
-    (``FeatureRows.consume``), which no later block reads. So the result is a
-    view of the shard's feature block, the shard is consumed, and neither a
-    second (N, D) array nor a float64 array larger than a block exists.
+    Each block is upcast into one reused float64 buffer as it is centered
+    (the same bits as its ``astype(float64)``), normalized there, and rounded
+    once into the rows it came from. So neither a second (N, D) array nor a
+    float64 array larger than a block exists.
     """
-    out = features.consume()
-    for start in range(0, len(out), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        block = features[rows]
-        out[rows] = apply_normalizer(stats, block, out=block)
-    return out
+    buf = np.empty((min(BLOCK_ROWS, len(features)), features.shape[1]))
+    for start in range(0, len(features), BLOCK_ROWS):
+        rows = features[start : start + BLOCK_ROWS]
+        rows[...] = apply_normalizer(stats, rows, out=buf[: len(rows)])
+    return features
 
 
 def _check_training_set(path, shard, ckpt_path, config: dict) -> None:
@@ -445,10 +447,7 @@ def cmd_train(args) -> int:
         cfg = _config_from_args(RunConfig, args)
     else:
         resume = load_checkpoint(args.resume)
-        try:
-            cfg = _stored_config(resume.config)
-        except UsageError as exc:
-            raise ValueError(f"checkpoint {args.resume}: {exc}") from None
+        cfg = _stored_config(resume, args.resume)
         if args.iters is not None:
             cfg = dataclasses.replace(cfg, iters=args.iters)
             cfg.validate()
@@ -534,18 +533,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _layer_scores(ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
-    """Per-layer label probabilities from the checkpoint's model, loaded
-    without its Adam moments.
+def _layer_scores(family, ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
+    """Per-layer label probabilities from the checkpoint's model, of the
+    ``MODELS`` family ``family``, loaded without its Adam moments.
 
     Every layer the model exports weights for is scored by
     ``baseline.predict``; the parent of the finest layer, if the model
     exports none for it, is induced from the finest layer's scores.
     """
-    model = ckpt.config.get("model")
-    family = MODELS.get(model) if isinstance(model, str) else None
-    if family is None:
-        raise ValueError(f"checkpoint has unknown model {model!r}")
     params = family.init(hierarchy, x.shape[1], seed=None)
     _restore(params.tensors(), ckpt.tensors)
     scores = {
@@ -562,12 +557,11 @@ def _prepare_eval(args):
     if args.top_k < 1:
         raise UsageError(f"top_k must be at least 1, got {args.top_k}")
     ckpt = load_checkpoint(args.ckpt, skip=(_ADAM_PREFIX,))
+    cfg = _stored_config(ckpt, args.ckpt)
     hierarchy = load_vocabulary(args.vocab)
-    shard, features = _load_inputs(
-        args.shard, hierarchy, ckpt.config.get("features", "rgb"), ckpt
-    )
+    shard, features = _load_inputs(args.shard, hierarchy, cfg.features, ckpt)
     x = _normalized(ckpt.normalizer, features)
-    return hierarchy, shard, _layer_scores(ckpt, hierarchy, x)
+    return hierarchy, shard, _layer_scores(MODELS[cfg.model], ckpt, hierarchy, x)
 
 
 def cmd_evaluate(args) -> int:
@@ -712,6 +706,7 @@ def main(argv=None) -> int:
         VocabularyError,
         ShardError,
         CheckpointError,
+        FileExistsError,
         FileNotFoundError,
         IsADirectoryError,
         NotADirectoryError,

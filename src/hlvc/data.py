@@ -129,9 +129,11 @@ class VideoRecord:
 
 
 def video_feature(record: VideoRecord, include_audio: bool = False) -> np.ndarray:
-    """Video-level float64 feature vector: pooled (or mean of frames), then audio."""
+    """Video-level float32 feature vector: pooled (or the mean of frames,
+    rounded to float32), then audio. It equals the record's row of
+    ``Shard.features``."""
     base = record.pooled if record.pooled is not None else mean_pool(record.frames)
-    base = np.asarray(base, dtype=np.float64)
+    base = base.astype(np.float32)
     if include_audio:
         if record.audio is None:
             raise ValueError(f"record {record.video_id!r} has no audio features")
@@ -375,44 +377,6 @@ def _concat_labels(pieces: list) -> list:
     return columns
 
 
-class FeatureRows:
-    """A shard's float64 (N, D) video features, read a block of rows at a time.
-
-    Row i equals ``video_feature`` of the shard's record i: the float32
-    pooled row upcast, or a frame record's float64 ``mean_pool``, then the
-    audio row when it is included. A slice of rows returns that block as a
-    new float64 array, built from ``storage``, the float32 (N, D) columns of
-    the shard's feature block that hold the rows.
-
-    ``consume`` hands ``storage`` over to be written in place. From then on
-    the shard's records and features raise, and rows read here come from
-    whatever was written.
-    """
-
-    dtype = np.dtype(np.float64)
-
-    def __init__(self, shard: "Shard", include_audio: bool):
-        self._shard = shard
-        self.storage = shard.block if include_audio else shard.block[:, : shard.dim]
-        self.shape = self.storage.shape
-        self._frame_rows = np.sort(np.fromiter(shard.frames, np.int64, len(shard.frames)))
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        if not isinstance(rows, slice) or rows.step not in (None, 1):
-            raise TypeError(f"feature rows are read by contiguous slices, got {rows!r}")
-        start, stop, _ = rows.indices(self.shape[0])
-        block = self.storage[start:stop].astype(np.float64)
-        lo, hi = np.searchsorted(self._frame_rows, [start, stop])
-        for row in self._frame_rows[lo:hi]:
-            block[row - start, : self._shard.dim] = mean_pool(self._shard.frames[row])
-        return block
-
-    def consume(self) -> np.ndarray:
-        """``storage``, for the caller to overwrite; the shard is consumed."""
-        self._shard._consumed = True
-        return self.storage
-
-
 @dataclasses.dataclass(eq=False, repr=False)
 class Shard:
     """A decoded shard in columns.
@@ -425,8 +389,9 @@ class Shard:
     - ``block``: (N, D + Da) float32, the only copy of the features: the
       ``dim`` = D pooled columns, then the Da audio columns. A frame
       record's pooled columns hold its mean pool rounded to float32; its
-      frames are ``frames[row]``. ``has_audio`` marks the rows that carry
-      audio (the others' audio columns are 0).
+      frames are ``frames[row]``, kept only to build its record.
+      ``has_audio`` marks the rows that carry audio (the others' audio
+      columns are 0).
 
     ``crc32`` is the file's checksum, which names the data it holds.
 
@@ -435,9 +400,9 @@ class Shard:
     equals another shard, or a list of records, whose records equal its own
     pair by pair.
 
-    ``FeatureRows.consume`` lets a caller overwrite the features in place,
-    which consumes the shard: its features and records raise from then on,
-    and only the ids, labels and checksum remain readable.
+    ``features`` hands out a view of ``block`` that the caller may overwrite
+    in place, which consumes the shard: its features and records raise from
+    then on, and only the ids, labels and checksum remain readable.
     """
 
     video_ids: list
@@ -452,7 +417,7 @@ class Shard:
 
     def _unconsumed(self) -> None:
         if self._consumed:
-            raise RuntimeError("the shard's features were overwritten in place")
+            raise RuntimeError("the shard's features were handed out to be overwritten in place")
 
     def __len__(self) -> int:
         return len(self.video_ids)
@@ -476,27 +441,27 @@ class Shard:
             audio=self.block[r, self.dim :].copy() if self.has_audio[r] else None,
         )
 
-    def features(self, include_audio: bool = False) -> FeatureRows:
-        """Float64 (N, D) video features as a row view; row i equals
-        ``video_feature`` of record i. Every record must have audio when it
-        is included, and every row must be finite.
+    def features(self, include_audio: bool = False) -> np.ndarray:
+        """The float32 (N, D) feature columns of ``block``, then its Da audio
+        columns when ``include_audio``, as a view that consumes the shard;
+        row i equals ``video_feature`` of record i. Every record must have
+        audio when it is included, and every row must be finite.
 
-        The finiteness check reads the float32 columns: a row is finite
-        exactly when its float64 upcast is, and a frame record's float32
-        mean pool exactly when its float64 one is. It sums each row in
-        float64, which no sum of finite float32 values overflows, so a row
-        is finite exactly when its sum is.
+        The finiteness check sums each row in float64, which no sum of
+        finite float32 values overflows, so a row is finite exactly when its
+        sum is.
         """
         self._unconsumed()
         if include_audio:
             missing = np.flatnonzero(~self.has_audio)
             if missing.size:
                 raise ValueError(f"record {self.video_ids[missing[0]]!r} has no audio features")
-        rows = FeatureRows(self, include_audio)
-        bad = np.flatnonzero(~np.isfinite(rows.storage.sum(axis=1, dtype=np.float64)))
+        x = self.block if include_audio else self.block[:, : self.dim]
+        bad = np.flatnonzero(~np.isfinite(x.sum(axis=1, dtype=np.float64)))
         if bad.size:
             raise ValueError(f"record {self.video_ids[bad[0]]!r} has non-finite features")
-        return rows
+        self._consumed = True
+        return x
 
 
 _U16 = struct.Struct("<H").unpack_from

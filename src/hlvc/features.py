@@ -4,9 +4,9 @@ Frame features are mean-pooled over time (at most MAX_FRAMES frames, one per
 second); ``data.video_feature`` appends the audio vector. The (N, D) feature
 matrix is then normalized with either per-dimension standardization ("znorm")
 or PCA whitening ("pca"), optionally followed by L2 normalization. Fitting
-sums ``BLOCK_ROWS``-row slices of the matrix, shifted by its first row, so
-it accepts any object with a ``shape`` whose row slices are arrays, such as
-the row view ``data.Shard.features`` returns.
+sums ``BLOCK_ROWS``-row slices of the matrix, such as the float32 view
+``data.Shard.features`` returns, upcast to float64 and shifted by its first
+row.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ def _shifted_moments(data, diagonal: bool):
     outer products, or only their squares when ``diagonal``. Only ``shape``
     and row slices of ``data`` are read, ``BLOCK_ROWS`` rows at a time.
 
-    Each block is shifted into one float64 buffer (and squared there when
-    ``diagonal``), so besides the sums the loop holds that buffer and the
+    Each block is upcast as it is shifted into one float64 buffer (so a
+    float32 matrix gives the sums of its float64 upcast) and squared there
+    when ``diagonal``. Besides the sums the loop holds that buffer and the
     block ``data`` returns, and ``data`` is never written.
     """
     shape = getattr(data, "shape", None)
@@ -171,8 +172,7 @@ def apply_normalizer(stats: NormalizerStats, x, out=None) -> np.ndarray:
     """Apply fitted normalization to one vector (D,) or a batch (N, D).
 
     Centering, the znorm division and the L2 division work in place on one
-    float64 array: ``out``, a float64 array of ``x``'s shape (``x`` itself
-    may be passed, to normalize a float64 block in place), or else a new
+    float64 array: ``out``, a float64 array of ``x``'s shape, or else a new
     one. That array is returned, except that PCA's product is a second,
     new array.
     """

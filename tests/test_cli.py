@@ -11,24 +11,33 @@ import pytest
 from hlvc import baseline, cli, data
 from hlvc.cli import RunConfig, UsageError, main
 from hlvc.data import Shard, load_checkpoint, read_shard, save_checkpoint, write_shard, VideoRecord
-from hlvc.features import BLOCK_ROWS, apply_normalizer, fit_znorm
+from hlvc.features import BLOCK_ROWS, apply_normalizer, fit_znorm, mean_pool
 from hlvc.hierarchy import ConceptLayer, LabelHierarchy, load_vocabulary, save_vocabulary
 from reference_predict import reference_predict
+
+
+def _synth(out, *extra):
+    code = main(
+        [
+            "synth", "--out", str(out),
+            "--num-verticals", "6", "--num-entities", "20", "--dim", "8",
+            "--num-train", "300", "--num-val", "60", "--seed", "7", *extra,
+        ]
+    )
+    assert code == 0
+    return out
 
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     """Small synthetic dataset shared by the pipeline tests."""
-    out = tmp_path_factory.mktemp("data")
-    code = main(
-        [
-            "synth", "--out", str(out),
-            "--num-verticals", "6", "--num-entities", "20", "--dim", "8",
-            "--num-train", "300", "--num-val", "60", "--seed", "7",
-        ]
-    )
-    assert code == 0
-    return out
+    return _synth(tmp_path_factory.mktemp("data"))
+
+
+@pytest.fixture(scope="module")
+def audio_dataset(tmp_path_factory):
+    """The ``dataset`` settings with a 4-d audio vector on every video."""
+    return _synth(tmp_path_factory.mktemp("audio"), "--audio-dim", "4")
 
 
 def train_args(dataset, out, *extra):
@@ -291,6 +300,30 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "trained, stored", [("rgb", "flow"), ("rgb+audio", "flow"), ("rgb+audio", 5),
+                            ("rgb+audio", None)],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_bad_stored_features_is_data_error(self, audio_dataset, tmp_path, capsys, command,
+                                               trained, stored):
+        """evaluate and predict check a checkpoint's stored settings as
+        ``train --resume`` does, so a bad ``features`` entry is named."""
+        good = tmp_path / "good.ckpt"
+        assert main(train_args(audio_dataset, good, "--model", "logreg", "--iters", "5",
+                               "--features", trained)) == 0
+        ckpt = load_checkpoint(good)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, step=ckpt.step, config={**ckpt.config, "features": stored},
+                        tensors=ckpt.tensors, normalizer=ckpt.normalizer)
+        capsys.readouterr()
+        out = tmp_path / ("rep" if command == "evaluate" else "p.tsv")
+        assert main([command, "--ckpt", str(bad), "--vocab", str(audio_dataset / "vocab.txt"),
+                     "--shard", str(audio_dataset / "val.shard"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err and "features" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "predict", "resume"])
     @pytest.mark.parametrize(
         "change",
@@ -436,6 +469,65 @@ class TestSetup:
         assert np.array_equal(x, want)
         width = x.shape[1]
         assert peak - start < (blocks + 0.25) * BLOCK_ROWS * width * 8
+
+    @pytest.mark.parametrize(
+        "model, norm, features", [("binn", "znorm", "rgb"), ("logreg", "pca", "rgb+audio")]
+    )
+    def test_frame_records_score_as_their_float32_mean_pool(self, audio_dataset, tmp_path,
+                                                            capsys, model, norm, features):
+        """A shard whose frame records are replaced by pooled records of
+        their float32 mean pool trains, evaluates and predicts the same bytes."""
+        rng = np.random.default_rng(8)
+        twins = {"frames": tmp_path / "frames", "pooled": tmp_path / "pooled"}
+        for part in ("train", "val"):
+            shards = {kind: [] for kind in twins}
+            for i, rec in enumerate(read_shard(audio_dataset / f"{part}.shard")):
+                if i % 3:
+                    shards["frames"].append(rec)
+                    shards["pooled"].append(rec)
+                    continue
+                noise = rng.normal(0.0, 0.1, (1 + i % 5, rec.pooled.size))
+                frames = (rec.pooled + noise).astype(np.float32)
+                shards["frames"].append(
+                    VideoRecord(rec.video_id, rec.labels, frames=frames, audio=rec.audio)
+                )
+                shards["pooled"].append(
+                    VideoRecord(rec.video_id, rec.labels, audio=rec.audio,
+                                pooled=mean_pool(frames).astype(np.float32))
+                )
+            for kind, out in twins.items():
+                out.mkdir(exist_ok=True)
+                write_shard(out / f"{part}.shard", shards[kind])
+        outputs = {}
+        for kind, out in twins.items():
+            ckpt = out / "m.ckpt"
+            assert main(["train", "--vocab", str(audio_dataset / "vocab.txt"),
+                         "--train", str(out / "train.shard"), "--out", str(ckpt),
+                         "--log", str(out / "train.log"), "--model", model, "--norm", norm,
+                         "--features", features, "--iters", "30", "--batch-size", "64",
+                         "--log-every", "5"]) == 0
+            inputs = ["--ckpt", str(ckpt), "--vocab", str(audio_dataset / "vocab.txt"),
+                      "--shard", str(out / "val.shard")]
+            assert main(["evaluate", *inputs, "--out", str(out / "rep")]) == 0
+            assert main(["predict", *inputs, "--out", str(out / "p.tsv")]) == 0
+            loaded = load_checkpoint(ckpt)
+            # The checkpoint names its training shard by the shard's CRC32.
+            assert loaded.config.pop("train_crc32") == read_shard(out / "train.shard").crc32
+            outputs[kind] = (
+                loaded,
+                {p.name: p.read_bytes() for p in [out / "train.log", out / "p.tsv",
+                                                  *(out / "rep").iterdir()]},
+            )
+        capsys.readouterr()
+        (want, want_files), (got, got_files) = outputs["pooled"], outputs["frames"]
+        assert got_files == want_files and len(want_files) == 6
+        assert (got.step, got.config) == (want.step, want.config)
+        assert got.tensors.keys() == want.tensors.keys()
+        for name, arr in want.tensors.items():
+            np.testing.assert_array_equal(got.tensors[name], arr, strict=True)
+        for field in ("mean", "scale"):
+            np.testing.assert_array_equal(getattr(got.normalizer, field),
+                                          getattr(want.normalizer, field), strict=True)
 
 
 class TestSynth:
@@ -1076,7 +1168,7 @@ class TestModelInterface:
         capsys.readouterr()
         hierarchy = load_vocabulary(dataset / "vocab.txt")
         x = np.random.default_rng(0).normal(size=(50, 8)).astype(np.float32)
-        scores = cli._layer_scores(load_checkpoint(ckpt, skip=("adam.",)), hierarchy, x)
+        scores = cli._layer_scores(baseline, load_checkpoint(ckpt, skip=("adam.",)), hierarchy, x)
         assert sorted(scores) == [0, 1]
         want = baseline.predict(baseline.LogRegParams(load_checkpoint(ckpt).tensors["weights"]), x)
         np.testing.assert_array_equal(scores[1], want)
@@ -1196,6 +1288,23 @@ def test_failed_replace_keeps_previous_report(perfect_setup, tmp_path, monkeypat
         main(argv)
     assert target.read_bytes() == b"previous report\n"
     assert [p.name for p in out_dir.iterdir()] == [target.name]
+
+
+@pytest.mark.parametrize("command", ["synth", "evaluate"])
+def test_out_naming_a_file_is_data_error(perfect_setup, tmp_path, capsys, command):
+    vocab, shard, ckpt = perfect_setup
+    out = tmp_path / "taken"
+    out.write_bytes(b"a file\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = {
+        "synth": ["synth", "--num-train", "10", "--num-val", "2", "--out", str(out)],
+        "evaluate": ["evaluate", "--ckpt", str(ckpt), "--vocab", str(vocab),
+                     "--shard", str(shard), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert out.read_bytes() == b"a file\n"
 
 
 def test_cli_import_leaves_scipy_out():

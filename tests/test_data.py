@@ -28,7 +28,7 @@ from hlvc.data import (
     _encode_record,
     _poisson_rate_for_mean,
 )
-from hlvc.features import BLOCK_ROWS, NormalizerStats, fit_pca_whitening, fit_znorm
+from hlvc.features import NormalizerStats, fit_pca_whitening, fit_znorm
 from reference_shard import ref_read_shard
 
 
@@ -86,12 +86,17 @@ class TestVideoRecord:
         assert a == b and a != c
 
     def test_video_feature(self):
-        frames = np.arange(6, dtype=np.float32).reshape(3, 2)
+        frames = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0]], np.float32)
         rec = VideoRecord("x", [], frames=frames, audio=np.array([9.0], np.float32))
-        np.testing.assert_allclose(video_feature(rec), [2.0, 3.0])
-        np.testing.assert_allclose(video_feature(rec, include_audio=True), [2.0, 3.0, 9.0])
-        assert video_feature(rec).dtype == np.float64
-        assert video_feature(rec, include_audio=True).dtype == np.float64
+        third = np.float32(1 / 3)  # the float64 mean pool rounded to float32
+        np.testing.assert_array_equal(
+            video_feature(rec), np.array([third, 4 / 3], np.float32), strict=True
+        )
+        np.testing.assert_array_equal(
+            video_feature(rec, include_audio=True),
+            np.array([third, 4 / 3, 9.0], np.float32),
+            strict=True,
+        )
         plain = VideoRecord("y", [], pooled=np.ones(2, np.float32))
         with pytest.raises(ValueError):
             video_feature(plain, include_audio=True)
@@ -328,16 +333,22 @@ class TestColumnarDecode:
         records = self.record_sets()["mixed_audio"]
         write_shard(path, records)
         shard = read_shard(path)
-        got = shard.features()
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got[:], np.stack([video_feature(r) for r in records]))
         with pytest.raises(ValueError, match="'p0' has no audio"):
             shard.features(include_audio=True)
+        got = shard.features()
+        assert np.shares_memory(got, shard.block)
+        np.testing.assert_array_equal(
+            got, np.stack([video_feature(r) for r in records]), strict=True
+        )
+        for read in (shard.features, lambda: iter(shard)):
+            with pytest.raises(RuntimeError, match="overwritten in place"):
+                read()
         records = [r for r in sample_records() if r.audio is not None]
         write_shard(path, records)
         np.testing.assert_array_equal(
-            read_shard(path).features(include_audio=True)[:],
+            read_shard(path).features(include_audio=True),
             np.stack([video_feature(r, include_audio=True) for r in records]),
+            strict=True,
         )
 
     def test_crc32_is_the_stored_checksum(self, tmp_path):
@@ -380,7 +391,7 @@ class TestColumnarDecode:
         assert shard == records and shard.block.shape == (len(records), 6 + 3)
         np.testing.assert_array_equal(shard.has_audio, [r.audio is not None for r in records])
         assert not shard.block[~shard.has_audio, shard.dim :].any()
-        assert np.shares_memory(shard.features().storage, shard.block)
+        assert np.shares_memory(shard.features(), shard.block)
 
 
 @pytest.mark.usefixtures("tiny_chunks")
@@ -436,9 +447,9 @@ class TestReadMemory:
 
 
 class TestFeatureRows:
-    """``Shard.features`` row blocks against the per-record ``video_feature``."""
+    """``Shard.features`` against the per-record ``video_feature``."""
 
-    N = 1100  # three blocks, the last one partial
+    N = 1100  # the fits cross two 512-row block boundaries
 
     @classmethod
     def records(cls, kind: str) -> list:
@@ -454,7 +465,7 @@ class TestFeatureRows:
                 features["audio"] = rng.normal(size=3).astype(np.float32)
             return VideoRecord(f"v{i}", [[0], [i % 5]], **features)
 
-        # In the mixed shards every seventh record has frames, row 512 among them.
+        # In the mixed shards every seventh record has frames.
         return [
             record(i, kind == "frames" or (kind != "pooled" and i % 7 == 1), kind == "mixed_audio")
             for i in range(cls.N)
@@ -466,34 +477,25 @@ class TestFeatureRows:
          ("mixed_audio", False), ("mixed_audio", True)],
     )
     def test_blocks_equal_video_feature_rows(self, tmp_path, kind, include_audio):
+        """The features are a float32 view of the shard's block, equal to
+        the records' float32 ``video_feature`` rows."""
         records = self.records(kind)
-        assert BLOCK_ROWS == 512 and (kind == "pooled") == (records[512].frames is None)
         path = tmp_path / "s.shard"
         write_shard(path, records)
-        rows = read_shard(path).features(include_audio=include_audio)
+        shard = read_shard(path)
+        x = shard.features(include_audio=include_audio)
+        assert isinstance(x, np.ndarray) and np.shares_memory(x, shard.block)
         want = np.stack([video_feature(r, include_audio) for r in records])
-        assert rows.shape == want.shape and rows.dtype == np.float64
-        for cut in (slice(0, 512), slice(511, 514), slice(512, 513), slice(512, 1024),
-                    slice(1024, None), slice(1000, 5000), slice(None), slice(7, 7)):
-            block = rows[cut]
-            assert block.dtype == np.float64
-            np.testing.assert_array_equal(block, want[cut], strict=True)
-        assert not hasattr(rows, "__array__")
-
-    @pytest.mark.parametrize("cut", [3, slice(0, 10, 2), [1, 2]])
-    def test_only_contiguous_slices(self, tmp_path, cut):
-        path = tmp_path / "s.shard"
-        write_shard(path, sample_records())
-        with pytest.raises(TypeError):
-            read_shard(path).features()[cut]
+        np.testing.assert_array_equal(x, want, strict=True)
 
     @pytest.mark.parametrize("fit", [fit_znorm, fit_pca_whitening], ids=["znorm", "pca"])
     @pytest.mark.parametrize("kind, include_audio", [("mixed", False), ("mixed_audio", True)])
     def test_fit_on_rows_equals_fit_on_matrix(self, tmp_path, fit, kind, include_audio):
         path = tmp_path / "s.shard"
-        write_shard(path, self.records(kind))
-        rows = read_shard(path).features(include_audio=include_audio)
-        got, want = fit(rows), fit(rows[:])
+        records = self.records(kind)
+        write_shard(path, records)
+        got = fit(read_shard(path).features(include_audio=include_audio))
+        want = fit(np.stack([video_feature(r, include_audio) for r in records]))
         np.testing.assert_array_equal(got.mean, want.mean)
         np.testing.assert_array_equal(got.scale, want.scale)
 

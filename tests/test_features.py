@@ -278,8 +278,8 @@ class TestFitInput:
 
     def test_fit_holds_two_float64_blocks_and_writes_no_input(self, fit):
         """Besides the D x D sums and product, fitting holds the new float64
-        block its input returns (as ``data.FeatureRows`` does) and the one
-        buffer that block is shifted into; numpy may add a ufunc buffer.
+        block an input object returns and the one buffer that block is
+        shifted into; numpy may add a ufunc buffer.
         A plain ndarray's blocks are views, and the fit must not write them."""
         n, d = 20000, 64
         x = np.random.default_rng(15).normal(loc=2.0, size=(n, d))

@@ -1,7 +1,10 @@
+import importlib
 import pathlib
+import pkgutil
 import re
 import shlex
 
+import hlvc
 from hlvc import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -27,3 +30,34 @@ def test_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_named_objects_exist():
+    """Every backticked dotted name in README's prose that starts with
+    ``hlvc``, one of its modules or one of their classes (``data.Shard``,
+    ``features.BLOCK_ROWS``, ``Shard.features``) resolves attribute by
+    attribute."""
+    modules = {
+        info.name: importlib.import_module(f"hlvc.{info.name}")
+        for info in pkgutil.iter_modules(hlvc.__path__)
+    }
+    prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    checked = []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)[^`\n]*`", prose):
+        head, *path = name.split(".")
+        if head == "hlvc":
+            obj = hlvc
+        elif head in modules:
+            obj = modules[head]
+        elif head[0].isupper():
+            classes = [getattr(m, head) for m in modules.values()
+                       if isinstance(getattr(m, head, None), type)]
+            assert classes, f"README names {name}, but no hlvc module defines class {head}"
+            obj = classes[0]
+        else:
+            continue
+        for attr in path:
+            assert hasattr(obj, attr), f"README names {name}, which does not resolve"
+            obj = getattr(obj, attr)
+        checked.append(name)
+    assert "data.video_feature" in checked and "Shard.features" in checked
