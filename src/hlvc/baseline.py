@@ -52,20 +52,19 @@ def init_params(n_classes: int, dim: int, dtype=np.float64) -> LogRegParams:
     return LogRegParams(np.zeros((n_classes, dim + 1), dtype))
 
 
-def _with_bias(params: LogRegParams, x) -> tuple[np.ndarray, bool]:
-    x, squeeze = _as_batch(params, x)
-    return np.concatenate([x, np.ones((x.shape[0], 1), x.dtype)], axis=1), squeeze
+def _with_bias(params: LogRegParams, x) -> np.ndarray:
+    x = _as_batch(params, x)
+    return np.concatenate([x, np.ones((x.shape[0], 1), x.dtype)], axis=1)
 
 
 def predict(params: LogRegParams, x) -> np.ndarray:
-    """Class probabilities for one vector (C,) or a batch (B, C)."""
-    x, squeeze = _as_batch(params, x)
+    """(B, C) class probabilities of a batch (B, D); a (D,) vector is a batch of one."""
+    x = _as_batch(params, x)
     z = x @ params.weights[:, :-1].T
     z += params.weights[:, -1]
     if not np.isfinite(z).all():
         raise NumericError("non-finite logistic scores")
-    probs = sigmoid(z, out=z)
-    return probs[0] if squeeze else probs
+    return sigmoid(z, out=z)
 
 
 def loss_grad(
@@ -73,16 +72,13 @@ def loss_grad(
 ) -> tuple[float, np.ndarray]:
     """Summed cross entropy and its exact gradient in one pass.
 
-    ``positives`` is an index collection for a single vector or a multi-hot
-    (B, C) array for a batch; batch loss and gradient are sums over samples.
-    The optional L2 penalty (l2_penalty / 2 * sum of squared weights) leaves
-    the bias column unpenalized.
+    ``x`` is a batch (B, D), a (D,) vector being a batch of one, and
+    ``positives`` its float or bool (B, C) multi-hot labels; loss and
+    gradient are sums over samples. The optional L2 penalty (l2_penalty / 2
+    * sum of squared weights) leaves the bias column unpenalized.
     """
-    xb, squeeze = _with_bias(params, x)
-    if squeeze:
-        y = _as_multi_hot(positives, (params.num_classes,), xb.dtype)[None, :]
-    else:
-        y = _as_multi_hot(positives, (xb.shape[0], params.num_classes), xb.dtype)
+    xb = _with_bias(params, x)
+    y = _as_multi_hot(positives, (xb.shape[0], params.num_classes), xb.dtype)
     z = xb @ params.weights.T
     if not np.isfinite(z).all():
         raise NumericError("non-finite logistic scores")

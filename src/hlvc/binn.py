@@ -1,6 +1,8 @@
 """Bidirectional label-space inference with exact analytic gradients.
 
-Each concept layer t (coarse to fine, sizes n_0..n_{m-1}) gets its own
+Every function takes a batch of feature rows (B, D) and, for training,
+one (B, n_t) multi-hot target array per layer; the equations below are per
+row. Each concept layer t (coarse to fine, sizes n_0..n_{m-1}) gets its own
 affine projection of the shared input feature vector into label space:
 
     x_t = proj_w[t] @ x + proj_b[t]                      (n_t,)
@@ -186,26 +188,23 @@ def cross_entropy(a: np.ndarray, p: np.ndarray, z: np.ndarray) -> float:
     return float(np.maximum(a, 0.0).sum() - q.sum() - np.vdot(z, a))
 
 
-def _as_batch(params, x) -> tuple[np.ndarray, bool]:
-    """``x`` as a (B, D) batch in the parameters' dtype, and whether it was one vector."""
-    x = np.asarray(x, dtype=params.dtype)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+def _as_batch(params, x) -> np.ndarray:
+    """``x`` as a (B, D) batch in the parameters' dtype; a (D,) vector is one row."""
+    x = np.atleast_2d(np.asarray(x, dtype=params.dtype))
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError(f"expected input of dim {params.dim}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise NumericError("non-finite input features")
-    return x, squeeze
+    return x
 
 
 def forward(params: BinnParams, x) -> BinnActivations:
-    """Run both chains; accepts one vector (D,) or a batch (B, D).
+    """Run both chains over a batch (B, D); a (D,) vector is a batch of one.
 
-    Activations keep the same leading shape as the input. Raises
-    NumericError as soon as any layer produces a non-finite value.
+    Every activation is (B, n_t). Raises NumericError as soon as any layer
+    produces a non-finite value.
     """
-    xb, squeeze = _as_batch(params, x)
+    xb = _as_batch(params, x)
     m = params.num_layers
     x_t = [xb @ params.proj_w[t].T + params.proj_b[t] for t in range(m)]
     fwd: list = [None] * m
@@ -230,48 +229,22 @@ def forward(params: BinnParams, x) -> BinnActivations:
         if not np.isfinite(a[t]).all():
             raise NumericError(f"non-finite activation in layer {t}")
     p = [sigmoid(a[t]) for t in range(m)]
-    if squeeze:
-        return BinnActivations(
-            x_t=[v[0] for v in x_t],
-            fwd=[v[0] for v in fwd],
-            bwd=[v[0] for v in bwd],
-            a=[v[0] for v in a],
-            p=[v[0] for v in p],
-        )
     return BinnActivations(x_t=x_t, fwd=fwd, bwd=bwd, a=a, p=p)
 
 
-def _as_multi_hot(positives_t, shape, dtype) -> np.ndarray:
-    """One layer's labels -> 0/1 ``dtype`` array of the activation ``shape``.
-
-    A float or bool ndarray is multi-hot, reshaped to ``shape`` (so a (1, n)
-    row serves an (n,) activation); anything else, integer arrays included,
-    holds the positive label indices of one sample.
-    """
-    if isinstance(positives_t, np.ndarray) and positives_t.dtype.kind in "fb":
-        if positives_t.size != math.prod(shape):
-            raise ValueError(
-                f"multi-hot labels of shape {positives_t.shape} do not fit "
-                f"activations of shape {tuple(shape)}"
-            )
-        return positives_t.astype(dtype, copy=False).reshape(shape)
-    if len(shape) != 1:
-        raise ValueError("batched labels must be float or bool multi-hot arrays")
-    z = np.zeros(shape, dtype=dtype)
-    idx = np.asarray(list(positives_t), dtype=np.int64)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= shape[0]:
-            raise IndexError(f"label index out of range for layer of size {shape[0]}")
-        z[idx] = 1.0
-    return z
+def _as_multi_hot(labels, shape, dtype) -> np.ndarray:
+    """One layer's float or bool multi-hot ``labels``, of exactly the
+    activation ``shape``, as 0/1 ``dtype`` values (no copy if already ``dtype``)."""
+    if not isinstance(labels, np.ndarray) or labels.shape != shape or labels.dtype.kind not in "fb":
+        raise ValueError(f"labels must be float or bool multi-hot arrays of shape {shape}")
+    return labels.astype(dtype, copy=False)
 
 
 def loss(acts: BinnActivations, positives) -> float:
-    """Summed multi-label cross entropy over layers (and samples, if batched).
+    """Summed multi-label cross entropy over layers and samples.
 
-    ``positives`` is a per-layer sequence: index collections for single
-    vectors, or float or bool multi-hot arrays with as many entries as the
-    activations (required for batches).
+    ``positives`` holds one float or bool multi-hot array per layer, of that
+    layer's (B, n_t) activation shape.
     Computed by ``cross_entropy`` from the pre-activations and the
     probabilities ``forward`` already holds, so saturated sigmoids do not
     produce infinities.
@@ -285,22 +258,18 @@ def loss(acts: BinnActivations, positives) -> float:
 
 
 def backward(params: BinnParams, x, positives) -> tuple[float, BinnParams]:
-    """Loss and its exact parameter gradients for one sample (D,) or a batch
-    (B, D), the gradients held in a BinnParams.
+    """Loss and its exact parameter gradients for a batch (B, D) and its
+    per-layer (B, n_t) multi-hot ``positives``, the gradients held in a
+    BinnParams; a (D,) vector is a batch of one.
 
-    Batch gradients are sums over the batch, matching the summed loss.
+    Gradients are sums over the batch, matching the summed loss.
     """
-    xb, squeeze = _as_batch(params, x)
+    xb = _as_batch(params, x)
     m = params.num_layers
     if len(positives) != m:
         raise ValueError(f"expected labels for {m} layers, got {len(positives)}")
     acts = forward(params, xb)
-    z = []
-    for t in range(m):
-        if squeeze:
-            z.append(_as_multi_hot(positives[t], (params.sizes[t],), params.dtype)[None, :])
-        else:
-            z.append(_as_multi_hot(positives[t], acts.a[t].shape, params.dtype))
+    z = [_as_multi_hot(positives[t], acts.a[t].shape, params.dtype) for t in range(m)]
     loss_value = loss(acts, z)
     g_a = [acts.p[t] - z[t] for t in range(m)]
 

@@ -277,8 +277,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_out(path, is_dir: bool) -> None:
+    """Fail before any work on an ``--out`` that cannot be written: an output
+    directory (``is_dir``) may be missing, but its nearest existing path must
+    be a directory; an output file's directory must exist, and it must not be
+    a directory."""
+    head = os.path.abspath(path)
+    while is_dir and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(os.path.dirname(head)):
+        raise ValueError(f"--out {path}: directory {os.path.dirname(head)} does not exist")
+    if os.path.isdir(head) != is_dir:
+        raise ValueError(f"--out {path}: {head} is {'not ' if is_dir else ''}a directory")
+
+
 def cmd_synth(args) -> int:
     cfg = _config_from_args(SynthConfig, args)
+    _check_out(args.out, is_dir=True)
     hierarchy, train, val = synth_generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     vocab_path = os.path.join(args.out, "vocab.txt")
@@ -442,6 +457,7 @@ def _restore(state: dict, stored: dict) -> None:
 def cmd_train(args) -> int:
     if args.vocab is None or args.train is None:
         raise UsageError("train requires --vocab and --train")
+    _check_out(args.out, is_dir=False)
     resume = None
     if args.resume is None:
         cfg = _config_from_args(RunConfig, args)
@@ -533,50 +549,57 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _layer_scores(family, ckpt: Checkpoint, hierarchy, x: np.ndarray) -> dict:
+def _layer_scores(family, ckpt: Checkpoint, hierarchy, x: np.ndarray, labeled=None) -> dict:
     """Per-layer label probabilities from the checkpoint's model, of the
     ``MODELS`` family ``family``, loaded without its Adam moments.
 
     Every layer the model exports weights for is scored by
     ``baseline.predict``; the parent of the finest layer, if the model
-    exports none for it, is induced from the finest layer's scores.
+    exports none for it, is induced from the finest layer's scores. With a
+    ``labeled`` shard, each of its records must hold labels in every layer
+    to be scored (PERR is undefined otherwise), checked before scoring.
     """
     params = family.init(hierarchy, x.shape[1], seed=None)
     _restore(params.tensors(), ckpt.tensors)
-    scores = {
-        t: baseline.predict(baseline.LogRegParams(w), x)
-        for t, w in family.layer_weights(params, hierarchy).items()
-    }
+    weights = family.layer_weights(params, hierarchy)
     m = hierarchy.num_layers
-    if m >= 2 and m - 2 not in scores:
-        scores[m - 2] = hierarchy.induce_vertical_scores(scores[m - 1])
+    induced = [m - 2] if m >= 2 and m - 2 not in weights else []
+    if labeled is not None:
+        for t in sorted([*weights, *induced]):
+            empty = np.flatnonzero(np.diff(labeled.labels[t].indptr) == 0)
+            if empty.size:
+                name = hierarchy.layers[t].name
+                raise ValueError(f"record {labeled.video_ids[empty[0]]!r} has no {name} labels; "
+                                 "PERR is undefined")
+    scores = {t: baseline.predict(baseline.LogRegParams(w), x) for t, w in weights.items()}
+    for t in induced:
+        scores[t] = hierarchy.induce_vertical_scores(scores[m - 1])
     return scores
 
 
-def _prepare_eval(args):
+def _prepare_eval(args, evaluating: bool = False):
+    """The vocabulary, the shard and its per-layer scores for ``evaluate``
+    (``evaluating``: ``--out`` is a report directory, and every scored layer
+    must label each record) or ``predict`` (``--out`` is a TSV file)."""
     if args.top_k < 1:
         raise UsageError(f"top_k must be at least 1, got {args.top_k}")
+    _check_out(args.out, is_dir=evaluating)
     ckpt = load_checkpoint(args.ckpt, skip=(_ADAM_PREFIX,))
     cfg = _stored_config(ckpt, args.ckpt)
     hierarchy = load_vocabulary(args.vocab)
     shard, features = _load_inputs(args.shard, hierarchy, cfg.features, ckpt)
     x = _normalized(ckpt.normalizer, features)
-    return hierarchy, shard, _layer_scores(MODELS[cfg.model], ckpt, hierarchy, x)
+    labeled = shard if evaluating else None
+    return hierarchy, shard, _layer_scores(MODELS[cfg.model], ckpt, hierarchy, x, labeled)
 
 
 def cmd_evaluate(args) -> int:
-    hierarchy, shard, scores = _prepare_eval(args)
+    hierarchy, shard, scores = _prepare_eval(args, evaluating=True)
     _warn_missing_parents(args.shard, shard, hierarchy)
     os.makedirs(args.out, exist_ok=True)
     for t in sorted(scores):
         layer = hierarchy.layers[t]
         pred = PredictionSet(scores[t], shard.labels[t])
-        unlabeled = np.flatnonzero(pred.num_positives == 0)
-        if unlabeled.size:
-            raise ValueError(
-                f"record {shard.video_ids[unlabeled[0]]!r} has no {layer.name} labels; "
-                "PERR is undefined"
-            )
         report = evaluate(pred, layer=layer.name, top_k=args.top_k)
         base = os.path.join(args.out, f"eval_{layer.name}")
         with atomic_open(base + ".txt", "w", encoding="utf-8") as fh:

@@ -36,8 +36,8 @@ class TestPredict:
         params.weights[:] = rng.normal(size=(3, 5))
         x = rng.normal(size=(8, 4))
         one = baseline.predict(params, x[3])
-        assert one.shape == (3,)
-        np.testing.assert_allclose(one, baseline.predict(params, x)[3], rtol=1e-13)
+        assert one.shape == (1, 3)
+        np.testing.assert_allclose(one[0], baseline.predict(params, x)[3], rtol=1e-13)
 
     def test_dim_mismatch_rejected(self):
         params = baseline.init_params(3, 4)
@@ -114,26 +114,28 @@ class TestLossGrad:
         assert np.isfinite(grad).all()
 
     def test_label_index_form_single_sample(self):
+        # Positive indices are not labels: a sample takes a multi-hot row.
         rng = np.random.default_rng(6)
         params = baseline.init_params(4, 3)
         params.weights[:] = rng.normal(size=(4, 4))
         x = rng.normal(size=3)
-        y = np.array([1.0, 0.0, 1.0, 0.0])
-        via_idx, g1 = baseline.loss_grad(params, x, [0, 2])
-        via_hot, g2 = baseline.loss_grad(params, x[None, :], y[None, :])
-        assert abs(via_idx - via_hot) < 1e-12
-        np.testing.assert_array_equal(g1, g2)
+        for labels in ([0, 2], [[0, 2]], np.array([0, 2]), np.array([[1, 0, 1, 0]])):
+            with pytest.raises(ValueError, match=r"shape \(1, 4\)"):
+                baseline.loss_grad(params, x, labels)
 
     def test_label_forms_agree_for_a_single_vector(self):
         rng = np.random.default_rng(9)
         params = baseline.init_params(2, 3)
         params.weights[:] = rng.normal(size=(2, 4))
         x = rng.normal(size=3)
-        want, want_grad = baseline.loss_grad(params, x, [0, 1])
-        for labels in (np.array([0, 1]), np.ones(2), np.ones((1, 2)), np.ones(2, dtype=bool)):
+        want, want_grad = baseline.loss_grad(params, x, np.ones((1, 2)))
+        for labels in (np.ones((1, 2), dtype=bool), np.ones((1, 2), dtype=np.float32)):
             value, grad = baseline.loss_grad(params, x, labels)
             assert value == want
             np.testing.assert_array_equal(grad, want_grad)
+        for labels in (np.ones(2), np.ones(2, dtype=bool), np.array([0, 1])):
+            with pytest.raises(ValueError):
+                baseline.loss_grad(params, x, labels)
 
     def test_multi_hot_size_mismatch_rejected(self):
         params = baseline.init_params(3, 2)
@@ -141,9 +143,12 @@ class TestLossGrad:
             baseline.loss_grad(params, np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_label_out_of_range_rejected(self):
+        # A label beyond the classes has no slot in the multi-hot row.
         params = baseline.init_params(3, 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             baseline.loss_grad(params, np.zeros(2), [3])
+        with pytest.raises(ValueError):
+            baseline.loss_grad(params, np.zeros(2), np.eye(1, 4, 3))
 
     def test_fits_separable_data(self):
         rng = np.random.default_rng(7)
@@ -159,6 +164,38 @@ class TestLossGrad:
         assert acc == 1.0
 
 
+class TestBatchOnly:
+    """``predict`` and ``loss_grad`` take a (B, D) batch and (B, C) multi-hot labels."""
+
+    def test_one_vector_is_a_batch_of_one(self):
+        rng = np.random.default_rng(10)
+        params = baseline.init_params(3, 4)
+        params.weights[:] = rng.normal(size=(3, 5))
+        x = rng.normal(size=4)
+        one = baseline.predict(params, x)
+        assert one.shape == (1, 3)
+        np.testing.assert_array_equal(one, baseline.predict(params, x[None, :]))
+        y = np.array([[1.0, 0.0, 1.0]])
+        one_value, one_grad = baseline.loss_grad(params, x, y, l2_penalty=0.1)
+        row_value, row_grad = baseline.loss_grad(params, x[None, :], y, l2_penalty=0.1)
+        assert one_value == row_value
+        np.testing.assert_array_equal(one_grad, row_grad)
+
+    @pytest.mark.parametrize("form", ["index lists", "integer multi-hot", "flat multi-hot"])
+    def test_labels_other_than_multi_hot_of_the_batch_shape_rejected(self, form):
+        rng = np.random.default_rng(11)
+        params = baseline.init_params(2, 4)
+        x = rng.normal(size=(3, 4))
+        y = (rng.random((3, 2)) < 0.5).astype(np.float64)
+        bad = {
+            "index lists": [[0], [1], [0, 1]],
+            "integer multi-hot": y.astype(np.int64),
+            "flat multi-hot": y.ravel(),
+        }[form]
+        with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
+            baseline.loss_grad(params, x, bad)
+
+
 class TestFloat32:
     def test_loss_grad_keeps_float32(self):
         rng = np.random.default_rng(8)
@@ -167,7 +204,7 @@ class TestFloat32:
         wide = LogRegParams(params.weights.astype(np.float64))
         x = rng.normal(size=(6, 5)).astype(np.float32)
         y = (rng.random((6, 4)) < 0.4).astype(np.float32)
-        xb, _ = baseline._with_bias(params, x)
+        xb = baseline._with_bias(params, x)
         assert xb.dtype == np.float32
         value, grad = baseline.loss_grad(params, x, y, l2_penalty=0.1)
         want_value, want_grad = baseline.loss_grad(wide, x, y, l2_penalty=0.1)

@@ -75,8 +75,8 @@ class TestForward:
             acts = binn.forward(params, x)
             a_ref, p_ref = naive_forward(params, x)
             for t in range(3):
-                np.testing.assert_allclose(acts.a[t], a_ref[t], rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(acts.p[t], p_ref[t], rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(acts.a[t][0], a_ref[t], rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(acts.p[t][0], p_ref[t], rtol=1e-12, atol=1e-12)
 
     def test_batch_rows_match_single_samples(self):
         rng = np.random.default_rng(1)
@@ -86,13 +86,13 @@ class TestForward:
         for i in range(6):
             one = binn.forward(params, xb[i])
             for t in range(2):
-                np.testing.assert_allclose(batch.a[t][i], one.a[t], rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(batch.a[t][i], one.a[t][0], rtol=1e-12, atol=1e-14)
 
     def test_single_layer_model(self):
         params = binn.init_params([4], 3, seed=2)
         acts = binn.forward(params, np.ones(3))
         assert len(acts.a) == 1
-        assert acts.a[0].shape == (4,)
+        assert acts.a[0].shape == (1, 4)
 
     def test_activation_affine_in_input(self):
         # sigmoid is applied once at the output, so a[t] is affine in x
@@ -283,31 +283,38 @@ class TestLoss:
         assert np.isfinite(value) and value > 1000
 
     def test_label_index_form(self):
+        # Positive indices are not labels: each layer takes a multi-hot array.
         params = binn.init_params([3, 4], 2, seed=14)
-        x = np.array([0.3, -0.2])
-        acts = binn.forward(params, x)
-        via_idx = binn.loss(acts, [[0, 2], [1]])
-        z0 = np.array([1.0, 0.0, 1.0])
-        z1 = np.array([0.0, 1.0, 0.0, 0.0])
-        batch = binn.forward(params, x[None, :])
-        via_hot = binn.loss(batch, [z0[None, :], z1[None, :]])
-        assert abs(via_idx - via_hot) < 1e-12
+        acts = binn.forward(params, np.array([0.3, -0.2]))
+        with pytest.raises(ValueError, match=r"shape \(1, 3\)"):
+            binn.loss(acts, [[0, 2], [1]])
+        with pytest.raises(ValueError, match=r"shape \(1, 3\)"):
+            binn.loss(acts, [[[0, 2]], [[1]]])
 
-    def test_integer_label_arrays_are_indices(self):
-        # [0, 1] as long as its layer still names two positives, not a 0/1 row.
+    def test_integer_label_arrays_rejected(self):
+        # Even a 0/1 integer row of the right shape: it could be read as indices.
         params = binn.init_params([2, 3], 4, seed=22)
         acts = binn.forward(params, np.random.default_rng(22).normal(size=4))
-        via_list = binn.loss(acts, [[0, 1], [1]])
-        assert binn.loss(acts, [np.array([0, 1]), np.array([1])]) == via_list
+        for labels in (
+            [np.array([0, 1]), np.array([1])],
+            [np.array([[0, 1]]), np.array([[0, 1, 0]])],
+        ):
+            with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+                binn.loss(acts, labels)
 
     def test_multi_hot_rows_serve_a_single_vector(self):
+        # A (D,) input is a batch of one, so its labels are (1, n_t) rows.
         params = binn.init_params([2, 3], 4, seed=23)
-        acts = binn.forward(params, np.random.default_rng(23).normal(size=4))
+        x = np.random.default_rng(23).normal(size=4)
+        acts = binn.forward(params, x)
         flat = [np.array([1.0, 0.0]), np.array([0.0, 1.0, 1.0])]
-        via_idx = binn.loss(acts, [[0], [1, 2]])
-        assert binn.loss(acts, flat) == via_idx
-        assert binn.loss(acts, [z[None, :] for z in flat]) == via_idx
-        assert binn.loss(acts, [z.astype(bool) for z in flat]) == via_idx
+        rows = [z[None, :] for z in flat]
+        want = binn.loss(binn.forward(params, x[None, :]), rows)
+        assert binn.loss(acts, rows) == want
+        assert binn.loss(acts, [z.astype(bool) for z in rows]) == want
+        assert binn.loss(acts, [z.astype(np.float32) for z in rows]) == want
+        with pytest.raises(ValueError):
+            binn.loss(acts, flat)
 
     def test_multi_hot_size_mismatch_rejected(self):
         params = binn.init_params([2, 3], 4, seed=24)
@@ -325,10 +332,47 @@ class TestLoss:
             binn.loss(acts, [[0]])
 
     def test_label_out_of_range_rejected(self):
+        # A label beyond the layer has no slot in its multi-hot row.
         params = binn.init_params([3], 2, seed=16)
         acts = binn.forward(params, np.zeros(2))
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             binn.loss(acts, [[3]])
+        with pytest.raises(ValueError):
+            binn.loss(acts, [np.eye(1, 4, 3)])
+
+
+class TestBatchOnly:
+    """Every kernel takes a (B, D) batch and per-layer (B, n_t) multi-hot labels."""
+
+    def test_one_vector_is_a_batch_of_one(self):
+        params = binn.init_params([2, 3], 4, seed=26)
+        x = np.random.default_rng(26).normal(size=4)
+        one, row = binn.forward(params, x), binn.forward(params, x[None, :])
+        for field in ("x_t", "fwd", "bwd", "a", "p"):
+            for t, n in enumerate(params.sizes):
+                assert getattr(one, field)[t].shape == (1, n)
+                np.testing.assert_array_equal(getattr(one, field)[t], getattr(row, field)[t])
+        zs = random_labels(np.random.default_rng(26), params.sizes, 1)
+        one_loss, one_grads = binn.backward(params, x, zs)
+        row_loss, row_grads = binn.backward(params, x[None, :], zs)
+        assert one_loss == row_loss
+        for name, tensor in one_grads.tensors().items():
+            np.testing.assert_array_equal(tensor, row_grads.tensors()[name])
+
+    @pytest.mark.parametrize("form", ["index lists", "integer multi-hot", "flat multi-hot"])
+    def test_labels_other_than_multi_hot_of_the_activation_shape_rejected(self, form):
+        params = binn.init_params([2, 3], 4, seed=27)
+        x = np.random.default_rng(27).normal(size=(3, 4))
+        zs = random_labels(np.random.default_rng(27), params.sizes, 3)
+        bad = {
+            "index lists": [[0], [1], [0, 1]],
+            "integer multi-hot": zs[0].astype(np.int64),
+            "flat multi-hot": zs[0].ravel(),
+        }[form]
+        with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
+            binn.backward(params, x, [bad, zs[1]])
+        with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
+            binn.loss(binn.forward(params, x), [bad, zs[1]])
 
 
 class TestLabelKernels:
@@ -413,15 +457,16 @@ class TestBackward:
     def test_label_forms_agree_for_a_single_vector(self):
         params = binn.init_params([2, 3], 4, seed=25)
         x = np.random.default_rng(25).normal(size=4)
-        want_loss, want = binn.backward(params, x, [[0, 1], [2]])
-        for labels in (
-            [np.array([0, 1]), np.array([2])],
-            [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0, 1.0]])],
-        ):
+        hot = [np.array([[1.0, 1.0]]), np.array([[0.0, 0.0, 1.0]])]
+        want_loss, want = binn.backward(params, x, hot)
+        for labels in ([z.astype(bool) for z in hot], [z.astype(np.float32) for z in hot]):
             loss_value, grads = binn.backward(params, x, labels)
             assert loss_value == want_loss
             for name, tensor in grads.tensors().items():
                 np.testing.assert_array_equal(tensor, want.tensors()[name])
+        for labels in ([[0, 1], [2]], [np.array([0, 1]), np.array([2])], [z[0] for z in hot]):
+            with pytest.raises(ValueError):
+                binn.backward(params, x, labels)
 
     def test_label_count_mismatch_rejected(self):
         params = binn.init_params([3, 4], 2, seed=21)
@@ -450,7 +495,7 @@ class TestFloat32:
         x = rng.normal(size=(8, 6)).astype(np.float32)
         zs = [z.astype(np.float32) for z in random_labels(rng, params.sizes, 8)]
         # Input and targets in the parameters' dtype are used as they are.
-        assert binn._as_batch(params, x)[0] is x
+        assert binn._as_batch(params, x) is x
         assert np.shares_memory(binn._as_multi_hot(zs[0], zs[0].shape, params.dtype), zs[0])
 
         acts = binn.forward(params, x)

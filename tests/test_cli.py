@@ -1307,6 +1307,61 @@ def test_out_naming_a_file_is_data_error(perfect_setup, tmp_path, capsys, comman
     assert out.read_bytes() == b"a file\n"
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("train", "nodir/m.ckpt"), ("train", "adir"),
+        ("predict", "nodir/p.tsv"), ("predict", "adir"),
+        ("evaluate", "taken"), ("evaluate", "taken/rep"), ("synth", "taken/data"),
+    ],
+)
+def test_unwritable_out_fails_before_any_work(perfect_setup, tmp_path, capsys, monkeypatch,
+                                              command, out):
+    vocab, shard, ckpt = perfect_setup
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "taken").write_bytes(b"a file\n")
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    reads = []
+    monkeypatch.setattr(cli, "read_shard", lambda *a, **k: reads.append(a))
+    out = str(tmp_path / out)
+    argv = {
+        "train": ["train", "--vocab", str(vocab), "--train", str(shard), "--model", "logreg",
+                  "--iters", "50", "--log-every", "1"],
+        "predict": ["predict", "--ckpt", str(ckpt), "--vocab", str(vocab), "--shard", str(shard)],
+        "evaluate": ["evaluate", "--ckpt", str(ckpt), "--vocab", str(vocab),
+                     "--shard", str(shard)],
+        "synth": ["synth", "--num-train", "10", "--num-val", "2"],
+    }[command] + ["--out", out]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: --out {out}: ")
+    assert ".tmp" not in captured.err and "step=" not in captured.out
+    assert reads == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("model", list(cli.MODELS))
+def test_unlabeled_record_leaves_no_report(dataset, tmp_path, capsys, model):
+    records = list(read_shard(dataset / "val.shard"))[:20]
+    for i, rec in enumerate(records):
+        rec.video_id = f"v{i}"
+    records[7].labels[1] = np.zeros(0, dtype=np.int64)
+    assert records[7].labels[0].size
+    bad = tmp_path / "bad.shard"
+    write_shard(bad, records)
+    ckpt = tmp_path / "m.ckpt"
+    assert main(train_args(dataset, ckpt, "--model", model, "--iters", "5")) == 0
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    code = main(["evaluate", "--ckpt", str(ckpt), "--vocab", str(dataset / "vocab.txt"),
+                 "--shard", str(bad), "--out", str(rep)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "data error: record 'v7' has no entities labels; PERR is undefined\n"
+    assert "mean_ap=" not in captured.out
+    assert not rep.exists()
+
+
 def test_cli_import_leaves_scipy_out():
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
