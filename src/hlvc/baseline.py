@@ -102,7 +102,9 @@ def init(hierarchy, dim: int, seed: int | None) -> LogRegParams:
     return init_params(hierarchy.sizes[-1], dim, dtype=np.float32)
 
 
-def train_grads(params: LogRegParams, x, targets) -> tuple[float, dict]:
+def train_grads(params: LogRegParams, x, targets, work: dict | None = None) -> tuple[float, dict]:
+    """``work``, the caller's per-run workspace, goes unused: the gradient
+    is one product."""
     value, grad = loss_grad(params, x, targets[-1])
     return value, {"weights": grad}
 

@@ -22,6 +22,12 @@ and are merged per label with elementwise gate vectors:
 The loss is the multi-label cross entropy summed over layers, labels, and
 samples. Gradients are derived by hand and computed with batched matrix
 products; ``backward`` never falls back to numeric differentiation.
+
+``forward`` and ``backward`` write every activation, chain gradient and
+parameter gradient into the arrays of a workspace dict, with ``matmul(...,
+out=)``, in-place ufuncs and ``sum(axis=0, out=)``. A training run passes
+one workspace to every step, so a warm step allocates none of them; without
+one, each call computes into a fresh workspace.
 """
 
 from __future__ import annotations
@@ -92,13 +98,15 @@ class BinnParams:
 
 @dataclasses.dataclass
 class BinnActivations:
-    """Everything ``forward`` computes, kept for the backward pass."""
+    """Everything ``forward`` computes, kept for the backward pass, plus one
+    scratch array per layer of the same (B, n_t) shape."""
 
     x_t: list
     fwd: list
     bwd: list
     a: list
     p: list
+    tmp: list
 
 
 # Both gate vectors start here so the two directions begin evenly mixed.
@@ -174,18 +182,20 @@ def sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.reciprocal(out, out=out)
 
 
-def cross_entropy(a: np.ndarray, p: np.ndarray, z: np.ndarray) -> float:
+def cross_entropy(a: np.ndarray, p: np.ndarray, z: np.ndarray, out=None) -> float:
     """Summed sigmoid cross entropy from logits ``a``, their sigmoid ``p``
     and 0/1 targets ``z``.
 
     Uses softplus(a) = max(a, 0) + log(1 + exp(-|a|)) and
     1 / (1 + exp(-|a|)) = max(p, 1 - p), so the loss reuses the sigmoid the
-    caller already has and stays finite when p saturates at 0 or 1.
+    caller already has and stays finite when p saturates at 0 or 1. The
+    elementwise terms go into ``out``, an array of ``a``'s shape, when given.
     """
-    q = np.subtract(1.0, p)
+    q = np.subtract(1.0, p, out=out)
     np.maximum(q, p, out=q)
     np.log(q, out=q)
-    return float(np.maximum(a, 0.0).sum() - q.sum() - np.vdot(z, a))
+    log_term = q.sum()
+    return float(np.maximum(a, 0.0, out=q).sum() - log_term - np.vdot(z, a))
 
 
 def _as_batch(params, x) -> np.ndarray:
@@ -198,38 +208,61 @@ def _as_batch(params, x) -> np.ndarray:
     return x
 
 
-def forward(params: BinnParams, x) -> BinnActivations:
+def _buffer(work: dict, key, shape: tuple, dtype) -> np.ndarray:
+    """The workspace array ``work[key]``, or its leading ``shape[0]`` rows if
+    it has more; made anew (and kept) when it is missing or cannot hold
+    ``shape``."""
+    buf = work.get(key)
+    if buf is None or buf.dtype != dtype or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+        buf = work[key] = np.empty(shape, dtype)
+    return buf if len(buf) == shape[0] else buf[: shape[0]]
+
+
+def _layer_rows(params: BinnParams, work: dict, key: str, rows: int) -> list:
+    """One (rows, n_t) workspace array per layer, stored under (key, t)."""
+    return [_buffer(work, (key, t), (rows, n), params.dtype) for t, n in enumerate(params.sizes)]
+
+
+def forward(params: BinnParams, x, work: dict | None = None) -> BinnActivations:
     """Run both chains over a batch (B, D); a (D,) vector is a batch of one.
 
-    Every activation is (B, n_t). Raises NumericError as soon as any layer
-    produces a non-finite value.
+    Every activation is (B, n_t), written into the leading B rows of the
+    arrays of ``work``, a dict that a training loop keeps across calls so
+    that no step allocates them again; a later call with the same ``work``
+    overwrites them. With ``work`` None a fresh workspace is used. Raises
+    NumericError as soon as any layer produces a non-finite value.
     """
     xb = _as_batch(params, x)
+    work = {} if work is None else work
     m = params.num_layers
-    x_t = [xb @ params.proj_w[t].T + params.proj_b[t] for t in range(m)]
-    fwd: list = [None] * m
+    x_t, fwd, bwd, a, p, tmp = (
+        _layer_rows(params, work, key, len(xb)) for key in ("x_t", "fwd", "bwd", "a", "p", "tmp")
+    )
     for t in range(m):
-        pre = x_t[t] @ params.fwd_h[t].T + params.fwd_b[t]
+        np.matmul(xb, params.proj_w[t].T, out=x_t[t])
+        x_t[t] += params.proj_b[t]
+    for t in range(m):
+        np.matmul(x_t[t], params.fwd_h[t].T, out=fwd[t])
+        fwd[t] += params.fwd_b[t]
         if t > 0:
-            pre = pre + fwd[t - 1] @ params.fwd_v[t].T
-        fwd[t] = pre
-    bwd: list = [None] * m
+            fwd[t] += np.matmul(fwd[t - 1], params.fwd_v[t].T, out=tmp[t])
     for t in range(m - 1, -1, -1):
-        pre = x_t[t] @ params.bwd_h[t].T + params.bwd_b[t]
+        np.matmul(x_t[t], params.bwd_h[t].T, out=bwd[t])
+        bwd[t] += params.bwd_b[t]
         if t < m - 1:
-            pre = pre + bwd[t + 1] @ params.bwd_v[t].T
-        bwd[t] = pre
-    a = [
-        params.agg_fwd_u[t] * fwd[t] + params.agg_bwd_u[t] * bwd[t] + params.agg_b[t]
-        for t in range(m)
-    ]
+            bwd[t] += np.matmul(bwd[t + 1], params.bwd_v[t].T, out=tmp[t])
+    for t in range(m):
+        np.multiply(params.agg_fwd_u[t], fwd[t], out=a[t])
+        a[t] += np.multiply(params.agg_bwd_u[t], bwd[t], out=tmp[t])
+        a[t] += params.agg_b[t]
     # A non-finite fwd[t] or bwd[t] always makes a[t] non-finite (inf * 0
     # and inf - inf are nan), so checking a[t] alone covers the chains.
     for t in range(m):
         if not np.isfinite(a[t]).all():
             raise NumericError(f"non-finite activation in layer {t}")
-    p = [sigmoid(a[t]) for t in range(m)]
-    return BinnActivations(x_t=x_t, fwd=fwd, bwd=bwd, a=a, p=p)
+    for t in range(m):
+        sigmoid(a[t], out=p[t])
+    return BinnActivations(x_t=x_t, fwd=fwd, bwd=bwd, a=a, p=p, tmp=tmp)
 
 
 def _as_multi_hot(labels, shape, dtype) -> np.ndarray:
@@ -247,67 +280,83 @@ def loss(acts: BinnActivations, positives) -> float:
     layer's (B, n_t) activation shape.
     Computed by ``cross_entropy`` from the pre-activations and the
     probabilities ``forward`` already holds, so saturated sigmoids do not
-    produce infinities.
+    produce infinities; its terms go into the activations' scratch arrays.
     """
     if len(positives) != len(acts.a):
         raise ValueError(f"expected labels for {len(acts.a)} layers, got {len(positives)}")
     total = 0.0
-    for a_t, p_t, pos_t in zip(acts.a, acts.p, positives):
-        total += cross_entropy(a_t, p_t, _as_multi_hot(pos_t, a_t.shape, a_t.dtype))
+    for a_t, p_t, pos_t, tmp_t in zip(acts.a, acts.p, positives, acts.tmp):
+        total += cross_entropy(a_t, p_t, _as_multi_hot(pos_t, a_t.shape, a_t.dtype), out=tmp_t)
     return total
 
 
-def backward(params: BinnParams, x, positives) -> tuple[float, BinnParams]:
+def backward(
+    params: BinnParams, x, positives, work: dict | None = None
+) -> tuple[float, BinnParams]:
     """Loss and its exact parameter gradients for a batch (B, D) and its
     per-layer (B, n_t) multi-hot ``positives``, the gradients held in a
     BinnParams; a (D,) vector is a batch of one.
 
-    Gradients are sums over the batch, matching the summed loss.
+    Gradients are sums over the batch, matching the summed loss. Everything
+    is computed into ``work`` as in ``forward``, the gradients too: each goes
+    into ``work[name]``, ``name`` as in ``BinnParams.tensors()``, so a caller
+    may put its own arrays there for them. The gradients returned are those
+    arrays, overwritten by the next call with the same ``work``.
     """
     xb = _as_batch(params, x)
     m = params.num_layers
     if len(positives) != m:
         raise ValueError(f"expected labels for {m} layers, got {len(positives)}")
-    acts = forward(params, xb)
+    work = {} if work is None else work
+    acts = forward(params, xb, work)
     z = [_as_multi_hot(positives[t], acts.a[t].shape, params.dtype) for t in range(m)]
     loss_value = loss(acts, z)
-    g_a = [acts.p[t] - z[t] for t in range(m)]
+    # p is needed no more: it becomes the logits' gradient p - z.
+    g_a = [np.subtract(acts.p[t], z[t], out=acts.p[t]) for t in range(m)]
+    g_fwd = _layer_rows(params, work, "g_fwd", len(xb))
+    g_bwd = _layer_rows(params, work, "g_bwd", len(xb))
+    tmp = acts.tmp
 
     # Chain gradients: forward chain feeds later layers, so walk it backward;
     # the backward chain feeds earlier layers, so walk it forward.
-    g_fwd: list = [None] * m
     for t in range(m - 1, -1, -1):
-        g = g_a[t] * params.agg_fwd_u[t]
+        np.multiply(g_a[t], params.agg_fwd_u[t], out=g_fwd[t])
         if t < m - 1:
-            g = g + g_fwd[t + 1] @ params.fwd_v[t + 1]
-        g_fwd[t] = g
-    g_bwd: list = [None] * m
+            g_fwd[t] += np.matmul(g_fwd[t + 1], params.fwd_v[t + 1], out=tmp[t])
     for t in range(m):
-        g = g_a[t] * params.agg_bwd_u[t]
+        np.multiply(g_a[t], params.agg_bwd_u[t], out=g_bwd[t])
         if t > 0:
-            g = g + g_bwd[t - 1] @ params.bwd_v[t - 1]
-        g_bwd[t] = g
+            g_bwd[t] += np.matmul(g_bwd[t - 1], params.bwd_v[t - 1], out=tmp[t])
 
     grads = BinnParams(
         dim=params.dim,
         sizes=params.sizes,
         **{field: [None] * m for field in _TENSOR_FIELDS},
     )
+
+    def out(field: str, t: int) -> np.ndarray:
+        """The workspace array for the gradient of ``params.<field>[t]``."""
+        like = getattr(params, field)[t]
+        grad = getattr(grads, field)[t] = _buffer(work, f"{field}.{t}", like.shape, like.dtype)
+        return grad
+
     for t in range(m):
-        grads.agg_fwd_u[t] = (g_a[t] * acts.fwd[t]).sum(axis=0)
-        grads.agg_bwd_u[t] = (g_a[t] * acts.bwd[t]).sum(axis=0)
-        grads.agg_b[t] = g_a[t].sum(axis=0)
+        np.multiply(g_a[t], acts.fwd[t], out=tmp[t]).sum(axis=0, out=out("agg_fwd_u", t))
+        np.multiply(g_a[t], acts.bwd[t], out=tmp[t]).sum(axis=0, out=out("agg_bwd_u", t))
+        g_a[t].sum(axis=0, out=out("agg_b", t))
         if t > 0:
-            grads.fwd_v[t] = g_fwd[t].T @ acts.fwd[t - 1]
-        grads.fwd_h[t] = g_fwd[t].T @ acts.x_t[t]
-        grads.fwd_b[t] = g_fwd[t].sum(axis=0)
+            np.matmul(g_fwd[t].T, acts.fwd[t - 1], out=out("fwd_v", t))
+        np.matmul(g_fwd[t].T, acts.x_t[t], out=out("fwd_h", t))
+        g_fwd[t].sum(axis=0, out=out("fwd_b", t))
         if t < m - 1:
-            grads.bwd_v[t] = g_bwd[t].T @ acts.bwd[t + 1]
-        grads.bwd_h[t] = g_bwd[t].T @ acts.x_t[t]
-        grads.bwd_b[t] = g_bwd[t].sum(axis=0)
-        g_x_t = g_fwd[t] @ params.fwd_h[t] + g_bwd[t] @ params.bwd_h[t]
-        grads.proj_w[t] = g_x_t.T @ xb
-        grads.proj_b[t] = g_x_t.sum(axis=0)
+            np.matmul(g_bwd[t].T, acts.bwd[t + 1], out=out("bwd_v", t))
+        np.matmul(g_bwd[t].T, acts.x_t[t], out=out("bwd_h", t))
+        g_bwd[t].sum(axis=0, out=out("bwd_b", t))
+        # a is needed no more either: it holds the gradient of x_t.
+        g_x_t = np.matmul(g_fwd[t], params.fwd_h[t], out=acts.a[t])
+        g_x_t += np.matmul(g_bwd[t], params.bwd_h[t], out=tmp[t])
+        np.matmul(g_x_t.T, xb, out=out("proj_w", t))
+        g_x_t.sum(axis=0, out=out("proj_b", t))
     return loss_value, grads
 
 
@@ -320,8 +369,8 @@ def init(hierarchy, dim: int, seed: int | None) -> BinnParams:
     return init_params(hierarchy.sizes, dim, seed, dtype=np.float32)
 
 
-def train_grads(params: BinnParams, x, targets) -> tuple[float, dict]:
-    loss_value, grads = backward(params, x, targets)
+def train_grads(params: BinnParams, x, targets, work: dict | None = None) -> tuple[float, dict]:
+    loss_value, grads = backward(params, x, targets, work)
     return loss_value, grads.tensors()
 
 

@@ -277,18 +277,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_out(path, is_dir: bool) -> None:
-    """Fail before any work on an ``--out`` that cannot be written: an output
-    directory (``is_dir``) may be missing, but its nearest existing path must
-    be a directory; an output file's directory must exist, and it must not be
-    a directory."""
+def _check_out(path, is_dir: bool, flag: str = "--out") -> None:
+    """Fail before any work on an output path, given as ``flag``, that cannot
+    be written: an output directory (``is_dir``) may be missing, but its
+    nearest existing path must be a directory; an output file's directory
+    must exist, and it must not be a directory."""
     head = os.path.abspath(path)
     while is_dir and not os.path.exists(head):
         head = os.path.dirname(head)
     if not os.path.isdir(os.path.dirname(head)):
-        raise ValueError(f"--out {path}: directory {os.path.dirname(head)} does not exist")
+        raise ValueError(f"{flag} {path}: directory {os.path.dirname(head)} does not exist")
     if os.path.isdir(head) != is_dir:
-        raise ValueError(f"--out {path}: {head} is {'not ' if is_dir else ''}a directory")
+        raise ValueError(f"{flag} {path}: {head} is {'not ' if is_dir else ''}a directory")
 
 
 def cmd_synth(args) -> int:
@@ -458,6 +458,8 @@ def cmd_train(args) -> int:
     if args.vocab is None or args.train is None:
         raise UsageError("train requires --vocab and --train")
     _check_out(args.out, is_dir=False)
+    if args.log:
+        _check_out(args.log, is_dir=False, flag="--log")
     resume = None
     if args.resume is None:
         cfg = _config_from_args(RunConfig, args)
@@ -510,6 +512,12 @@ def cmd_train(args) -> int:
     try:
         n = len(shard)
         steps_per_epoch = math.ceil(n / cfg.batch_size)
+        # Arrays every step reuses, a short last batch their leading rows:
+        # per-layer targets, and the family's workspace, whose gradients are
+        # the Adam state's own gradient arrays so adam_step copies none.
+        rows = min(cfg.batch_size, n)
+        target_bufs = [np.empty((rows, size), np.float32) for size in hierarchy.sizes]
+        work = dict(adam.g)
         step = adam.step
         while step < cfg.iters:
             epoch, skip = divmod(step, steps_per_epoch)
@@ -519,10 +527,10 @@ def cmd_train(args) -> int:
                 if step >= cfg.iters:
                     break
                 targets = [
-                    labels.multi_hot(idx, size)
-                    for labels, size in zip(shard.labels, hierarchy.sizes)
+                    labels.multi_hot(idx, size, out=buf[: len(idx)])
+                    for labels, size, buf in zip(shard.labels, hierarchy.sizes, target_bufs)
                 ]
-                loss_value, grad_tensors = family.train_grads(params, x_all[idx], targets)
+                loss_value, grad_tensors = family.train_grads(params, x_all[idx], targets, work)
                 if not math.isfinite(loss_value):
                     raise binn.NumericError(f"non-finite loss at step {step}")
                 if step % cfg.log_every == 0:

@@ -321,13 +321,18 @@ class CsrLabels:
         counts = self.indptr[rows + 1] - starts
         return counts, self.indices[_spans(starts, counts)]
 
-    def multi_hot(self, rows: np.ndarray, size: int) -> np.ndarray:
+    def multi_hot(self, rows: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
         """Float32 (len(rows), size) 0/1 targets of the records ``rows``, in
-        the dtype of the feature columns."""
+        the dtype of the feature columns; written into ``out``, a float32
+        array of that shape, when given."""
         counts, labels = self.gather(rows)
-        z = np.zeros((len(rows), size), np.float32)
-        z[np.repeat(np.arange(len(rows)), counts), labels] = 1.0
-        return z
+        if out is None:
+            out = np.empty((len(rows), size), np.float32)
+        elif out.shape != (len(rows), size) or out.dtype != np.float32:
+            raise ValueError(f"out must be a float32 array of shape {(len(rows), size)}")
+        out.fill(0.0)
+        out[np.repeat(np.arange(len(rows)), counts), labels] = 1.0
+        return out
 
 
 def _label_columns(layer_counts, label_counts, values) -> list:

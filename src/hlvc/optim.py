@@ -2,14 +2,18 @@
 
 Parameters and gradients travel as flat name-to-array dicts (the models'
 ``tensors()`` views), so the optimizer never knows model structure. Updates
-happen in place, in each parameter's dtype; moments are plain arrays of that
-dtype on the state so checkpoints can carry them and training can resume bit
-for bit.
+happen in place, in each parameter's dtype. The state packs the moments of
+all tensors of one dtype, in name order, into one flat array each for m and
+v, with a gradient and a work array of the same length; ``m[name]`` and
+``v[name]`` are views of them shaped like the tensor, so checkpoints can
+carry the moments by name and training can resume bit for bit. One update
+then runs the Adam arithmetic once per dtype over the flat arrays.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -20,12 +24,29 @@ EPS = 1e-8
 
 
 @dataclasses.dataclass
+class _Flat:
+    """One dtype's packed state: the tensor names in order, and the flat
+    moments, gradient and work arrays, ``size`` long."""
+
+    names: list
+    m: np.ndarray
+    v: np.ndarray
+    g: np.ndarray
+    work: np.ndarray
+
+
+@dataclasses.dataclass
 class AdamState:
     """First/second moment estimates plus the schedule configuration.
 
     ``step`` counts completed updates. The learning rate for the next update
     is base_lr * decay_factor ** (step // decay_every); decay_every <= 0
     disables the schedule.
+
+    The ``m`` and ``v`` arrays given are copied into flat arrays per dtype
+    when the state is built; afterwards ``m[name]``, ``v[name]`` and
+    ``g[name]`` are views of those, and writing into them in place (as a
+    restore does) writes the state.
     """
 
     base_lr: float
@@ -35,9 +56,36 @@ class AdamState:
     step: int = 0
     m: dict = dataclasses.field(default_factory=dict)
     v: dict = dataclasses.field(default_factory=dict)
-    # Two flat work arrays per dtype, as long as the largest tensor, built on
-    # the first update; each tensor's update runs in views of them.
-    scratch: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
+    # Each tensor's slice of its dtype's flat gradient array. ``adam_step``
+    # copies each gradient in, unless it is this very array: a caller may
+    # compute gradients straight into these.
+    g: dict = dataclasses.field(init=False, repr=False, compare=False)
+    flat: dict = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if set(self.m) != set(self.v):
+            raise ValueError("first and second moments name different tensors")
+        given_m, given_v = self.m, self.v
+        groups: dict = {}
+        for name in sorted(given_m):
+            m, v = np.asarray(given_m[name]), np.asarray(given_v[name])
+            if m.shape != v.shape or m.dtype != v.dtype:
+                raise ValueError(f"moments of {name} differ in shape or dtype")
+            groups.setdefault(m.dtype, []).append(name)
+        self.m, self.v, self.g, self.flat = {}, {}, {}, {}
+        for dtype, names in groups.items():
+            shapes = [np.shape(given_m[name]) for name in names]
+            size = sum(math.prod(shape) for shape in shapes)
+            flat = self.flat[dtype] = _Flat(names, *(np.empty(size, dtype) for _ in range(4)))
+            start = 0
+            for name, shape in zip(names, shapes):
+                stop = start + math.prod(shape)
+                self.m[name], self.v[name], self.g[name] = (
+                    arr[start:stop].reshape(shape) for arr in (flat.m, flat.v, flat.g)
+                )
+                self.m[name][...] = given_m[name]
+                self.v[name][...] = given_v[name]
+                start = stop
 
 
 def init_adam(
@@ -51,17 +99,19 @@ def init_adam(
     """Fresh state with zero moments shaped like the given tensors, in their dtypes."""
     if base_lr <= 0:
         raise ValueError(f"base_lr must be positive, got {base_lr}")
-    state = AdamState(
+    # Read-only zero views, which take no memory; the state copies them in.
+    zeros = {}
+    for name, tensor in tensors.items():
+        arr = np.asarray(tensor)
+        zeros[name] = np.broadcast_to(np.zeros((), arr.dtype), arr.shape)
+    return AdamState(
         base_lr=base_lr,
         weight_decay=weight_decay,
         decay_factor=decay_factor,
         decay_every=decay_every,
+        m=zeros,
+        v=zeros,
     )
-    for name in sorted(tensors):
-        arr = np.asarray(tensors[name])
-        state.m[name] = np.zeros_like(arr)
-        state.v[name] = np.zeros_like(arr)
-    return state
 
 
 def current_lr(state: AdamState) -> float:
@@ -79,61 +129,58 @@ def adam_step(state: AdamState, tensors, grads) -> float:
     weight_decay * param is subtracted alongside the Adam direction rather
     than being folded into the gradient.
 
-    Each tensor is updated in its own dtype, gradients cast to it. The
-    arithmetic writes into the moments, the tensor and two scratch arrays
-    instead of temporaries, and rounds the same operations in the same
-    order as the expression ``param -= lr * ((m / c1) / (sqrt(v / c2) + EPS)
-    + weight_decay * param)``.
+    The gradients are copied into the state's flat gradient arrays, cast to
+    each tensor's dtype, and checked to be finite before any tensor changes.
+    The arithmetic then runs once per dtype over the flat arrays, writing
+    into the moments, the gradient array (which becomes the step) and the
+    work array instead of temporaries; each tensor subtracts its slice of
+    the step. It rounds the same operations in the same order as the
+    expression ``param -= lr * ((m / c1) / (sqrt(v / c2) + EPS) +
+    weight_decay * param)``.
     """
     if set(tensors) != set(state.m):
         missing = sorted(set(state.m) - set(tensors))
         extra = sorted(set(tensors) - set(state.m))
         raise ValueError(f"tensor names mismatch: missing {missing}, extra {extra}")
+    for name in sorted(tensors):
+        grad, into = grads[name], state.g[name]
+        if grad is into:
+            continue
+        if np.shape(grad) != into.shape:
+            raise ValueError(
+                f"gradient for {name} has shape {np.shape(grad)}, expected {into.shape}"
+            )
+        into[...] = grad
+    # isfinite writes into the work array's bytes, read as bools, so the
+    # check allocates nothing.
+    flats = state.flat.values()
+    if not all(np.isfinite(f.g, out=f.work.view(np.bool_)[: f.g.size]).all() for f in flats):
+        bad = next(name for name in sorted(state.g) if not np.isfinite(state.g[name]).all())
+        raise FloatingPointError(f"non-finite gradient for {bad}")
     lr = current_lr(state)
     t = state.step + 1
     c1 = 1.0 - BETA1**t
     c2 = 1.0 - BETA2**t
-    for name in sorted(tensors):
-        param = tensors[name]
-        grad = np.asarray(grads[name], dtype=param.dtype)
-        if grad.shape != param.shape:
-            raise ValueError(
-                f"gradient for {name} has shape {grad.shape}, expected {param.shape}"
-            )
-        if not np.isfinite(grad).all():
-            raise FloatingPointError(f"non-finite gradient for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        s1, s2 = (buf[: param.size].reshape(param.shape) for buf in _scratch(state, param))
+    for flat in flats:
+        m, v, g, work = flat.m, flat.v, flat.g, flat.work
         m *= BETA1
-        np.multiply(1.0 - BETA1, grad, out=s1)
-        m += s1
+        m += np.multiply(1.0 - BETA1, g, out=work)
         v *= BETA2
-        np.multiply(1.0 - BETA2, grad, out=s1)
-        s1 *= grad
-        v += s1
-        np.divide(v, c2, out=s1)
-        np.sqrt(s1, out=s1)
-        s1 += EPS
-        np.divide(m, c1, out=s2)
-        s2 /= s1
+        np.multiply(1.0 - BETA2, g, out=work)
+        work *= g
+        v += work
+        np.divide(v, c2, out=work)
+        np.sqrt(work, out=work)
+        work += EPS
+        np.divide(m, c1, out=g)
+        g /= work
         if state.weight_decay:
-            np.multiply(state.weight_decay, param, out=s1)
-            s2 += s1
-        s2 *= lr
-        param -= s2
+            np.concatenate([tensors[name].reshape(-1) for name in flat.names], out=work)
+            work *= state.weight_decay
+            g += work
+        g *= lr
+        for name in flat.names:
+            param = tensors[name]
+            param -= state.g[name]
     state.step = t
     return lr
-
-
-def _scratch(state: AdamState, param: np.ndarray) -> tuple:
-    """The state's two work arrays for ``param``'s dtype, grown to fit it."""
-    bufs = state.scratch.get(param.dtype)
-    if bufs is None or bufs[0].size < param.size:
-        same = [m.size for m in state.m.values() if m.dtype == param.dtype]
-        largest = max([param.size] + same)
-        bufs = state.scratch[param.dtype] = (
-            np.empty(largest, param.dtype),
-            np.empty(largest, param.dtype),
-        )
-    return bufs

@@ -1,9 +1,9 @@
 """The Adam update as a plain numpy expression, kept as the bitwise reference.
 
-``optim.adam_step`` writes the same arithmetic into preallocated arrays; on
-float64 state it must give results bitwise identical to this function. The
-update is spelled out once with temporaries, rounding each operation in the
-documented order.
+``optim.adam_step`` writes the same arithmetic into preallocated flat arrays;
+in every dtype it must give results bitwise identical to this function. The
+update is spelled out once per tensor with temporaries, in the tensor's
+dtype, rounding each operation in the documented order.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ def reference_adam_step(state, tensors, grads) -> float:
     c2 = 1.0 - BETA2**t
     for name in sorted(tensors):
         param = tensors[name]
-        grad = np.asarray(grads[name], dtype=np.float64)
+        grad = np.asarray(grads[name], dtype=param.dtype)
         m = state.m[name]
         v = state.v[name]
         m *= BETA1

@@ -842,9 +842,9 @@ class TestFloat32:
         family = cli.MODELS["binn"]
         real = family.train_grads
 
-        def spy(params, x, targets):
+        def spy(params, x, targets, work):
             seen.append((params.dtype, x.dtype, {z.dtype for z in targets}))
-            return real(params, x, targets)
+            return real(params, x, targets, work)
 
         monkeypatch.setattr(family, "train_grads", spy)
         out = tmp_path / "f.ckpt"
@@ -1337,6 +1337,24 @@ def test_unwritable_out_fails_before_any_work(perfect_setup, tmp_path, capsys, m
     assert captured.err.startswith(f"data error: --out {out}: ")
     assert ".tmp" not in captured.err and "step=" not in captured.out
     assert reads == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("log", ["nodir/t.log", "adir"])
+def test_unwritable_log_fails_before_any_work(perfect_setup, tmp_path, capsys, monkeypatch, log):
+    vocab, shard, _ = perfect_setup
+    (tmp_path / "adir").mkdir()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    calls = []
+    monkeypatch.setattr(cli, "read_shard", lambda *a, **k: calls.append("read_shard"))
+    monkeypatch.setattr(cli, "_fit_normalizer", lambda *a, **k: calls.append("fit"))
+    log = str(tmp_path / log)
+    assert main(["train", "--vocab", str(vocab), "--train", str(shard), "--model", "binn",
+                 "--iters", "5", "--out", str(tmp_path / "m.ckpt"), "--log", log]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: --log {log}: ")
+    assert "step=" not in captured.out
+    assert calls == []
     assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 

@@ -12,6 +12,7 @@ from hlvc.data import (
     CHECKPOINT_MAGIC,
     SHARD_MAGIC,
     CheckpointError,
+    CsrLabels,
     ShardChecksumError,
     ShardError,
     ShardFormatError,
@@ -398,6 +399,20 @@ class TestColumnarDecode:
 class TestColumnarDecodeInTinyChunks(TestColumnarDecode):
     """The decoder cases again, the file read in tiny chunks; the late-audio
     case widens the feature block."""
+
+
+def test_multi_hot_into_a_reused_buffer():
+    # Records 1 and 3 have no labels in this layer.
+    labels = CsrLabels(np.array([0, 2, 2, 3, 3, 5]), np.array([0, 4, 2, 1, 3]))
+    buf = np.full((4, 5), 7.0, np.float32)
+    for rows in ([4, 0, 1, 2], [2, 1], [3], [1, 3], [0, 1, 2, 3]):
+        rows = np.array(rows)
+        got = labels.multi_hot(rows, 5, out=buf[: len(rows)])
+        assert np.shares_memory(got, buf)
+        np.testing.assert_array_equal(got, labels.multi_hot(rows, 5), strict=True)
+    for bad in (buf[:3], buf[:4, :4], buf.astype(np.float64)):
+        with pytest.raises(ValueError, match="float32 array of shape"):
+            labels.multi_hot(np.arange(4), 5, out=bad)
 
 
 class TestReadMemory:

@@ -161,8 +161,87 @@ class TestInPlaceUpdate:
             assert live[name].dtype == np.float32
             assert state.m[name].dtype == state.v[name].dtype == np.float32
             np.testing.assert_allclose(live[name], wide[name], rtol=1e-5, atol=1e-6)
-        assert set(state.scratch) == {np.dtype(np.float32)}
-        assert all(buf.size == 63 for buf in state.scratch[np.dtype(np.float32)])
+        # One flat float32 array per kind, 63 + 9 + 1 + 0 elements long.
+        assert set(state.flat) == {np.dtype(np.float32)}
+        flat = state.flat[np.dtype(np.float32)]
+        assert all(buf.size == 73 and buf.dtype == np.float32
+                   for buf in (flat.m, flat.v, flat.g, flat.work))
+
+
+class TestFlatState:
+    @staticmethod
+    def tensors(rng):
+        # float32 and float64 tensors interleaved in name order, with a 0-d
+        # and an empty one.
+        shapes = {"a": ((4, 3), np.float32), "b": ((5,), np.float64), "c": ((), np.float32),
+                  "d": ((2, 2), np.float64), "e": ((0, 2), np.float32), "f": ((6,), np.float32)}
+        return {k: rng.normal(size=s).astype(dt) for k, (s, dt) in shapes.items()}
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_mixed_dtypes_bitwise_equal_to_reference(self, weight_decay):
+        rng = np.random.default_rng(5)
+        live = self.tensors(rng)
+        ref = {k: v.copy() for k, v in live.items()}
+        kw = dict(weight_decay=weight_decay, decay_factor=0.5, decay_every=4)
+        state, ref_state = init_adam(live, 0.01, **kw), init_adam(ref, 0.01, **kw)
+        assert set(state.flat) == {np.dtype(np.float32), np.dtype(np.float64)}
+        for _ in range(12):
+            # float64 gradients for every tensor, cast to each one's dtype
+            grads = {k: rng.normal(scale=10.0, size=v.shape) for k, v in live.items()}
+            assert adam_step(state, live, grads) == reference_adam_step(ref_state, ref, grads)
+            for name in live:
+                for got, want in ((live, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+                    assert got[name].dtype == live[name].dtype
+                    assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_gradients_in_the_state_arrays_are_used_in_place(self):
+        rng = np.random.default_rng(6)
+        live = self.tensors(rng)
+        other = {k: v.copy() for k, v in live.items()}
+        state, other_state = init_adam(live, 0.01), init_adam(other, 0.01)
+        for _ in range(5):
+            grads = {k: rng.normal(size=v.shape).astype(v.dtype) for k, v in live.items()}
+            for name, grad in grads.items():
+                state.g[name][...] = grad
+            adam_step(state, live, state.g)
+            adam_step(other_state, other, grads)
+            for name in live:
+                assert live[name].tobytes() == other[name].tobytes()
+
+    def test_state_from_separate_arrays_is_packed_and_continues_bitwise(self):
+        rng = np.random.default_rng(7)
+        grads_seq = [{k: rng.normal(size=v.shape) for k, v in self.tensors(rng).items()}
+                     for _ in range(10)]
+        full = self.tensors(np.random.default_rng(8))
+        half = {k: v.copy() for k, v in full.items()}
+        kw = dict(weight_decay=0.1, decay_factor=0.5, decay_every=3)
+        s_full, s_half = init_adam(full, 0.02, **kw), init_adam(half, 0.02, **kw)
+        for i, grads in enumerate(grads_seq):
+            adam_step(s_full, full, grads)
+            if i < 4:
+                adam_step(s_half, half, grads)
+        resumed = AdamState(
+            base_lr=0.02, step=s_half.step, **kw,
+            m={k: v.copy() for k, v in s_half.m.items()},
+            v={k: v.copy() for k, v in s_half.v.items()},
+        )
+        for dtype, flat in resumed.flat.items():
+            for name in flat.names:
+                assert resumed.m[name].dtype == dtype
+                assert resumed.m[name].base is flat.m and resumed.v[name].base is flat.v
+        for grads in grads_seq[4:]:
+            adam_step(resumed, half, grads)
+        for name in full:
+            assert half[name].tobytes() == full[name].tobytes()
+            assert resumed.m[name].tobytes() == s_full.m[name].tobytes()
+
+    def test_moments_must_pair_up(self):
+        with pytest.raises(ValueError):
+            AdamState(base_lr=0.1, m={"w": np.zeros(2)}, v={})
+        with pytest.raises(ValueError):
+            AdamState(base_lr=0.1, m={"w": np.zeros(2)}, v={"w": np.zeros(3)})
+        with pytest.raises(ValueError):
+            AdamState(base_lr=0.1, m={"w": np.zeros(2)}, v={"w": np.zeros(2, np.float32)})
 
 
 class TestValidation:
@@ -187,6 +266,16 @@ class TestValidation:
             adam_step(state, p, {"w": np.array([1.0, np.nan])})
         with pytest.raises(FloatingPointError):
             adam_step(state, p, {"w": np.array([np.inf, 0.0])})
+
+    def test_nonfinite_gradient_names_the_first_bad_tensor(self):
+        p = {"a": np.zeros(2, np.float32), "b": np.zeros(3), "c": np.zeros(1, np.float32)}
+        state = init_adam(p, 0.1)
+        grads = {"a": np.ones(2), "b": np.array([0.0, np.nan, 1.0]), "c": np.array([np.inf])}
+        with pytest.raises(FloatingPointError, match="non-finite gradient for b$"):
+            adam_step(state, p, grads)
+        # Nothing moved: the gradients are checked before any update.
+        assert state.step == 0 and not any(t.any() for t in p.values())
+        assert not any(m.any() for m in state.m.values())
 
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
