@@ -12,7 +12,9 @@ import dataclasses
 
 import numpy as np
 
-from .binn import NumericError, _as_batch, _as_multi_hot, cross_entropy, sigmoid
+from .binn import (
+    NumericError, _all_finite, _as_batch, _as_multi_hot, _buffer, cross_entropy, sigmoid,
+)
 
 
 @dataclasses.dataclass
@@ -52,9 +54,13 @@ def init_params(n_classes: int, dim: int, dtype=np.float64) -> LogRegParams:
     return LogRegParams(np.zeros((n_classes, dim + 1), dtype))
 
 
-def _with_bias(params: LogRegParams, x) -> np.ndarray:
+def _with_bias(params: LogRegParams, x, work: dict | None = None) -> np.ndarray:
+    """The batch with a column of ones appended, in ``work["xb"]``."""
     x = _as_batch(params, x)
-    return np.concatenate([x, np.ones((x.shape[0], 1), x.dtype)], axis=1)
+    xb = _buffer({} if work is None else work, "xb", (len(x), params.dim + 1), params.dtype)
+    xb[:, :-1] = x
+    xb[:, -1] = 1.0
+    return xb
 
 
 def predict(params: LogRegParams, x) -> np.ndarray:
@@ -68,7 +74,7 @@ def predict(params: LogRegParams, x) -> np.ndarray:
 
 
 def loss_grad(
-    params: LogRegParams, x, positives, l2_penalty: float = 0.0
+    params: LogRegParams, x, positives, l2_penalty: float = 0.0, work: dict | None = None
 ) -> tuple[float, np.ndarray]:
     """Summed cross entropy and its exact gradient in one pass.
 
@@ -76,16 +82,24 @@ def loss_grad(
     ``positives`` its float or bool (B, C) multi-hot labels; loss and
     gradient are sums over samples. The optional L2 penalty (l2_penalty / 2
     * sum of squared weights) leaves the bias column unpenalized.
+
+    As in ``binn.backward``, everything is computed into the arrays of
+    ``work``, which a training loop keeps across calls, the gradient into
+    ``work["weights"]``; a later call with the same ``work`` overwrites
+    them. With ``work`` None a fresh workspace is used.
     """
-    xb = _with_bias(params, x)
-    y = _as_multi_hot(positives, (xb.shape[0], params.num_classes), xb.dtype)
-    z = xb @ params.weights.T
-    if not np.isfinite(z).all():
+    work = {} if work is None else work
+    xb = _with_bias(params, x, work)
+    shape = (len(xb), params.num_classes)
+    y = _as_multi_hot(positives, shape, xb.dtype)
+    z, p, tmp = (_buffer(work, key, shape, xb.dtype) for key in ("z", "p", "tmp"))
+    np.matmul(xb, params.weights.T, out=z)
+    if not _all_finite(z, tmp):
         raise NumericError("non-finite logistic scores")
-    p = sigmoid(z)
-    value = cross_entropy(z, p, y)
+    sigmoid(z, out=p)
+    value = cross_entropy(z, p, y, out=tmp)
     p -= y
-    grad = p.T @ xb
+    grad = np.matmul(p.T, xb, out=_buffer(work, "weights", params.weights.shape, xb.dtype))
     if l2_penalty:
         value += 0.5 * l2_penalty * float((params.weights[:, :-1] ** 2).sum())
         grad[:, :-1] += l2_penalty * params.weights[:, :-1]
@@ -103,9 +117,9 @@ def init(hierarchy, dim: int, seed: int | None) -> LogRegParams:
 
 
 def train_grads(params: LogRegParams, x, targets, work: dict | None = None) -> tuple[float, dict]:
-    """``work``, the caller's per-run workspace, goes unused: the gradient
-    is one product."""
-    value, grad = loss_grad(params, x, targets[-1])
+    """The gradient goes into ``work["weights"]``, so a caller may put its
+    own array there (see ``loss_grad``)."""
+    value, grad = loss_grad(params, x, targets[-1], work=work)
     return value, {"weights": grad}
 
 

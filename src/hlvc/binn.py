@@ -99,8 +99,10 @@ class BinnParams:
 @dataclasses.dataclass
 class BinnActivations:
     """Everything ``forward`` computes, kept for the backward pass, plus one
-    scratch array per layer of the same (B, n_t) shape."""
+    scratch array per layer of the same (B, n_t) shape. ``x`` is the batch
+    it ran on, as a checked (B, D) array in the parameters' dtype."""
 
+    x: np.ndarray
     x_t: list
     fwd: list
     bwd: list
@@ -208,6 +210,14 @@ def _as_batch(params, x) -> np.ndarray:
     return x
 
 
+def _all_finite(a: np.ndarray, scratch: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite. The check's bools go into the
+    bytes of ``scratch``, a contiguous array at least as large, so it
+    allocates nothing."""
+    mask = scratch.reshape(-1).view(np.bool_)[: a.size].reshape(a.shape)
+    return bool(np.isfinite(a, out=mask).all())
+
+
 def _buffer(work: dict, key, shape: tuple, dtype) -> np.ndarray:
     """The workspace array ``work[key]``, or its leading ``shape[0]`` rows if
     it has more; made anew (and kept) when it is missing or cannot hold
@@ -256,13 +266,14 @@ def forward(params: BinnParams, x, work: dict | None = None) -> BinnActivations:
         a[t] += np.multiply(params.agg_bwd_u[t], bwd[t], out=tmp[t])
         a[t] += params.agg_b[t]
     # A non-finite fwd[t] or bwd[t] always makes a[t] non-finite (inf * 0
-    # and inf - inf are nan), so checking a[t] alone covers the chains.
+    # and inf - inf are nan), so checking a[t] alone covers the chains; tmp[t]
+    # is free until the loss.
     for t in range(m):
-        if not np.isfinite(a[t]).all():
+        if not _all_finite(a[t], tmp[t]):
             raise NumericError(f"non-finite activation in layer {t}")
     for t in range(m):
         sigmoid(a[t], out=p[t])
-    return BinnActivations(x_t=x_t, fwd=fwd, bwd=bwd, a=a, p=p, tmp=tmp)
+    return BinnActivations(x=xb, x_t=x_t, fwd=fwd, bwd=bwd, a=a, p=p, tmp=tmp)
 
 
 def _as_multi_hot(labels, shape, dtype) -> np.ndarray:
@@ -303,12 +314,12 @@ def backward(
     may put its own arrays there for them. The gradients returned are those
     arrays, overwritten by the next call with the same ``work``.
     """
-    xb = _as_batch(params, x)
     m = params.num_layers
     if len(positives) != m:
         raise ValueError(f"expected labels for {m} layers, got {len(positives)}")
     work = {} if work is None else work
-    acts = forward(params, xb, work)
+    acts = forward(params, x, work)
+    xb = acts.x
     z = [_as_multi_hot(positives[t], acts.a[t].shape, params.dtype) for t in range(m)]
     loss_value = loss(acts, z)
     # p is needed no more: it becomes the logits' gradient p - z.

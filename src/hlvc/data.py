@@ -1,26 +1,23 @@
 """Dataset records, binary shard and checkpoint files, batching, synthesis.
 
-Shard layout (all integers little-endian)::
+Shard layout, version 2 (all integers little-endian)::
 
     magic   b"HLVS"
     version u16
-    count   u64
-    records:
-        id_len u16, id bytes (UTF-8)
-        layer_count u8
-        per layer: label_count u16, label_count * u32 indices
-        feature_kind u8   (bit 0: frame features present instead of pooled,
-                           bit 1: audio vector appended)
-        pooled:  dim u32, dim * f32
-        frames:  dim u32, frame_count u32, frame_count * dim * f32
-        audio:   dim u32, dim * f32   (only when bit 1 is set)
+    count N u64, feature dim D u32, audio dim Da u32, label layers L u32,
+            zero bytes up to offset 64
+    block   N * (D + Da) f32   (row-major, at offset 64)
+    kinds   N u8   (bit 0: frame features stored instead of pooled,
+                    bit 1: audio columns carried)
+    layers  N u8   (number of label layers of each record)
+    per label layer: indptr (N + 1) u64, then indptr[N] * u32 indices
+    id offsets (N + 1) u64, then the UTF-8 id bytes
+    frame offsets (N + 1) u64, then frame_offsets[N] * D f32 frames
     crc32   u32 over every byte after the 6-byte magic+version header
 
-``read_shard`` decodes a shard, a chunk of the file at a time, into columns
-(a ``Shard``): one float32 block of features, per-layer labels as compressed
-sparse rows, and the video ids. Iterating a ``Shard`` builds its
-``VideoRecord``s one at a time, so ``write_shard`` can copy a shard without
-holding its records.
+Record i's labels in a layer, its id and its frames span its offsets i to
+i + 1 in those sections. ``read_shard`` reads the sections into the columns
+of a ``Shard``, which ``write_shard`` writes back section by section.
 
 Checkpoints share the framing with magic b"HLVC": step u64, a JSON config
 blob, then a tensor directory of named float arrays (dtype byte 0 = f32,
@@ -31,7 +28,6 @@ along under reserved "norm." tensor names plus a "normalizer" config entry.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -45,12 +41,17 @@ from .features import BLOCK_ROWS, NormalizerStats, mean_pool
 from .hierarchy import LabelHierarchy, ConceptLayer
 
 SHARD_MAGIC = b"HLVS"
-SHARD_VERSION = 1
+SHARD_VERSION = 2
 CHECKPOINT_MAGIC = b"HLVC"
 CHECKPOINT_VERSION = 1
 
 _KIND_FRAMES = 1
 _KIND_AUDIO = 2
+
+# A shard's count and dims after its magic and version; its feature block
+# starts at byte 64, after zero padding.
+_SHARD_HEAD = "<QIII"
+_BLOCK_OFFSET = 64
 
 _NORM_PREFIX = "norm."
 
@@ -141,46 +142,312 @@ def video_feature(record: VideoRecord, include_audio: bool = False) -> np.ndarra
     return base
 
 
-def _encode_record(rec: VideoRecord) -> bytes:
-    out = bytearray()
-    id_bytes = rec.video_id.encode("utf-8")
-    if len(id_bytes) > 0xFFFF:
-        raise ValueError(f"video id too long: {len(id_bytes)} bytes")
-    out += struct.pack("<H", len(id_bytes))
-    out += id_bytes
-    if len(rec.labels) > 0xFF:
-        raise ValueError(f"too many label layers: {len(rec.labels)}")
-    out += struct.pack("<B", len(rec.labels))
-    for layer in rec.labels:
-        if layer.size > 0xFFFF:
-            raise ValueError(f"too many labels in one layer: {layer.size}")
-        if layer.size and (layer[0] < 0 or layer[-1] > 0xFFFFFFFF):
-            raise ValueError("label index out of u32 range")
-        out += struct.pack("<H", layer.size)
-        out += layer.astype("<u4").tobytes()
-    kind = 0
-    if rec.frames is not None:
-        kind |= _KIND_FRAMES
-    if rec.audio is not None:
-        kind |= _KIND_AUDIO
-    out += struct.pack("<B", kind)
-    if rec.frames is not None:
-        t, d = rec.frames.shape
-        out += struct.pack("<II", d, t)
-        out += rec.frames.astype("<f4").tobytes()
-    else:
-        out += struct.pack("<I", rec.pooled.shape[0])
-        out += rec.pooled.astype("<f4").tobytes()
-    if rec.audio is not None:
-        out += struct.pack("<I", rec.audio.shape[0])
-        out += rec.audio.astype("<f4").tobytes()
-    return bytes(out)
+@dataclasses.dataclass(frozen=True, eq=False)
+class CsrLabels:
+    """One label layer of a shard as compressed sparse rows: record i's
+    sorted, unique int64 labels are ``indices[indptr[i] : indptr[i + 1]]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def row(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The label counts of the records ``rows`` and their labels end to end."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        return counts, self.indices[np.repeat(starts - ends + counts, counts) + np.arange(total)]
+
+    def multi_hot(self, rows: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Float32 (len(rows), size) 0/1 targets of the records ``rows``, in
+        the dtype of the feature columns; written into ``out``, a float32
+        array of that shape, when given."""
+        counts, labels = self.gather(rows)
+        if out is None:
+            out = np.empty((len(rows), size), np.float32)
+        elif out.shape != (len(rows), size) or out.dtype != np.float32:
+            raise ValueError(f"out must be a float32 array of shape {(len(rows), size)}")
+        out.fill(0.0)
+        out[np.repeat(np.arange(len(rows)), counts), labels] = 1.0
+        return out
+
+
+@dataclasses.dataclass(eq=False, repr=False)
+class Shard:
+    """A decoded shard in columns.
+
+    Columns, one row per record in file order:
+
+    - ``video_ids``: list of N strings;
+    - ``layer_counts``: (N,) number of label layers of each record;
+    - ``labels``: one CsrLabels per layer position;
+    - ``block``: (N, D + Da) float32, the only copy of the features: the
+      ``dim`` = D pooled columns, then the Da audio columns. A frame
+      record's pooled columns hold its mean pool rounded to float32; its
+      frames are ``frames[row]``, kept only to build its record.
+      ``has_audio`` marks the rows that carry audio (the others' audio
+      columns are 0).
+
+    ``crc32`` is the file's checksum, which names the data it holds; it is
+    None for the columns ``write_shard`` gathers from a list of records.
+
+    Iterating builds one VideoRecord per row, in file order, and keeps none;
+    each holds copies, so editing one leaves the columns as read. A shard
+    equals another shard, or a list of records, whose records equal its own
+    pair by pair.
+
+    ``features`` hands out a view of ``block`` that the caller may overwrite
+    in place, which consumes the shard: its features and records raise from
+    then on, and only the ids, labels and checksum remain readable.
+    """
+
+    video_ids: list
+    layer_counts: np.ndarray
+    labels: list
+    block: np.ndarray
+    dim: int
+    frames: dict
+    has_audio: np.ndarray
+    crc32: int | None
+    _consumed: bool = dataclasses.field(default=False, init=False)
+
+    def _unconsumed(self) -> None:
+        if self._consumed:
+            raise RuntimeError("the shard's features were handed out to be overwritten in place")
+
+    def __len__(self) -> int:
+        return len(self.video_ids)
+
+    def __iter__(self):
+        self._unconsumed()
+        return map(self._record, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Shard, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def _record(self, r: int) -> VideoRecord:
+        frames = self.frames.get(r)
+        return VideoRecord(
+            self.video_ids[r],
+            [layer.row(r) for layer in self.labels[: self.layer_counts[r]]],
+            pooled=None if frames is not None else self.block[r, : self.dim].copy(),
+            frames=None if frames is None else frames.copy(),
+            audio=self.block[r, self.dim :].copy() if self.has_audio[r] else None,
+        )
+
+    def features(self, include_audio: bool = False) -> np.ndarray:
+        """The float32 (N, D) feature columns of ``block``, then its Da audio
+        columns when ``include_audio``, as a view that consumes the shard;
+        row i equals ``video_feature`` of record i. Every record must have
+        audio when it is included, and every row must be finite.
+
+        The finiteness check sums each row in float64, which no sum of
+        finite float32 values overflows, so a row is finite exactly when its
+        sum is.
+        """
+        self._unconsumed()
+        if include_audio:
+            missing = np.flatnonzero(~self.has_audio)
+            if missing.size:
+                raise ValueError(f"record {self.video_ids[missing[0]]!r} has no audio features")
+        x = self.block if include_audio else self.block[:, : self.dim]
+        bad = np.flatnonzero(~np.isfinite(x.sum(axis=1, dtype=np.float64)))
+        if bad.size:
+            raise ValueError(f"record {self.video_ids[bad[0]]!r} has non-finite features")
+        self._consumed = True
+        return x
 
 
 def write_shard(path, records) -> None:
-    """Write records (a list or a ``Shard``) to a shard file with a trailing checksum."""
-    chunks = itertools.chain([struct.pack("<Q", len(records))], map(_encode_record, records))
-    _write_file(path, SHARD_MAGIC, SHARD_VERSION, chunks)
+    """Write records (a list or a ``Shard``) to a shard file with a trailing
+    checksum. A list is first gathered into ``Shard`` columns, so its records
+    must share one feature dim and one audio dim."""
+    shard = records if isinstance(records, Shard) else _to_columns(records)
+    _write_file(path, SHARD_MAGIC, SHARD_VERSION, _shard_sections(shard))
+
+
+def _to_columns(records) -> Shard:
+    """The records of a list as the columns of a ``Shard`` that no file holds yet."""
+    dims = {}
+    for rec in records:
+        features = rec.pooled if rec.frames is None else rec.frames[0]
+        for field, values in (("feature", features), ("audio", rec.audio)):
+            if values is not None and dims.setdefault(field, values.size) != values.size:
+                raise ValueError(f"record {rec.video_id!r} has {field} dim {values.size}, "
+                                 f"the records before it have {dims[field]}")
+        if len(rec.labels) > 0xFF:
+            raise ValueError(f"record {rec.video_id!r} has too many label layers: {len(rec.labels)}")
+    dim = dims.get("feature", 0)
+    block = np.zeros((len(records), dim + dims.get("audio", 0)), np.float32)
+    for row, rec in zip(block, records):
+        row[:dim] = rec.pooled if rec.frames is None else mean_pool(rec.frames)
+        if rec.audio is not None:
+            row[dim:] = rec.audio
+    layer_counts = np.array([len(rec.labels) for rec in records], np.int64)
+    labels = []
+    for t in range(int(layer_counts.max(initial=0))):
+        rows = [rec.labels[t] if t < len(rec.labels) else np.zeros(0, np.int64) for rec in records]
+        indices = np.concatenate(rows)
+        if indices.size and (indices.min() < 0 or indices.max() > 0xFFFFFFFF):
+            raise ValueError(f"label index out of u32 range in layer {t}")
+        labels.append(CsrLabels(_offsets([row.size for row in rows]), indices))
+    frames = {i: rec.frames for i, rec in enumerate(records) if rec.frames is not None}
+    has_audio = np.array([rec.audio is not None for rec in records], bool)
+    ids = [rec.video_id for rec in records]
+    return Shard(ids, layer_counts, labels, block, dim, frames, has_audio, crc32=None)
+
+
+def _shard_sections(shard: Shard):
+    """A shard file's body as byte chunks, one section or block of ids at a
+    time. Offsets go out as int64 arrays: not negative, they have the bits
+    of the file's u64 values."""
+    shard._unconsumed()
+    n, width = shard.block.shape
+    head = struct.pack(_SHARD_HEAD, n, shard.dim, width - shard.dim, len(shard.labels))
+    yield head + bytes(_BLOCK_OFFSET - _HEADER - len(head))
+    yield np.ascontiguousarray(shard.block, "<f4")
+    frame_rows = sorted(shard.frames)
+    kinds = shard.has_audio.astype(np.uint8) * _KIND_AUDIO
+    kinds[frame_rows] |= _KIND_FRAMES
+    yield kinds
+    yield shard.layer_counts.astype(np.uint8)
+    for layer in shard.labels:
+        yield np.ascontiguousarray(layer.indptr, "<i8")
+        yield layer.indices.astype("<u4")
+    lengths = np.fromiter(map(len, map(str.encode, shard.video_ids)), np.int64, n)
+    if lengths.max(initial=0) > 0xFFFF:
+        raise ValueError(f"video id too long: {lengths.max()} bytes")
+    yield _offsets(lengths)
+    for lo in range(0, n, BLOCK_ROWS):
+        yield "".join(shard.video_ids[lo : lo + BLOCK_ROWS]).encode("utf-8")
+    lengths = np.zeros(n, np.int64)
+    lengths[frame_rows] = [len(shard.frames[row]) for row in frame_rows]
+    yield _offsets(lengths)
+    for row in frame_rows:
+        yield np.ascontiguousarray(shard.frames[row], "<f4")
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """The N + 1 int64 offsets of spans of the given ``lengths``, from 0."""
+    offsets = np.zeros(len(lengths) + 1, "<i8")
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def read_shard(path) -> Shard:
+    """Read a shard into columns; magic, version, truncation, and checksum
+    failures raise distinct error types.
+
+    Each section is one bounded read into its own array: one that runs past
+    the end of the file is truncation, raised before allocating. Sections
+    are checked vectorized before the checksum, a malformed one being a
+    format error that names the first bad record. Beyond the columns, the
+    read holds at most the id section, while it decodes the ids.
+    """
+    video_ids = []
+
+    def fail(i: int, problem: str):
+        name = f" {video_ids[i]!r}" if i < len(video_ids) else ""
+        raise ShardFormatError(f"{path}: record {i}{name} {problem}")
+
+    def check(bad: np.ndarray, problem: str) -> None:  # fail at the first bad row
+        if bad.any():
+            fail(int(bad.argmax()), problem)
+
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        _check_header(path, fh.read(_HEADER), size, SHARD_MAGIC, SHARD_VERSION,
+                      ShardFormatError, ShardTruncatedError)
+        cur = _Stream(fh, _HEADER, size - 4, lambda msg: ShardTruncatedError(f"{path}: {msg}"))
+        n, dim, audio_dim, layers = cur.unpack(_SHARD_HEAD)
+        cur.take(_BLOCK_OFFSET - cur.off)
+        block = cur.array(n * (dim + audio_dim), "<f4")
+        kinds = cur.array(n, np.uint8)
+        # Shaped only now: n is bounded by the file once its kinds are read.
+        block = block.reshape(n, dim + audio_dim)
+        layer_counts = cur.array(n, np.uint8).astype(np.int64)
+        csr = []
+        for _ in range(layers):
+            indptr = cur.array(n + 1, "<u8")
+            csr.append((indptr, cur.array(int(indptr[-1]), "<u4").astype(np.int64)))
+        offsets = cur.array(n + 1, "<u8")
+        blob = cur.take(int(offsets[-1]))
+        _check_offsets(check, offsets, "video id")
+        _decode_ids(video_ids, fail, blob, offsets)
+        del blob
+        offsets = cur.array(n + 1, "<u8")
+        frames = cur.array(int(offsets[-1]) * dim, "<f4").reshape(int(offsets[-1]), dim)
+        # At least 4 bytes follow the body, so this reads a full u32.
+        (stored,) = struct.unpack("<I", fh.read(4))
+
+    check(kinds > 3, "has an unknown feature kind")
+    check(layer_counts > layers, f"has more label layers than the {layers} the shard stores")
+    labels = []
+    for t, (indptr, indices) in enumerate(csr):
+        _check_offsets(check, indptr, f"layer {t} label")
+        check((layer_counts <= t) & (indptr[1:] > indptr[:-1]),
+              f"has labels in layer {t}, past its layer count")
+        labels.append(_sorted_rows(indptr.view(np.int64), indices))
+    _check_offsets(check, offsets, "frame")
+    framed = (kinds & _KIND_FRAMES).astype(bool)
+    empty = offsets[1:] == offsets[:-1]
+    check(framed & empty, "has zero frames")
+    check(~framed & ~empty, "has frames but a pooled feature kind")
+    _check_end(path, cur.off, cur.end, stored, cur.crc, ShardFormatError, ShardChecksumError)
+
+    # A frame row's features are its mean pool, whatever the block holds
+    # there, and a row without audio has zeros in the audio columns.
+    rows = np.flatnonzero(framed)
+    by_row = {}
+    for row, lo, hi in zip(rows.tolist(), offsets[rows].tolist(), offsets[rows + 1].tolist()):
+        by_row[row] = frames[lo:hi]
+        block[row, :dim] = mean_pool(by_row[row])
+    has_audio = (kinds & _KIND_AUDIO).astype(bool)
+    np.copyto(block[:, dim:], 0.0, where=~has_audio[:, None])
+    return Shard(video_ids, layer_counts, labels, block, dim, by_row, has_audio, stored)
+
+
+def _check_offsets(check, offsets: np.ndarray, what: str) -> None:
+    """Record i's span of a section runs from ``offsets[i]`` to
+    ``offsets[i + 1]``: the spans must start at 0, not run backward, and
+    end inside the section, which ends at the last offset."""
+    bad = (offsets[1:] < offsets[:-1]) | (offsets[1:] > offsets[-1]) | (offsets[0] != 0)
+    check(bad if bad.size else offsets != 0,
+          f"has {what} offsets that do not start at 0, run backward or end past the section")
+
+
+def _decode_ids(ids: list, fail, blob: bytes, offsets: np.ndarray) -> None:
+    """Append the UTF-8 video ids ``blob[offsets[i] : offsets[i + 1]]`` to
+    ``ids`` as strings, their offsets turned into Python ints ``BLOCK_ROWS``
+    at a time."""
+    for lo in range(0, len(offsets) - 1, BLOCK_ROWS):
+        bounds = offsets[lo : lo + BLOCK_ROWS + 1].tolist()
+        for i, (start, end) in enumerate(zip(bounds, bounds[1:]), lo):
+            try:
+                ids.append(blob[start:end].decode("utf-8"))
+            except UnicodeDecodeError:
+                fail(i, "has an undecodable video id")
+
+
+def _sorted_rows(indptr: np.ndarray, indices: np.ndarray) -> CsrLabels:
+    """One label layer as CsrLabels. Labels are written strictly increasing
+    in each row; a row that is not gets the sort and de-duplication that
+    VideoRecord applies."""
+    # rising[j]: label j exceeds label j - 1, or starts a row.
+    rising = np.ones(indices.size + 1, bool)
+    np.greater(indices[1:], indices[:-1], out=rising[1:-1])
+    rising[indptr[:-1]] = True
+    if rising.all():
+        return CsrLabels(indptr, indices)
+    counts = np.diff(indptr)
+    keys = np.unique(np.repeat(np.arange(counts.size, dtype=np.int64), counts) << 32 | indices)
+    counts = np.bincount(keys >> 32, minlength=counts.size)
+    return CsrLabels(_offsets(counts), keys & 0xFFFFFFFF)
 
 
 def _write_file(path, magic: bytes, version: int, chunks) -> None:
@@ -202,14 +469,14 @@ def _write_file(path, magic: bytes, version: int, chunks) -> None:
 # Bytes of magic and u16 version before a file's body.
 _HEADER = 6
 
-# Bytes read from a file at a time. A shard record longer than this is read
-# whole, so the read buffer holds at most one chunk plus one record.
+# Bytes read at a time when skipping over a checkpoint's tensors.
 CHUNK_BYTES = 1 << 20
 
 
 class _Stream:
     """Bounds-checked reader of a file's body, front to back, that folds every
-    byte it reads into a running CRC32; overruns raise truncation.
+    byte it reads into a running CRC32; an overrun raises ``error`` of a
+    message, a truncation error.
 
     ``array`` reads straight into a new array, so the file is never held in
     memory as a whole.
@@ -276,427 +543,9 @@ def _check_header(
 def _check_end(path, off: int, end: int, stored: int, actual: int, fmt_error, crc_error) -> None:
     """A parsed body must end where the checksum starts, and the checksum match."""
     if off != end:
-        raise fmt_error(f"{path}: {end - off} trailing bytes after last record")
+        raise fmt_error(f"{path}: {end - off} trailing bytes before the checksum")
     if stored != actual:
         raise crc_error(f"{path}: checksum mismatch (stored {stored:#x}, computed {actual:#x})")
-
-
-def _spans(starts: np.ndarray, lengths: np.ndarray, step: int = 1) -> np.ndarray:
-    """Positions ``starts[j] + step * k`` for k < ``lengths[j]``, for every j, in order."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    return np.repeat(starts - step * (ends - lengths), lengths) + step * np.arange(total)
-
-
-def _gather(buf: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bytes of ``buf`` at each of ``offsets``, one row each."""
-    if not offsets.size:
-        return np.empty((0, width), np.uint8)
-    return np.lib.stride_tricks.sliding_window_view(buf, width)[offsets]
-
-
-def _copy_rows(dest: np.ndarray, rows: np.ndarray, buf: np.ndarray, offsets: np.ndarray) -> None:
-    """Set each row ``dest[rows[j]]`` to the float32 values stored in ``buf``
-    at ``offsets[j]``, ``BLOCK_ROWS`` rows at a time, so no more than a block
-    of rows is gathered on its way."""
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        part = slice(lo, lo + BLOCK_ROWS)
-        dest[rows[part]] = _gather(buf, offsets[part], 4 * dest.shape[1]).view("<f4")
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class CsrLabels:
-    """One label layer of a shard as compressed sparse rows: record i's
-    sorted, unique int64 labels are ``indices[indptr[i] : indptr[i + 1]]``."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def row(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The label counts of the records ``rows`` and their labels end to end."""
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        return counts, self.indices[_spans(starts, counts)]
-
-    def multi_hot(self, rows: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Float32 (len(rows), size) 0/1 targets of the records ``rows``, in
-        the dtype of the feature columns; written into ``out``, a float32
-        array of that shape, when given."""
-        counts, labels = self.gather(rows)
-        if out is None:
-            out = np.empty((len(rows), size), np.float32)
-        elif out.shape != (len(rows), size) or out.dtype != np.float32:
-            raise ValueError(f"out must be a float32 array of shape {(len(rows), size)}")
-        out.fill(0.0)
-        out[np.repeat(np.arange(len(rows)), counts), labels] = 1.0
-        return out
-
-
-def _label_columns(layer_counts, label_counts, values) -> list:
-    """One CsrLabels per layer position from the labels in file order.
-
-    ``label_counts`` has one entry per (record, layer) in file order and
-    ``values`` holds their labels end to end. A record without layer t has
-    no labels there. Labels are written strictly increasing; a row that is
-    not gets the sort and de-duplication that VideoRecord applies.
-    """
-    n = layer_counts.size
-    record = np.repeat(np.arange(n), layer_counts)
-    layer = np.arange(label_counts.size) - np.repeat(
-        np.cumsum(layer_counts) - layer_counts, layer_counts
-    )
-    starts = np.cumsum(label_counts) - label_counts
-    columns = []
-    for t in range(int(layer_counts.max(initial=0))):
-        here = layer == t
-        counts = np.zeros(n, dtype=np.int64)
-        counts[record[here]] = label_counts[here]
-        indices = values[_spans(starts[here], label_counts[here])]
-        # (record, label) keys rise strictly exactly when every row does.
-        keys = np.repeat(np.arange(n, dtype=np.int64), counts) << 32 | indices
-        if not (np.diff(keys) > 0).all():
-            keys = np.unique(keys)
-            indices = keys & 0xFFFFFFFF
-            counts = np.bincount(keys >> 32, minlength=n)
-        columns.append(CsrLabels(np.concatenate(([0], np.cumsum(counts))), indices))
-    return columns
-
-
-def _concat_labels(pieces: list) -> list:
-    """One CsrLabels per layer position from consecutive runs of records,
-    each a (record count, its ``_label_columns``) pair."""
-    columns = []
-    for t in range(max((len(cols) for _, cols in pieces), default=0)):
-        counts = [
-            np.diff(cols[t].indptr) if t < len(cols) else np.zeros(n, np.int64)
-            for n, cols in pieces
-        ]
-        indices = [cols[t].indices for _, cols in pieces if t < len(cols)]
-        columns.append(
-            CsrLabels(np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
-                      np.concatenate(indices))
-        )
-    return columns
-
-
-@dataclasses.dataclass(eq=False, repr=False)
-class Shard:
-    """A decoded shard in columns.
-
-    Columns, one row per record in file order:
-
-    - ``video_ids``: list of N strings;
-    - ``layer_counts``: (N,) number of label layers of each record;
-    - ``labels``: one CsrLabels per layer position;
-    - ``block``: (N, D + Da) float32, the only copy of the features: the
-      ``dim`` = D pooled columns, then the Da audio columns. A frame
-      record's pooled columns hold its mean pool rounded to float32; its
-      frames are ``frames[row]``, kept only to build its record.
-      ``has_audio`` marks the rows that carry audio (the others' audio
-      columns are 0).
-
-    ``crc32`` is the file's checksum, which names the data it holds.
-
-    Iterating builds one VideoRecord per row, in file order, and keeps none;
-    each holds copies, so editing one leaves the columns as read. A shard
-    equals another shard, or a list of records, whose records equal its own
-    pair by pair.
-
-    ``features`` hands out a view of ``block`` that the caller may overwrite
-    in place, which consumes the shard: its features and records raise from
-    then on, and only the ids, labels and checksum remain readable.
-    """
-
-    video_ids: list
-    layer_counts: np.ndarray
-    labels: list
-    block: np.ndarray
-    dim: int
-    frames: dict
-    has_audio: np.ndarray
-    crc32: int
-    _consumed: bool = dataclasses.field(default=False, init=False)
-
-    def _unconsumed(self) -> None:
-        if self._consumed:
-            raise RuntimeError("the shard's features were handed out to be overwritten in place")
-
-    def __len__(self) -> int:
-        return len(self.video_ids)
-
-    def __iter__(self):
-        self._unconsumed()
-        return map(self._record, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (Shard, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def _record(self, r: int) -> VideoRecord:
-        frames = self.frames.get(r)
-        return VideoRecord(
-            self.video_ids[r],
-            [layer.row(r) for layer in self.labels[: self.layer_counts[r]]],
-            pooled=None if frames is not None else self.block[r, : self.dim].copy(),
-            frames=None if frames is None else frames.copy(),
-            audio=self.block[r, self.dim :].copy() if self.has_audio[r] else None,
-        )
-
-    def features(self, include_audio: bool = False) -> np.ndarray:
-        """The float32 (N, D) feature columns of ``block``, then its Da audio
-        columns when ``include_audio``, as a view that consumes the shard;
-        row i equals ``video_feature`` of record i. Every record must have
-        audio when it is included, and every row must be finite.
-
-        The finiteness check sums each row in float64, which no sum of
-        finite float32 values overflows, so a row is finite exactly when its
-        sum is.
-        """
-        self._unconsumed()
-        if include_audio:
-            missing = np.flatnonzero(~self.has_audio)
-            if missing.size:
-                raise ValueError(f"record {self.video_ids[missing[0]]!r} has no audio features")
-        x = self.block if include_audio else self.block[:, : self.dim]
-        bad = np.flatnonzero(~np.isfinite(x.sum(axis=1, dtype=np.float64)))
-        if bad.size:
-            raise ValueError(f"record {self.video_ids[bad[0]]!r} has non-finite features")
-        self._consumed = True
-        return x
-
-
-_U16 = struct.Struct("<H").unpack_from
-_U32 = struct.Struct("<I").unpack_from
-_U32X2 = struct.Struct("<II").unpack_from
-_U64 = struct.Struct("<Q").unpack_from
-
-
-class _Short(Exception):
-    """A record runs past the bytes read so far."""
-
-
-class _ShardDecoder:
-    """The records of a shard, decoded chunk by chunk into Shard columns.
-
-    ``read`` reads the file a chunk at a time. ``decode`` unpacks the header
-    fields of the whole records at the front of a chunk, one record at a
-    time, then copies the chunk's pooled and audio payloads into their rows
-    of one (N, D + Da) float32 block and its labels into CsrLabels of those
-    rows. The block is allocated when the first chunk is decoded, with
-    audio columns if that chunk has audio, and widened once if audio first
-    appears in a later chunk.
-    """
-
-    def __init__(self, path, count: int, size: int):
-        self.path = path
-        self.count = count
-        self.size = size  # bytes of the records in the file
-        self.video_ids = []
-        self.layer_counts = []
-        self.labels = []  # (record count, _label_columns) per chunk
-        self.frames = {}
-        self.dim = self.audio_dim = -1
-        self.block = None
-        self.has_audio = None
-
-    def read(self, fh, pos: int, end: int, crc: int) -> tuple[int, int]:
-        """Read and decode the records that start at file offset ``pos``,
-        where ``fh`` stands; ``end`` is the offset of the checksum. Returns
-        the offset just past the last record and ``crc`` continued over the
-        bytes read.
-
-        Each read fills the buffer behind the bytes of the record that the
-        last chunk cut off; a record longer than the buffer grows it.
-        """
-        buf = np.empty(0, np.uint8)
-        filled = used = 0
-        while len(self.video_ids) < self.count:
-            tail = filled - used
-            if tail == len(buf):
-                buf = np.concatenate((buf, np.empty(min(CHUNK_BYTES, end - pos), np.uint8)))
-            else:
-                buf[:tail] = buf[used:filled]
-            n = min(len(buf) - tail, end - pos)
-            view = memoryview(buf)[tail : tail + n]
-            if fh.readinto(view) != n:
-                raise ShardTruncatedError(f"{self.path}: file ended before offset {pos + n}")
-            crc = zlib.crc32(view, crc)
-            pos += n
-            filled = tail + n
-            used = self.decode(buf[:filled], at_end=pos == end)
-        return pos - (filled - used), crc
-
-    def decode(self, buf: np.ndarray, at_end: bool) -> int:
-        """Decode the whole records at the front of ``buf`` and return the
-        bytes they take. With ``at_end``, ``buf`` holds every remaining
-        byte, so a record that runs past it is truncation."""
-        path, view, size = self.path, memoryview(buf), len(buf)
-        video_ids, layer_counts = self.video_ids, self.layer_counts
-        dim, audio_dim = self.dim, self.audio_dim
-        first = row = len(video_ids)
-        # Per (record, layer), the offset and count of its labels; per
-        # record, the offsets of its pooled and audio payloads, -1 if none.
-        label_starts, label_counts, pooled, audio = [], [], [], []
-        frames = {}
-        off = 0
-        try:
-            while row < self.count:
-                start = off
-                (n,) = _U16(view, off)
-                off += 2
-                if off + n > size:
-                    raise _Short
-                try:
-                    video_id = str(view[off : off + n], "utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ShardFormatError(f"{path}: undecodable video id: {exc}") from None
-                off += n
-                layers = view[off]
-                off += 1
-                for _ in range(layers):
-                    (n,) = _U16(view, off)
-                    label_starts.append(off + 2)
-                    label_counts.append(n)
-                    off += 2 + 4 * n
-                kind = view[off]
-                if kind > 3:
-                    raise ShardFormatError(f"{path}: unknown feature kind {kind}")
-                if kind & _KIND_FRAMES:
-                    d, t = _U32X2(view, off + 1)
-                    off += 9
-                    if t == 0:
-                        raise ShardFormatError(f"{path}: record {video_id!r} has zero frames")
-                    if off + 4 * d * t > size:
-                        raise _Short
-                    payload = -1
-                    frame_block = np.frombuffer(buf, "<f4", d * t, off).reshape(t, d)
-                    off += 4 * d * t
-                else:
-                    (d,) = _U32(view, off + 1)
-                    payload = off + 5
-                    off += 5 + 4 * d
-                if d != dim:
-                    if dim >= 0:
-                        raise ShardFormatError(
-                            f"{path}: record {video_id!r} has feature dim {d}, "
-                            f"the records before it have {dim}"
-                        )
-                    dim = d
-                sound = -1
-                if kind & _KIND_AUDIO:
-                    (da,) = _U32(view, off)
-                    if da != audio_dim:
-                        if audio_dim >= 0:
-                            raise ShardFormatError(
-                                f"{path}: record {video_id!r} has audio dim {da}, "
-                                f"the records before it have {audio_dim}"
-                            )
-                        audio_dim = da
-                    sound = off + 4
-                    off += 4 + 4 * da
-                if off > size:
-                    raise _Short
-                video_ids.append(video_id)
-                layer_counts.append(layers)
-                pooled.append(payload)
-                audio.append(sound)
-                if payload < 0:
-                    frames[row] = frame_block.copy()
-                row += 1
-        except (_Short, struct.error, IndexError, OverflowError):
-            if at_end:
-                raise ShardTruncatedError(
-                    f"{path}: record {row} runs past the end of the file"
-                ) from None
-            off = start
-            pairs = sum(layer_counts[first:])
-            del label_starts[pairs:], label_counts[pairs:]
-        self.dim, self.audio_dim = dim, audio_dim
-        if row > first:
-            counts = np.array(label_counts, np.int64)
-            values = _gather(buf, _spans(np.array(label_starts, np.int64), counts, 4), 4)
-            columns = _label_columns(
-                np.array(layer_counts[first:], np.int64),
-                counts,
-                values.view("<u4")[:, 0].astype(np.int64),
-            )
-            self.labels.append((row - first, columns))
-            self._store(buf, first, np.array(pooled, np.int64), np.array(audio, np.int64), frames)
-        return off
-
-    def _store(self, buf, first: int, pooled, audio, frames: dict) -> None:
-        """Copy the feature rows of records ``first`` onward into the block."""
-        dim = self.dim
-        width = dim + max(self.audio_dim, 0)
-        if self.block is None:
-            # Each record takes at least 8 + 4 * dim bytes, so a corrupt
-            # count asks for no more rows than the file can hold.
-            rows = min(self.count, self.size // (8 + 4 * dim))
-            self.block = np.zeros((rows, width), np.float32)
-            self.has_audio = np.zeros(rows, bool)
-        elif self.block.shape[1] < width:
-            block = np.zeros((len(self.block), width), np.float32)
-            block[:first, :dim] = self.block[:first]
-            self.block = block
-        here = self.block[first : first + len(pooled)]
-        rgb = np.flatnonzero(pooled >= 0)
-        _copy_rows(here[:, :dim], rgb, buf, pooled[rgb])
-        for row, frame_block in frames.items():
-            self.block[row, :dim] = mean_pool(frame_block)
-            self.frames[row] = frame_block
-        sound = audio >= 0
-        if sound.any():
-            rows = np.flatnonzero(sound)
-            _copy_rows(here[:, dim:], rows, buf, audio[rows])
-            self.has_audio[first : first + len(audio)] = sound
-
-    def shard(self, crc: int) -> Shard:
-        if self.block is None:
-            self.block, self.has_audio = np.zeros((0, 0), np.float32), np.zeros(0, bool)
-        return Shard(
-            self.video_ids,
-            np.array(self.layer_counts, np.int64),
-            _concat_labels(self.labels),
-            self.block,
-            max(self.dim, 0),
-            self.frames,
-            self.has_audio,
-            crc,
-        )
-
-
-def read_shard(path) -> Shard:
-    """Read a shard into columns; magic, version, truncation, and checksum
-    failures raise distinct error types, and so does a record whose feature
-    or audio dim differs from the first record's.
-
-    The file is read ``CHUNK_BYTES`` at a time and folded into the checksum
-    as it comes; each chunk's records are decoded into the columns before
-    the next chunk is read over it (``_ShardDecoder``). So besides the
-    columns it returns, reading holds one chunk (and a record it cut off),
-    that chunk's payload offsets, and a block of rows on its way into the
-    feature block.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        _check_header(
-            path, fh.read(_HEADER), size, SHARD_MAGIC, SHARD_VERSION,
-            ShardFormatError, ShardTruncatedError,
-        )
-        end = size - 4
-        if end < _HEADER + 8:
-            raise ShardTruncatedError(f"{path}: file too short for the record count")
-        head = fh.read(8)
-        decoder = _ShardDecoder(path, _U64(head)[0], end - _HEADER - 8)
-        parsed, crc = decoder.read(fh, _HEADER + 8, end, zlib.crc32(head))
-        fh.seek(end)
-        (stored,) = struct.unpack("<I", fh.read(4))
-    _check_end(path, parsed, end, stored, crc, ShardFormatError, ShardChecksumError)
-    return decoder.shard(crc)
 
 
 @dataclasses.dataclass

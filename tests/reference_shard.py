@@ -1,8 +1,9 @@
-"""Reference shard reader, kept deliberately record-at-a-time.
+"""Reference shard reader, kept deliberately one field at a time.
 
-The independent route for the decoder-equivalence tests: a bounds-checked
-cursor reads every header field with its own ``struct.unpack`` and builds one
-``VideoRecord`` per video, raising the same error types at the same point as
+The independent route for the reader-equivalence tests: a bounds-checked
+cursor reads every integer of the version-2 layout with its own
+``struct.unpack``, every feature row with its own slice, and builds one
+``VideoRecord`` per video, raising the same error types as
 ``hlvc.data.read_shard`` must. Slow but obviously correct.
 """
 
@@ -39,6 +40,17 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def ints(self, count: int, code: str) -> list:
+        return [self.unpack("<" + code)[0] for _ in range(count)]
+
+
+def _span(path, offsets: list, i: int) -> tuple[int, int]:
+    """Record i's span of a section, checked against the section's offsets."""
+    lo, hi = offsets[i], offsets[i + 1]
+    if offsets[0] != 0 or hi < lo or hi > offsets[-1]:
+        raise ShardFormatError(f"{path}: record {i} has a bad span")
+    return lo, hi
+
 
 def ref_read_shard(path) -> list:
     with open(path, "rb") as fh:
@@ -53,37 +65,55 @@ def ref_read_shard(path) -> list:
     if version != SHARD_VERSION:
         raise ShardFormatError(f"{path}: unsupported version {version}")
     cur = _Cursor(buf, 6, len(buf) - 4)
-    (count,) = cur.unpack("<Q")
+    count, dim, audio_dim, layers = cur.unpack("<QIII")
+    cur.take(64 - cur.off)
+    rows = [cur.take(4 * (dim + audio_dim)) for _ in range(count)]
+    kinds = cur.ints(count, "B")
+    layer_counts = cur.ints(count, "B")
+    label_layers = []
+    for _ in range(layers):
+        indptr = cur.ints(count + 1, "Q")
+        label_layers.append((indptr, cur.ints(indptr[-1], "I")))
+    id_offsets = cur.ints(count + 1, "Q")
+    id_bytes = cur.take(id_offsets[-1])
+    frame_offsets = cur.ints(count + 1, "Q")
+    frame_bytes = cur.take(4 * dim * frame_offsets[-1])
+
     records = []
-    for _ in range(count):
-        (id_len,) = cur.unpack("<H")
+    for i in range(count):
+        lo, hi = _span(path, id_offsets, i)
         try:
-            video_id = cur.take(id_len).decode("utf-8")
+            video_id = id_bytes[lo:hi].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ShardFormatError(f"{path}: undecodable video id: {exc}") from None
-        (layer_count,) = cur.unpack("<B")
-        labels = []
-        for _ in range(layer_count):
-            (n,) = cur.unpack("<H")
-            labels.append(struct.unpack(f"<{n}I", cur.take(4 * n)))
-        (kind,) = cur.unpack("<B")
+            raise ShardFormatError(f"{path}: record {i}: undecodable video id: {exc}") from None
+        kind = kinds[i]
         if kind > 3:
-            raise ShardFormatError(f"{path}: unknown feature kind {kind}")
+            raise ShardFormatError(f"{path}: record {video_id!r}: unknown feature kind {kind}")
+        if layer_counts[i] > layers:
+            raise ShardFormatError(f"{path}: record {video_id!r}: too many label layers")
+        labels = []
+        for t, (indptr, indices) in enumerate(label_layers):
+            lo, hi = _span(path, indptr, i)
+            if t < layer_counts[i]:
+                labels.append(indices[lo:hi])
+            elif hi > lo:
+                raise ShardFormatError(f"{path}: record {video_id!r}: labels past its layers")
+        lo, hi = _span(path, frame_offsets, i)
         pooled = frames = audio = None
         if kind & 1:
-            d, t = cur.unpack("<II")
-            if t == 0:
+            if hi == lo:
                 raise ShardFormatError(f"{path}: record {video_id!r} has zero frames")
-            frames = np.frombuffer(cur.take(4 * d * t), dtype="<f4").reshape(t, d).copy()
+            frame_block = frame_bytes[4 * dim * lo : 4 * dim * hi]
+            frames = np.frombuffer(frame_block, dtype="<f4").reshape(hi - lo, dim).copy()
+        elif hi > lo:
+            raise ShardFormatError(f"{path}: record {video_id!r}: frames of a pooled record")
         else:
-            (d,) = cur.unpack("<I")
-            pooled = np.frombuffer(cur.take(4 * d), dtype="<f4").copy()
+            pooled = np.frombuffer(rows[i][: 4 * dim], dtype="<f4").copy()
         if kind & 2:
-            (da,) = cur.unpack("<I")
-            audio = np.frombuffer(cur.take(4 * da), dtype="<f4").copy()
+            audio = np.frombuffer(rows[i][4 * dim :], dtype="<f4").copy()
         records.append(VideoRecord(video_id, labels, pooled=pooled, frames=frames, audio=audio))
     if cur.off != cur.end:
-        raise ShardFormatError(f"{path}: {cur.end - cur.off} trailing bytes after last record")
+        raise ShardFormatError(f"{path}: {cur.end - cur.off} trailing bytes")
     (stored,) = struct.unpack_from("<I", buf, cur.end)
     if stored != zlib.crc32(buf[6 : cur.end]):
         raise ShardChecksumError(f"{path}: checksum mismatch")

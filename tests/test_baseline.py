@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hlvc import baseline
+from hlvc import baseline, optim
 from hlvc.baseline import LogRegParams, NumericError
 
 
@@ -219,6 +221,52 @@ class TestFloat32:
 
         params = baseline.init(Hierarchy, 4, seed=0)
         assert params.weights.dtype == np.float32 and params.weights.shape == (3, 5)
+
+
+class TestWorkspace:
+    def test_gradient_goes_into_the_adam_state(self):
+        # Given the Adam state's gradient array in ``work``, train_grads
+        # writes the gradient there, with the bits of a fresh product, so
+        # adam_step has nothing to copy.
+        rng = np.random.default_rng(9)
+        params = baseline.init_params(30, 7, dtype=np.float32)
+        params.weights[...] = rng.normal(scale=0.3, size=params.weights.shape)
+        tensors = params.tensors()
+        state = optim.init_adam(tensors, 0.01)
+        work = dict(state.g)
+        for batch in (16, 5, 16):
+            x = rng.normal(size=(batch, 7)).astype(np.float32)
+            targets = [(rng.random((batch, 30)) < 0.2).astype(np.float32)]
+            _, want = baseline.loss_grad(params, x, targets[-1])
+            value, grads = baseline.train_grads(params, x, targets, work)
+            assert grads["weights"] is state.g["weights"] is work["weights"]
+            np.testing.assert_array_equal(grads["weights"], want, strict=True)
+            optim.adam_step(state, tensors, grads)
+        fresh = baseline.train_grads(params, x, targets)[1]["weights"]
+        assert fresh is not state.g["weights"]
+        np.testing.assert_array_equal(fresh, baseline.loss_grad(params, x, targets[-1])[1])
+
+    def test_warm_train_step_allocates_no_batch_array(self):
+        # With the workspace kept, a warm train_grads + adam_step at
+        # B = 256, 200 classes, D = 64 allocates less than one (B, C) float32
+        # array; computing the bias column, scores, probabilities and loss
+        # terms afresh peaked at 682 KB.
+        rng = np.random.default_rng(10)
+        params = baseline.init_params(200, 64, dtype=np.float32)
+        tensors = params.tensors()
+        state = optim.init_adam(tensors, 0.01, weight_decay=1e-8)
+        work = dict(state.g)
+        x = rng.normal(size=(256, 64)).astype(np.float32)
+        targets = [(rng.random((256, 200)) < 0.01).astype(np.float32)]
+        for _ in range(3):
+            optim.adam_step(state, tensors, baseline.train_grads(params, x, targets, work)[1])
+        tracemalloc.start()
+        try:
+            optim.adam_step(state, tensors, baseline.train_grads(params, x, targets, work)[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 200 * 4
 
 
 class TestParams:

@@ -624,18 +624,31 @@ class TestWorkspace:
         binn.backward(params, x, zs, {})
         assert calls == [3]
 
-    def test_warm_train_step_allocates_almost_nothing(self):
-        # At ``binn-train`` size (layers (25, 200), D = 64, B = 256) the
-        # allocating passes peaked at 2.86 MB of numpy allocations per step;
-        # with the workspace, the targets given and the gradients computed
-        # into the Adam state, a step stays under 256 KB.
-        sizes = (25, 200)
+    def test_backward_checks_its_batch_once(self, monkeypatch):
+        calls = []
+        real = binn._as_batch
+
+        def spy(params, x):
+            calls.append(x)
+            return real(params, x)
+
+        monkeypatch.setattr(binn, "_as_batch", spy)
+        params = binn.init_params((3, 5), 4, seed=36, dtype=np.float32)
+        x = np.ones((2, 4), np.float32)
+        zs = [np.zeros((2, n), np.float32) for n in params.sizes]
+        binn.backward(params, x, zs, {})
+        assert len(calls) == 1 and calls[0] is x
+
+    @staticmethod
+    def warm_step_peak(sizes, batch: int) -> int:
+        """The traced peak of one warm ``train_grads`` + ``adam_step``, with
+        the targets given and the gradients computed into the Adam state."""
         params = binn.init_params(sizes, 64, seed=35, dtype=np.float32)
         tensors = params.tensors()
         state = optim.init_adam(tensors, 0.01, weight_decay=1e-8)
         rng = np.random.default_rng(35)
-        x = rng.normal(size=(256, 64)).astype(np.float32)
-        zs = [z.astype(np.float32) for z in random_labels(rng, sizes, 256)]
+        x = rng.normal(size=(batch, 64)).astype(np.float32)
+        zs = [z.astype(np.float32) for z in random_labels(rng, sizes, batch)]
         work = dict(state.g)
 
         def step():
@@ -647,7 +660,19 @@ class TestWorkspace:
         tracemalloc.start()
         try:
             step()
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 1024
+
+    def test_warm_train_step_allocates_almost_nothing(self):
+        # At ``binn-train`` size (layers (25, 200), D = 64, B = 256) the
+        # allocating passes peaked at 2.86 MB of numpy allocations per step;
+        # with the workspace, a step stays under 256 KB.
+        assert self.warm_step_peak((25, 200), 256) < 256 * 1024
+
+    def test_warm_train_step_allocates_no_layer_mask(self):
+        # The finiteness check of each layer writes its (B, n_t) bools into
+        # the layer's scratch array, so a step allocates less than that mask
+        # of the widest layer (200 KB here); what is left is the input
+        # check's (B, D) mask and numpy's fixed-size ufunc buffers.
+        assert self.warm_step_peak((25, 200), 1024) < 1024 * 200

@@ -191,33 +191,6 @@ class TestExitCodes:
         assert "data error" in err and repr(records[2].video_id) in err
         assert "entities" in err and "video 2 " not in err
 
-    @pytest.mark.parametrize("field", ["pooled", "audio"])
-    def test_mixed_feature_dims_is_data_error_naming_video(self, dataset, tmp_path, capsys, field):
-        records = list(read_shard(dataset / "val.shard"))
-        records[7] = VideoRecord(
-            "odd_dims", records[7].labels,
-            pooled=records[7].pooled[: 5 if field == "pooled" else None],
-            audio=np.zeros(3 if field == "audio" else 2, np.float32),
-        )
-        for i in (0, 3):  # earlier records with 2-d audio
-            records[i].audio = np.zeros(2, np.float32)
-        bad = tmp_path / "mixed.shard"
-        write_shard(bad, records)
-        ckpt = tmp_path / "m.ckpt"
-        assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "5")) == 0
-        capsys.readouterr()
-        runs = [
-            ["train", "--vocab", str(dataset / "vocab.txt"), "--train", str(bad),
-             "--out", str(tmp_path / "o.ckpt"), "--model", "logreg", "--iters", "5"],
-            ["evaluate", "--ckpt", str(ckpt), "--vocab", str(dataset / "vocab.txt"),
-             "--shard", str(bad), "--out", str(tmp_path / "rep")],
-        ]
-        for argv in runs:
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert "data error" in err and "'odd_dims'" in err
-            assert ("audio dim" if field == "audio" else "feature dim") in err
-
     def test_missing_parents_warn_once_on_stderr(self, dataset, tmp_path, capsys):
         hierarchy = load_vocabulary(dataset / "vocab.txt")
         records = list(read_shard(dataset / "val.shard"))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -26,9 +27,9 @@ from hlvc.data import (
     synth_generate,
     video_feature,
     write_shard,
-    _encode_record,
     _poisson_rate_for_mean,
 )
+from hlvc.cli import main
 from hlvc.features import NormalizerStats, fit_pca_whitening, fit_znorm
 from reference_shard import ref_read_shard
 
@@ -173,7 +174,7 @@ class TestShardErrors:
         path = tmp_path / "corrupt.shard"
         write_shard(path, sample_records())
         raw = bytearray(path.read_bytes())
-        raw[-20] ^= 0xFF  # inside the last record's feature payload
+        raw[-20] ^= 0xFF  # inside the last record's frames
         path.write_bytes(bytes(raw))
         with pytest.raises(ShardChecksumError):
             read_shard(path)
@@ -186,53 +187,141 @@ class TestShardErrors:
             read_shard(path)
 
     def test_unknown_kind_byte(self, tmp_path):
-        # structure is parsed before the checksum, so a bad kind reports as
+        # structure is checked before the checksum, so a bad kind reports as
         # a format problem even though the crc is also stale
         path = tmp_path / "kind.shard"
         write_shard(path, [VideoRecord("a", [], pooled=np.zeros(2, np.float32))])
         raw = bytearray(path.read_bytes())
-        kind_off = 4 + 2 + 8 + 2 + 1 + 1  # magic, ver, count, id len, id, layers
+        kind_off = 64 + 2 * 4  # after the block, one 2-d row from byte 64
         assert raw[kind_off] == 0
         raw[kind_off] = 7
         path.write_bytes(bytes(raw))
-        with pytest.raises(ShardFormatError):
+        with pytest.raises(ShardFormatError, match="record 0 'a' has an unknown feature kind"):
             read_shard(path)
 
     def test_zero_frame_record_rejected(self, tmp_path):
-        body = struct.pack("<Q", 1)
-        body += struct.pack("<H", 1) + b"a" + struct.pack("<B", 0)
-        body += struct.pack("<B", 1) + struct.pack("<II", 2, 0)  # frames, d=2, t=0
-        raw = SHARD_MAGIC + struct.pack("<H", 1) + body + struct.pack("<I", zlib.crc32(body))
         path = tmp_path / "zero.shard"
-        path.write_bytes(raw)
-        with pytest.raises(ShardFormatError):
+        path.write_bytes(_raw_shard(1, 2, kinds=[1]))  # frames, none stored
+        with pytest.raises(ShardFormatError, match="record 0 'r0' has zero frames"):
             read_shard(path)
 
 
 @pytest.fixture
 def tiny_chunks(monkeypatch):
-    """Read shards 7 bytes at a time, so that every id, label list, pooled
-    row and frame block straddles a chunk edge."""
-    monkeypatch.setattr(data, "CHUNK_BYTES", 7)
+    """Encode and decode video ids 2 rows at a time, so that every
+    multi-record case crosses the edges of those blocks."""
+    monkeypatch.setattr(data, "BLOCK_ROWS", 2)
 
 
 @pytest.mark.usefixtures("tiny_chunks")
 class TestShardErrorsInTinyChunks(TestShardErrors):
-    """The error cases again, the file read in tiny chunks."""
+    """The error cases again, the ids coded in tiny blocks."""
 
 
-def _shard_bytes(records_body: list) -> bytes:
-    """A shard file from hand-encoded record bodies."""
-    body = struct.pack("<Q", len(records_body)) + b"".join(records_body)
-    return SHARD_MAGIC + struct.pack("<H", 1) + body + struct.pack("<I", zlib.crc32(body))
+def _csr(rows) -> tuple[list, list]:
+    """The (indptr, indices) of per-row label lists, kept as given."""
+    return [0, *itertools.accumulate(map(len, rows))], [label for row in rows for label in row]
 
 
-def _raw_record(video_id: str, layers, pooled) -> bytes:
-    """One pooled record with its label layers written exactly as given."""
-    out = struct.pack("<H", len(video_id)) + video_id.encode() + struct.pack("<B", len(layers))
-    for layer in layers:
-        out += struct.pack(f"<H{len(layer)}I", len(layer), *layer)
-    return out + struct.pack("<BI", 0, len(pooled)) + np.asarray(pooled, "<f4").tobytes()
+def _raw_shard(n, dim, audio_dim=0, *, block=None, kinds=None, layer_counts=None, labels=(),
+               layers=None, ids=None, id_offsets=None, frame_offsets=None, frames=()) -> bytes:
+    """A version-2 shard file, written one field at a time from its sections
+    exactly as given, with the checksum of its body. Sections not given hold
+    ``n`` pooled rows of zero features, the ids r0, r1, ..., and no frames;
+    ``labels`` holds an (indptr, indices) pair per layer, and every record
+    has all of them unless ``layer_counts`` says otherwise."""
+    block = np.zeros((n, dim + audio_dim)) if block is None else block
+    ids = [f"r{i}".encode() for i in range(n)] if ids is None else ids
+    if id_offsets is None:
+        id_offsets = [0, *itertools.accumulate(map(len, ids))]
+    body = struct.pack("<QIII", n, dim, audio_dim, len(labels) if layers is None else layers)
+    body += bytes(58 - len(body))
+    body += np.asarray(block, "<f4").tobytes()
+    body += bytes([0] * n if kinds is None else kinds)
+    body += bytes([len(labels)] * n if layer_counts is None else layer_counts)
+    for indptr, indices in labels:
+        body += struct.pack(f"<{len(indptr)}Q", *indptr)
+        body += struct.pack(f"<{len(indices)}I", *indices)
+    body += struct.pack(f"<{len(id_offsets)}Q", *id_offsets) + b"".join(ids)
+    frame_offsets = [0] * (n + 1) if frame_offsets is None else frame_offsets
+    body += struct.pack(f"<{len(frame_offsets)}Q", *frame_offsets)
+    body += np.asarray(frames, "<f4").tobytes()
+    return SHARD_MAGIC + struct.pack("<H", 2) + body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestMalformedSections:
+    """Each malformed section is a format error that names the first bad
+    record, by index and by its id once the ids decode; the reference
+    reader rejects the same files."""
+
+    @staticmethod
+    def assert_rejected(tmp_path, raw: bytes, match: str) -> None:
+        path = tmp_path / "bad.shard"
+        path.write_bytes(raw)
+        with pytest.raises(ShardFormatError, match=match):
+            read_shard(path)
+        with pytest.raises(ShardFormatError):
+            ref_read_shard(path)
+
+    @pytest.mark.parametrize("indptr, first", [
+        ([1, 1, 2, 3, 3], 0),  # does not start at 0
+        ([0, 1, 3, 2, 3], 2),  # runs backward at record 2
+        ([0, 1, 5, 1, 3], 1),  # record 1 ends past the indices
+    ], ids=["start", "backward", "past-the-end"])
+    def test_bad_indptr(self, tmp_path, indptr, first):
+        raw = _raw_shard(4, 2, labels=[(indptr, [0, 1, 2])])
+        self.assert_rejected(tmp_path, raw, f"record {first} 'r{first}' has layer 0 label offsets")
+
+    def test_unknown_kind(self, tmp_path):
+        raw = _raw_shard(3, 2, kinds=[0, 2, 4])
+        self.assert_rejected(tmp_path, raw, "record 2 'r2' has an unknown feature kind")
+
+    def test_zero_frame_row(self, tmp_path):
+        raw = _raw_shard(3, 2, kinds=[1, 1, 3], frame_offsets=[0, 2, 2, 3], frames=np.ones((3, 2)))
+        self.assert_rejected(tmp_path, raw, "record 1 'r1' has zero frames")
+
+    def test_frames_of_a_pooled_row(self, tmp_path):
+        raw = _raw_shard(2, 2, kinds=[1, 0], frame_offsets=[0, 1, 2], frames=np.ones((2, 2)))
+        self.assert_rejected(tmp_path, raw, "record 1 'r1' has frames but a pooled feature kind")
+
+    def test_undecodable_id(self, tmp_path):
+        raw = _raw_shard(3, 2, ids=[b"ok", "é".encode()[:1], b"\xff"])
+        self.assert_rejected(tmp_path, raw, "record 1 has an undecodable video id")
+
+    def test_id_split_inside_a_character(self, tmp_path):
+        # The id bytes decode as a whole, but not at record 0's end.
+        raw = _raw_shard(2, 2, ids=[b"a\xc3", b"\xa9"])
+        self.assert_rejected(tmp_path, raw, "record 0 has an undecodable video id")
+
+    def test_bad_id_offsets(self, tmp_path):
+        raw = _raw_shard(3, 2, ids=[b"abc"], id_offsets=[0, 2, 1, 3])
+        self.assert_rejected(tmp_path, raw, "record 1 has video id offsets")
+
+    def test_layer_count_above_the_stored_layers(self, tmp_path):
+        raw = _raw_shard(3, 2, labels=[_csr([[0], [1], [2]])], layer_counts=[1, 0, 2])
+        self.assert_rejected(tmp_path, raw, "record 2 'r2' has more label layers than the 1")
+
+    def test_labels_past_the_layer_count(self, tmp_path):
+        raw = _raw_shard(3, 2, labels=[_csr([[0], [], [2]])], layer_counts=[1, 0, 0])
+        self.assert_rejected(tmp_path, raw, "record 2 'r2' has labels in layer 0, past its layer count")
+
+    def test_version_1_is_rejected(self, tmp_path, capsys):
+        # A version-1 file of one pooled record: id, no label layers, kind 0, dim 2.
+        body = struct.pack("<QH", 1, 1) + b"a" + struct.pack("<BBI2f", 0, 0, 2, 1.0, 2.0)
+        raw = SHARD_MAGIC + struct.pack("<H", 1) + body + struct.pack("<I", zlib.crc32(body))
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--out", str(data_dir), "--num-train", "20", "--num-val", "5",
+                     "--num-entities", "6", "--num-verticals", "3", "--dim", "2"]) == 0
+        (data_dir / "train.shard").write_bytes(raw)
+        with pytest.raises(ShardFormatError, match="unsupported version 1, expected 2"):
+            read_shard(data_dir / "train.shard")
+        capsys.readouterr()
+        assert main(["train", "--vocab", str(data_dir / "vocab.txt"),
+                     "--train", str(data_dir / "train.shard"),
+                     "--out", str(tmp_path / "m.ckpt"), "--iters", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "unsupported version 1, expected 2" in err
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 def _dense_targets(records, layer: int, size: int) -> np.ndarray:
@@ -290,12 +379,12 @@ class TestColumnarDecode:
 
     def test_unsorted_and_duplicated_labels_match_reference(self, tmp_path):
         path = tmp_path / "raw.shard"
-        path.write_bytes(_shard_bytes([
-            _raw_record("sorted", [[1, 4], [0, 2, 9]], [1.0, 2.0]),
-            _raw_record("unsorted", [[4, 1], [9, 0, 2]], [3.0, 4.0]),
-            _raw_record("duplicated", [[2, 2], [7, 3, 7, 3]], [5.0, 6.0]),
-            _raw_record("empty", [[], []], [7.0, 8.0]),
-        ]))
+        path.write_bytes(_raw_shard(
+            4, 2, block=np.arange(1.0, 9.0).reshape(4, 2),
+            ids=[b"sorted", b"unsorted", b"duplicated", b"empty"],
+            labels=[_csr([[1, 4], [4, 1], [2, 2], []]),
+                    _csr([[0, 2, 9], [9, 0, 2], [7, 3, 7, 3], []])],
+        ))
         shard = read_shard(path)
         assert shard == ref_read_shard(path)
         np.testing.assert_array_equal(shard.labels[0].indptr, [0, 2, 4, 5, 5])
@@ -317,17 +406,21 @@ class TestColumnarDecode:
 
     @pytest.mark.parametrize("field", ["dim", "audio_dim"])
     def test_mixed_dims_name_the_record(self, tmp_path, field):
+        # One block holds every record's features, so a shard cannot store
+        # two dims; writing them is refused and leaves no file.
         records = [
-            VideoRecord("first", [[0]], pooled=np.zeros(4, np.float32), audio=np.zeros(2, np.float32)),
+            VideoRecord("first", [[0]], pooled=np.zeros(4, np.float32)),
             VideoRecord("second", [[0]], frames=np.zeros((2, 4), np.float32), audio=np.zeros(2, np.float32)),
             VideoRecord("odd_one", [[0]],
                         pooled=np.zeros(4 if field == "audio_dim" else 5, np.float32),
                         audio=np.zeros(3 if field == "audio_dim" else 2, np.float32)),
         ]
         path = tmp_path / "mixed.shard"
-        write_shard(path, records)
-        with pytest.raises(ShardFormatError, match="'odd_one'"):
-            read_shard(path)
+        want = "'odd_one' has audio dim 3, the records before it have 2" if field == "audio_dim" \
+            else "'odd_one' has feature dim 5, the records before it have 4"
+        with pytest.raises(ValueError, match=want):
+            write_shard(path, records)
+        assert not path.exists()
 
     def test_features_equal_video_feature_per_record(self, tmp_path):
         path = tmp_path / "s.shard"
@@ -397,8 +490,42 @@ class TestColumnarDecode:
 
 @pytest.mark.usefixtures("tiny_chunks")
 class TestColumnarDecodeInTinyChunks(TestColumnarDecode):
-    """The decoder cases again, the file read in tiny chunks; the late-audio
-    case widens the feature block."""
+    """The reader cases again, the ids coded in tiny blocks."""
+
+
+def random_records(rng, n: int) -> list:
+    """``n`` records mixing pooled and frame rows, audio on some rows only,
+    zero to three label layers, empty label rows and non-ASCII ids."""
+    records = []
+    for i in range(n):
+        features = (dict(frames=rng.normal(size=(int(rng.integers(1, 5)), 5)).astype(np.float32))
+                    if rng.random() < 0.3 else dict(pooled=rng.normal(size=5).astype(np.float32)))
+        if rng.random() < 0.5:
+            features["audio"] = rng.normal(size=2).astype(np.float32)
+        labels = [rng.choice(40, size=int(rng.integers(0, 4)), replace=False)
+                  for _ in range(int(rng.integers(0, 4)))]
+        video_id = "".join(rng.choice(list("ab_7é中\u00ff"), size=int(rng.integers(0, 6))))
+        records.append(VideoRecord(f"{video_id}{i}", labels, **features))
+    return records
+
+
+class TestRandomRoundTrip:
+    @pytest.mark.parametrize("n", [0, 1, 2, 37, 700])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_the_list_and_the_reference(self, tmp_path, n, seed):
+        records = random_records(np.random.default_rng([seed, n]), n)
+        path = tmp_path / "r.shard"
+        write_shard(path, records)
+        shard = read_shard(path)
+        assert shard == records and ref_read_shard(path) == records
+        assert shard.block.shape[0] == n and len(shard.labels) <= 3
+        np.testing.assert_array_equal(
+            shard.block[:, : shard.dim],
+            np.stack([video_feature(r) for r in records]) if n else np.zeros((0, 0), np.float32),
+            strict=True,
+        )
+        write_shard(tmp_path / "again.shard", shard)
+        assert (tmp_path / "again.shard").read_bytes() == path.read_bytes()
 
 
 def test_multi_hot_into_a_reused_buffer():
@@ -416,7 +543,7 @@ def test_multi_hot_into_a_reused_buffer():
 
 
 class TestReadMemory:
-    def test_read_holds_two_chunks_beyond_its_result(self, tmp_path):
+    def test_read_holds_the_id_section_beyond_its_result(self, tmp_path):
         n, d = 20000, 64
         rng = np.random.default_rng(4)
         records = [
@@ -426,12 +553,13 @@ class TestReadMemory:
         ]
         path = tmp_path / "big.shard"
         write_shard(path, records)
-        largest = max(len(_encode_record(r)) for r in records)
+        id_section = 8 * (n + 1) + sum(len(r.video_id.encode()) for r in records)
         shard, kept, peak = self.traced(lambda: read_shard(path))
         assert len(shard) == n and shard.block.shape == (n, d)
         # Beyond the shard it returns (kept: features, labels and ids), the
-        # read holds its chunk buffer and one chunk's offsets and rows in transit.
-        assert peak - kept < 2 * data.CHUNK_BYTES + largest
+        # read holds the id section while it decodes it, and besides it the
+        # kinds (a byte a record) and under 64 KiB of smaller objects.
+        assert peak - kept < id_section + n + (1 << 16)
 
     @staticmethod
     def traced(op):
@@ -726,13 +854,24 @@ class TestStreamedWrites:
         assert path.read_bytes() == _bytearray_checkpoint(17, config, tensors, stats)
 
     def test_shard_bytes_unchanged(self, tmp_path):
+        """The streamed sections are the bytes of the layout written one
+        field at a time."""
         records = sample_records()
-        body = bytearray(struct.pack("<Q", len(records)))
-        for rec in records:
-            body += _encode_record(rec)
+        frames = [r.frames for r in records if r.frames is not None]
+        raw = _raw_shard(
+            len(records), 8, 3,
+            block=[np.concatenate([video_feature(r), np.zeros(3) if r.audio is None else r.audio])
+                   for r in records],
+            kinds=[(r.frames is not None) + 2 * (r.audio is not None) for r in records],
+            labels=[_csr([r.labels[t] for r in records]) for t in range(2)],
+            ids=[r.video_id.encode() for r in records],
+            frame_offsets=[0, *itertools.accumulate(0 if r.frames is None else len(r.frames)
+                                                    for r in records)],
+            frames=np.concatenate(frames),
+        )
         path = tmp_path / "s.shard"
         write_shard(path, records)
-        assert path.read_bytes() == _bytearray_frame(SHARD_MAGIC, 1, body)
+        assert path.read_bytes() == raw
 
 
 class TestBatchIndices:
