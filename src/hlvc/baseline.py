@@ -68,7 +68,11 @@ def predict(params: LogRegParams, x) -> np.ndarray:
     x = _as_batch(params, x)
     z = x @ params.weights[:, :-1].T
     z += params.weights[:, -1]
-    if not np.isfinite(z).all():
+    # Each row's float64 sum is finite exactly when the row is, for float32
+    # scores (see ``Shard.features``), so the check holds N sums, not an
+    # (N, C) mask. A float64 row whose sum overflows is checked value by value.
+    bad = ~np.isfinite(z.sum(axis=1, dtype=np.float64))
+    if bad.any() and not np.isfinite(z[bad]).all():
         raise NumericError("non-finite logistic scores")
     return sigmoid(z, out=z)
 

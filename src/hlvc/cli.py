@@ -438,7 +438,10 @@ def _load_inputs(path, hierarchy, features: str, ckpt: Checkpoint | None = None)
 
 
 def _restore(state: dict, stored: dict) -> None:
-    """Copy checkpoint arrays into ``state`` in place; names and shapes must match."""
+    """Copy checkpoint arrays into ``state`` in place; names and shapes must
+    match. Each stored array is released as soon as it is copied, so a
+    restore empties ``stored`` (a ``Checkpoint.tensors``) and the process
+    holds one copy of the model, not two."""
     if set(stored) != set(state):
         missing = sorted(set(state) - set(stored))
         extra = sorted(set(stored) - set(state))
@@ -451,7 +454,7 @@ def _restore(state: dict, stored: dict) -> None:
                 f"checkpoint tensor {name!r} has shape {stored[name].shape}, "
                 f"expected {arr.shape}"
             )
-        arr[...] = stored[name]
+        arr[...] = stored.pop(name)
 
 
 def cmd_train(args) -> int:

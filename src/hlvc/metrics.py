@@ -106,10 +106,16 @@ class PredictionSet:
         (PERR's largest G), so PERR reads the same result as GAP. A stable
         ranking's top-k is the first k of its top-K for any K >= k, so
         narrower requests reuse the cache and only a wider one recomputes.
+        Each row's ranking is its own, so it is computed ``BLOCK_ROWS`` rows
+        at a time into one (V, K) result, and the temporaries of
+        ``top_labels`` stay the size of one block.
         """
         k = min(k, self.num_labels)
         if self._top is None or self._top.shape[1] < k:
-            self._top = top_labels(self.scores, max(k, int(self.num_positives.max())))
+            width = max(k, int(self.num_positives.max()))
+            self._top = np.empty((self.num_videos, width), np.intp)
+            for r in range(0, self.num_videos, BLOCK_ROWS):
+                self._top[r : r + BLOCK_ROWS] = top_labels(self.scores[r : r + BLOCK_ROWS], width)
         return self._top[:, :k]
 
 

@@ -4,10 +4,11 @@ Parameters and gradients travel as flat name-to-array dicts (the models'
 ``tensors()`` views), so the optimizer never knows model structure. Updates
 happen in place, in each parameter's dtype. The state packs the moments of
 all tensors of one dtype, in name order, into one flat array each for m and
-v, with a gradient and a work array of the same length; ``m[name]`` and
-``v[name]`` are views of them shaped like the tensor, so checkpoints can
-carry the moments by name and training can resume bit for bit. One update
-then runs the Adam arithmetic once per dtype over the flat arrays.
+v, with a gradient array of the same length; ``m[name]`` and ``v[name]``
+are views of them shaped like the tensor, so checkpoints can carry the
+moments by name and training can resume bit for bit. One update runs the
+Adam arithmetic over ``SLICE``-element slices of the flat arrays, through
+one slice-sized scratch array per dtype.
 """
 
 from __future__ import annotations
@@ -22,17 +23,29 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
+# Elements of each flat array one pass of ``adam_step`` covers. A float32
+# slice of its five operands (m, v, gradient, scratch, parameter) is 1.25 MB,
+# small enough to stay in a 2 MB L2 cache between the passes.
+SLICE = 1 << 16
+
 
 @dataclasses.dataclass
 class _Flat:
-    """One dtype's packed state: the tensor names in order, and the flat
-    moments, gradient and work arrays, ``size`` long."""
+    """One dtype's packed state: the tensor names in order, the flat moments
+    and gradient, ``size`` long, and a scratch array of at most ``SLICE``.
+
+    ``slices`` lists, per slice of the flat arrays, its views (m, v, g and
+    the scratch) and its tensor segments as (name, part, g, scratch): the
+    segment's views of the gradient and the scratch, and ``part``, None when
+    the segment is the whole tensor (its views then shaped like it), else
+    the slice of the tensor's flattened elements that it covers."""
 
     names: list
     m: np.ndarray
     v: np.ndarray
     g: np.ndarray
     work: np.ndarray
+    slices: list
 
 
 @dataclasses.dataclass
@@ -46,7 +59,8 @@ class AdamState:
     The ``m`` and ``v`` arrays given are copied into flat arrays per dtype
     when the state is built; afterwards ``m[name]``, ``v[name]`` and
     ``g[name]`` are views of those, and writing into them in place (as a
-    restore does) writes the state.
+    restore does) writes the state. The slices are laid out from ``SLICE``
+    as it is when the state is built.
     """
 
     base_lr: float
@@ -76,16 +90,32 @@ class AdamState:
         for dtype, names in groups.items():
             shapes = [np.shape(given_m[name]) for name in names]
             size = sum(math.prod(shape) for shape in shapes)
-            flat = self.flat[dtype] = _Flat(names, *(np.empty(size, dtype) for _ in range(4)))
+            m, v, g = (np.empty(size, dtype) for _ in range(3))
+            work = np.empty(min(size, SLICE), dtype)
+            slices = [
+                (m[lo : lo + SLICE], v[lo : lo + SLICE], g[lo : lo + SLICE],
+                 work[: min(SLICE, size - lo)], [])
+                for lo in range(0, size, SLICE)
+            ]
             start = 0
             for name, shape in zip(names, shapes):
                 stop = start + math.prod(shape)
                 self.m[name], self.v[name], self.g[name] = (
-                    arr[start:stop].reshape(shape) for arr in (flat.m, flat.v, flat.g)
+                    arr[start:stop].reshape(shape) for arr in (m, v, g)
                 )
                 self.m[name][...] = given_m[name]
                 self.v[name][...] = given_v[name]
+                # The tensor's segment in each slice it overlaps.
+                for lo in range(start - start % SLICE, stop, SLICE):
+                    a, b = max(start, lo), min(stop, lo + SLICE)
+                    seg_g, seg_work = g[a:b], work[a - lo : b - lo]
+                    if b - a == stop - start:
+                        part, seg_g, seg_work = None, seg_g.reshape(shape), seg_work.reshape(shape)
+                    else:
+                        part = slice(a - start, b - start)
+                    slices[lo // SLICE][4].append((name, part, seg_g, seg_work))
                 start = stop
+            self.flat[dtype] = _Flat(names, m, v, g, work, slices)
 
 
 def init_adam(
@@ -131,12 +161,14 @@ def adam_step(state: AdamState, tensors, grads) -> float:
 
     The gradients are copied into the state's flat gradient arrays, cast to
     each tensor's dtype, and checked to be finite before any tensor changes.
-    The arithmetic then runs once per dtype over the flat arrays, writing
-    into the moments, the gradient array (which becomes the step) and the
-    work array instead of temporaries; each tensor subtracts its slice of
-    the step. It rounds the same operations in the same order as the
+    The arithmetic then runs over one ``SLICE``-element slice of each
+    dtype's flat arrays at a time, writing into the moments, the gradient
+    slice (which becomes the step) and the scratch instead of temporaries;
+    weight decay and the parameter update run per tensor segment of the
+    slice. It rounds the same operations in the same order as the
     expression ``param -= lr * ((m / c1) / (sqrt(v / c2) + EPS) +
-    weight_decay * param)``.
+    weight_decay * param)``. A tensor split across slices is updated through
+    its flattened view, so it must be contiguous.
     """
     if set(tensors) != set(state.m):
         missing = sorted(set(state.m) - set(tensors))
@@ -151,36 +183,43 @@ def adam_step(state: AdamState, tensors, grads) -> float:
                 f"gradient for {name} has shape {np.shape(grad)}, expected {into.shape}"
             )
         into[...] = grad
-    # isfinite writes into the work array's bytes, read as bools, so the
-    # check allocates nothing.
+    # isfinite writes into the scratch's bytes, read as bools, so the check
+    # allocates nothing.
     flats = state.flat.values()
-    if not all(np.isfinite(f.g, out=f.work.view(np.bool_)[: f.g.size]).all() for f in flats):
+    if not all(
+        np.isfinite(g, out=work.view(np.bool_)[: g.size]).all()
+        for f in flats
+        for _, _, g, work, _ in f.slices
+    ):
         bad = next(name for name in sorted(state.g) if not np.isfinite(state.g[name]).all())
         raise FloatingPointError(f"non-finite gradient for {bad}")
     lr = current_lr(state)
     t = state.step + 1
     c1 = 1.0 - BETA1**t
     c2 = 1.0 - BETA2**t
+    decay = state.weight_decay
     for flat in flats:
-        m, v, g, work = flat.m, flat.v, flat.g, flat.work
-        m *= BETA1
-        m += np.multiply(1.0 - BETA1, g, out=work)
-        v *= BETA2
-        np.multiply(1.0 - BETA2, g, out=work)
-        work *= g
-        v += work
-        np.divide(v, c2, out=work)
-        np.sqrt(work, out=work)
-        work += EPS
-        np.divide(m, c1, out=g)
-        g /= work
-        if state.weight_decay:
-            np.concatenate([tensors[name].reshape(-1) for name in flat.names], out=work)
-            work *= state.weight_decay
-            g += work
-        g *= lr
-        for name in flat.names:
-            param = tensors[name]
-            param -= state.g[name]
+        for m, v, g, work, segments in flat.slices:
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, g, out=work)
+            v *= BETA2
+            np.multiply(1.0 - BETA2, g, out=work)
+            work *= g
+            v += work
+            np.divide(v, c2, out=work)
+            np.sqrt(work, out=work)
+            work += EPS
+            np.divide(m, c1, out=g)
+            g /= work
+            params = [
+                tensors[name] if part is None else np.reshape(tensors[name], -1, copy=False)[part]
+                for name, part, _, _ in segments
+            ]
+            if decay:
+                for param, (_, _, seg_g, seg_work) in zip(params, segments):
+                    seg_g += np.multiply(param, decay, out=seg_work)
+            g *= lr
+            for param, (_, _, seg_g, _) in zip(params, segments):
+                param -= seg_g
     state.step = t
     return lr

@@ -57,6 +57,38 @@ class TestPredict:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             baseline.predict(params, np.full(2, 1e5))
 
+    def test_nonfinite_float32_score_rejected(self):
+        params = baseline.init_params(3, 2, dtype=np.float32)
+        params.weights[1] = 3e38
+        x = np.zeros((4, 2), np.float32)
+        x[2] = 10.0  # one score of one row overflows float32
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="^non-finite logistic scores$"):
+            baseline.predict(params, x)
+
+    def test_finite_float64_scores_whose_row_sum_overflows_pass(self):
+        params = baseline.init_params(2, 1)
+        params.weights[:, 0] = 1e308
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(baseline.predict(params, np.ones(1)), [[1.0, 1.0]])
+
+    def test_check_allocates_no_score_mask(self):
+        n, c = 2000, 1000
+        rng = np.random.default_rng(3)
+        params = baseline.init_params(c, 8, dtype=np.float32)
+        params.weights[:] = rng.normal(size=params.weights.shape)
+        x = rng.normal(size=(n, 8)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            baseline.predict(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The (N, C) float32 scores and N float64 row sums; an (N, C) bool
+        # mask would add a quarter of the scores.
+        assert peak - start < n * c * 4 + n * c // 8
+
 
 class TestLossGrad:
     def test_loss_matches_oracle(self):

@@ -1135,6 +1135,21 @@ class TestModelInterface:
         for t, w in weights.items():
             assert w.dtype == np.float32 and w.shape == (hierarchy.sizes[t], 9)
 
+    @pytest.mark.parametrize("model", list(cli.MODELS))
+    def test_restore_empties_the_stored_tensors(self, dataset, tmp_path, capsys, model):
+        ckpt_path = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, ckpt_path, "--model", model, "--iters", "5")) == 0
+        capsys.readouterr()
+        ckpt = load_checkpoint(ckpt_path, skip=("adam.",))
+        want = {name: arr.copy() for name, arr in ckpt.tensors.items()}
+        family = cli.MODELS[model]
+        params = family.init(load_vocabulary(dataset / "vocab.txt"), 8, seed=None)
+        cli._restore(params.tensors(), ckpt.tensors)
+        assert ckpt.tensors == {}
+        assert set(params.tensors()) == set(want)
+        for name, arr in params.tensors().items():
+            np.testing.assert_array_equal(arr, want[name], strict=True)
+
     def test_logreg_parent_layer_is_induced(self, dataset, tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "20")) == 0

@@ -283,6 +283,40 @@ class TestTileAndGroupEdges:
         assert peak - start < 2 * CLASS_GROUP * v * itemsize + 4 * 8 * v
 
 
+class TestBlockedRanking:
+    """``ranked_labels`` ranks ``BLOCK_ROWS`` rows at a time."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("v", [511, 512, 513, 1030])
+    def test_equals_whole_matrix_top_labels(self, v, dtype):
+        rng = np.random.default_rng(v)
+        c = 40
+        scores = (rng.integers(0, 4, size=(v, c)) / 4).astype(dtype)  # four levels: ties
+        scores[0] = 0.5  # one row tied throughout
+        positives = [rng.choice(c, size=int(rng.integers(1, 6)), replace=False) for _ in range(v)]
+        pred = PredictionSet(scores, positives)
+        # A narrower request reads the cached ranking; a wider one ranks again.
+        for k in (1, 3, 5, 20, c, c + 5):
+            np.testing.assert_array_equal(pred.ranked_labels(k), top_labels(scores, k))
+
+    def test_evaluate_holds_no_whole_matrix_temporary(self):
+        v, c = 5000, 1000
+        rng = np.random.default_rng(48)
+        scores = rng.random((v, c), dtype=np.float32)
+        pred = PredictionSet(scores, [rng.choice(c, size=3, replace=False) for _ in range(v)])
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            evaluate(pred, top_k=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The (V, C) bool positive mask (5 MB) and one block's ranking
+        # temporaries fit; a partitioned copy of the whole score matrix
+        # (20 MB) alone does not.
+        assert peak - start < scores.nbytes // 2
+
+
 class TestGlobalAveragePrecision:
     def test_hand_case_with_cap(self):
         # k=1 keeps only label 0 of video 0 and label 1 of video 1;

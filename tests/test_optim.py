@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hlvc.optim import AdamState, adam_step, current_lr, init_adam
+from hlvc import optim
+from hlvc.optim import SLICE, AdamState, adam_step, current_lr, init_adam
 from reference_optim import reference_adam_step
 
 
@@ -242,6 +245,104 @@ class TestFlatState:
             AdamState(base_lr=0.1, m={"w": np.zeros(2)}, v={"w": np.zeros(3)})
         with pytest.raises(ValueError):
             AdamState(base_lr=0.1, m={"w": np.zeros(2)}, v={"w": np.zeros(2, np.float32)})
+
+
+@pytest.fixture
+def tiny_slices(monkeypatch):
+    monkeypatch.setattr(optim, "SLICE", 7)
+
+
+@pytest.mark.usefixtures("tiny_slices")
+class TestFlatStateInTinySlices(TestFlatState):
+    """The flat-state cases again with 7-element slices, so tensors of both
+    dtypes cross slice edges."""
+
+
+class TestSlices:
+    """Flat arrays on both sides of ``SLICE``."""
+
+    @staticmethod
+    def tensors(size, rng):
+        # Per dtype, three tensors of about size / 3 elements filling a flat
+        # array ``size`` long; past one slice, the second and the last cross
+        # slice edges. Names interleave the dtypes.
+        third = size // 3
+        out = {}
+        for dtype in (np.float32, np.float64):
+            shapes = {"a": (third,), "b": (third // 4, 4), "c": (size - third - third // 4 * 4,)}
+            for letter, shape in shapes.items():
+                out[f"{letter}_{np.dtype(dtype).name}"] = rng.normal(size=shape).astype(dtype)
+        return out
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("size", [SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 3],
+                             ids=["SLICE-1", "SLICE", "SLICE+1", "2SLICE+3"])
+    def test_bitwise_equal_to_reference(self, size, weight_decay):
+        rng = np.random.default_rng(size)
+        live = self.tensors(size, rng)
+        ref = {k: v.copy() for k, v in live.items()}
+        kw = dict(weight_decay=weight_decay, decay_factor=0.5, decay_every=2)
+        state, ref_state = init_adam(live, 0.01, **kw), init_adam(ref, 0.01, **kw)
+        for flat in state.flat.values():
+            assert flat.m.size == size and len(flat.slices) == -(-size // SLICE)
+        for _ in range(5):
+            grads = {k: rng.normal(scale=10.0, size=v.shape) for k, v in live.items()}
+            assert adam_step(state, live, grads) == reference_adam_step(ref_state, ref, grads)
+            for name in live:
+                for got, want in ((live, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+                    assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_tensor_within_one_slice_may_be_a_strided_view(self):
+        rng = np.random.default_rng(13)
+        live = {"b": rng.normal(size=3), "w": rng.normal(size=(6, 4)).T}
+        assert not live["w"].flags.c_contiguous
+        ref = {k: v.copy() for k, v in live.items()}
+        kw = dict(weight_decay=0.05)
+        state, ref_state = init_adam(live, 0.01, **kw), init_adam(ref, 0.01, **kw)
+        for _ in range(3):
+            grads = {k: rng.normal(size=v.shape) for k, v in live.items()}
+            adam_step(state, live, grads)
+            reference_adam_step(ref_state, ref, grads)
+        for name in live:
+            assert live[name].tobytes() == ref[name].tobytes()
+
+    def test_nonfinite_gradient_in_the_last_slice_changes_nothing(self):
+        rng = np.random.default_rng(12)
+        live = self.tensors(2 * SLICE + 3, rng)
+        state = init_adam(live, 0.01, weight_decay=0.05)
+        for _ in range(2):
+            adam_step(state, live, {k: rng.normal(size=v.shape) for k, v in live.items()})
+        before = {k: (live[k].tobytes(), state.m[k].tobytes(), state.v[k].tobytes())
+                  for k in live}
+        grads = {k: rng.normal(size=v.shape) for k, v in live.items()}
+        grads["c_float32"][-1] = np.nan  # the float32 flat array's last element
+        with pytest.raises(FloatingPointError, match="non-finite gradient for c_float32$"):
+            adam_step(state, live, grads)
+        assert state.step == 2
+        for k in live:
+            assert (live[k].tobytes(), state.m[k].tobytes(), state.v[k].tobytes()) == before[k]
+
+    def test_state_holds_three_flat_arrays_and_one_slice_of_scratch(self):
+        size = 1 << 20
+        tensors = {"a": np.ones((1000, 1000), np.float32),
+                   "b": np.ones(size - 1000 * 1000, np.float32)}
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            state = init_adam(tensors, 0.01, weight_decay=1e-8)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            adam_step(state, tensors, state.g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (flat,) = state.flat.values()
+        bound = (3 * size + SLICE) * 4
+        assert sum(a.nbytes for a in (flat.m, flat.v, flat.g, flat.work)) <= bound
+        # Beyond the arrays, the state holds only views and lists of them,
+        # and a step allocates no array.
+        assert held - start <= bound + 64 * 1024
+        assert peak - held < 64 * 1024
 
 
 class TestValidation:
