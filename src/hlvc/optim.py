@@ -36,9 +36,8 @@ class _Flat:
 
     ``slices`` lists, per slice of the flat arrays, its views (m, v, g and
     the scratch) and its tensor segments as (name, part, g, scratch): the
-    segment's views of the gradient and the scratch, and ``part``, None when
-    the segment is the whole tensor (its views then shaped like it), else
-    the slice of the tensor's flattened elements that it covers."""
+    slice ``part`` of the tensor's flattened elements that the segment
+    covers, and the segment's views of the gradient and the scratch."""
 
     names: list
     m: np.ndarray
@@ -108,12 +107,9 @@ class AdamState:
                 # The tensor's segment in each slice it overlaps.
                 for lo in range(start - start % SLICE, stop, SLICE):
                     a, b = max(start, lo), min(stop, lo + SLICE)
-                    seg_g, seg_work = g[a:b], work[a - lo : b - lo]
-                    if b - a == stop - start:
-                        part, seg_g, seg_work = None, seg_g.reshape(shape), seg_work.reshape(shape)
-                    else:
-                        part = slice(a - start, b - start)
-                    slices[lo // SLICE][4].append((name, part, seg_g, seg_work))
+                    slices[lo // SLICE][4].append(
+                        (name, slice(a - start, b - start), g[a:b], work[a - lo : b - lo])
+                    )
                 start = stop
             self.flat[dtype] = _Flat(names, m, v, g, work, slices)
 
@@ -167,15 +163,19 @@ def adam_step(state: AdamState, tensors, grads) -> float:
     weight decay and the parameter update run per tensor segment of the
     slice. It rounds the same operations in the same order as the
     expression ``param -= lr * ((m / c1) / (sqrt(v / c2) + EPS) +
-    weight_decay * param)``. A tensor split across slices is updated through
-    its flattened view, so it must be contiguous.
+    weight_decay * param)``. Each tensor is updated through its flattened
+    view, so it must be C-contiguous.
     """
     if set(tensors) != set(state.m):
         missing = sorted(set(state.m) - set(tensors))
         extra = sorted(set(tensors) - set(state.m))
         raise ValueError(f"tensor names mismatch: missing {missing}, extra {extra}")
     for name in sorted(tensors):
-        grad, into = grads[name], state.g[name]
+        param, grad, into = tensors[name], grads[name], state.g[name]
+        if np.shape(param) != into.shape or not param.flags.c_contiguous:
+            raise ValueError(
+                f"tensor {name} must be a C-contiguous array of shape {into.shape}"
+            )
         if grad is into:
             continue
         if np.shape(grad) != into.shape:
@@ -211,10 +211,7 @@ def adam_step(state: AdamState, tensors, grads) -> float:
             work += EPS
             np.divide(m, c1, out=g)
             g /= work
-            params = [
-                tensors[name] if part is None else np.reshape(tensors[name], -1, copy=False)[part]
-                for name, part, _, _ in segments
-            ]
+            params = [tensors[name].reshape(-1)[part] for name, part, _, _ in segments]
             if decay:
                 for param, (_, _, seg_g, seg_work) in zip(params, segments):
                     seg_g += np.multiply(param, decay, out=seg_work)
