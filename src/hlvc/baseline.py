@@ -15,6 +15,7 @@ import numpy as np
 from .binn import (
     NumericError, _all_finite, _as_batch, _as_multi_hot, _buffer, cross_entropy, sigmoid,
 )
+from .features import nonfinite_rows
 
 
 @dataclasses.dataclass
@@ -68,11 +69,7 @@ def predict(params: LogRegParams, x) -> np.ndarray:
     x = _as_batch(params, x)
     z = x @ params.weights[:, :-1].T
     z += params.weights[:, -1]
-    # Each row's float64 sum is finite exactly when the row is, for float32
-    # scores (see ``Shard.features``), so the check holds N sums, not an
-    # (N, C) mask. A float64 row whose sum overflows is checked value by value.
-    bad = ~np.isfinite(z.sum(axis=1, dtype=np.float64))
-    if bad.any() and not np.isfinite(z[bad]).all():
+    if nonfinite_rows(z).size:
         raise NumericError("non-finite logistic scores")
     return sigmoid(z, out=z)
 

@@ -37,6 +37,8 @@ import math
 
 import numpy as np
 
+from .features import nonfinite_rows
+
 
 class NumericError(FloatingPointError):
     """A non-finite value appeared where the math requires finite numbers."""
@@ -205,7 +207,7 @@ def _as_batch(params, x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=params.dtype))
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError(f"expected input of dim {params.dim}, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if nonfinite_rows(x).size:
         raise NumericError("non-finite input features")
     return x
 

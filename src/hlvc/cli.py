@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import math
 import os
 import sys
 import typing
@@ -27,7 +26,6 @@ from .data import (
     Shard,
     ShardError,
     SynthConfig,
-    batch_indices,
     check_finite,
     load_checkpoint,
     read_shard,
@@ -44,6 +42,7 @@ from .features import (
 )
 from .hierarchy import VocabularyError, load_vocabulary, save_vocabulary
 from .metrics import DEFAULT_TOP_K, PredictionSet, evaluate, top_labels
+from .train import fit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -399,8 +398,10 @@ def _warn_missing_parents(path, shard, hierarchy) -> None:
         need_rows = np.repeat(np.repeat(rows, np.diff(fine_ptr)), fanout)
         have_rows = np.repeat(rows, np.diff(coarse_ptr))
         have = have_rows * width + coarse.indices[coarse_ptr[0] : coarse_ptr[-1]]
-        missing = ~np.isin(need_rows * width + need, have)
-        count += np.unique(need_rows[missing]).size
+        # The rows missing a parent come sorted, so the distinct ones are
+        # the first and each that differs from the one before.
+        missing = need_rows[~np.isin(need_rows * width + need, have)]
+        count += min(missing.size, 1) + np.count_nonzero(np.diff(missing))
     if count:
         print(
             f"warning: shard {path}: {count} records miss a parent of their "
@@ -513,33 +514,9 @@ def cmd_train(args) -> int:
             log_fh.write(line + "\n")
 
     try:
-        n = len(shard)
-        steps_per_epoch = math.ceil(n / cfg.batch_size)
-        # Arrays every step reuses, a short last batch their leading rows:
-        # per-layer targets, and the family's workspace, whose gradients are
-        # the Adam state's own gradient arrays so adam_step copies none.
-        rows = min(cfg.batch_size, n)
-        target_bufs = [np.empty((rows, size), np.float32) for size in hierarchy.sizes]
-        work = dict(adam.g)
-        step = adam.step
-        while step < cfg.iters:
-            epoch, skip = divmod(step, steps_per_epoch)
-            for b, idx in enumerate(batch_indices(n, cfg.batch_size, cfg.seed, epoch)):
-                if b < skip:
-                    continue
-                if step >= cfg.iters:
-                    break
-                targets = [
-                    labels.multi_hot(idx, size, out=buf[: len(idx)])
-                    for labels, size, buf in zip(shard.labels, hierarchy.sizes, target_bufs)
-                ]
-                loss_value, grad_tensors = family.train_grads(params, x_all[idx], targets, work)
-                if not math.isfinite(loss_value):
-                    raise binn.NumericError(f"non-finite loss at step {step}")
-                if step % cfg.log_every == 0:
-                    emit(f"step={step} loss={loss_value:.6f} lr={optim.current_lr(adam):g}")
-                optim.adam_step(adam, tensors, grad_tensors)
-                step += 1
+        fit(family, params, adam, x_all, shard.labels, hierarchy.sizes,
+            batch_size=cfg.batch_size, seed=cfg.seed, iters=cfg.iters,
+            log_every=cfg.log_every, log=emit)
     finally:
         if log_fh is not None:
             log_fh.close()

@@ -37,7 +37,7 @@ import zlib
 import numpy as np
 
 from .atomic import atomic_open
-from .features import BLOCK_ROWS, NormalizerStats, mean_pool
+from .features import BLOCK_ROWS, NormalizerStats, mean_pool, nonfinite_rows
 from .hierarchy import LabelHierarchy, ConceptLayer
 
 SHARD_MAGIC = b"HLVS"
@@ -244,11 +244,8 @@ class Shard:
         """The float32 (N, D) feature columns of ``block``, then its Da audio
         columns when ``include_audio``, as a view that consumes the shard;
         row i equals ``video_feature`` of record i. Every record must have
-        audio when it is included, and every row must be finite.
-
-        The finiteness check sums each row in float64, which no sum of
-        finite float32 values overflows, so a row is finite exactly when its
-        sum is.
+        audio when it is included, and every row must be finite (checked by
+        ``features.nonfinite_rows``, from float64 row sums).
         """
         self._unconsumed()
         if include_audio:
@@ -256,7 +253,7 @@ class Shard:
             if missing.size:
                 raise ValueError(f"record {self.video_ids[missing[0]]!r} has no audio features")
         x = self.block if include_audio else self.block[:, : self.dim]
-        bad = np.flatnonzero(~np.isfinite(x.sum(axis=1, dtype=np.float64)))
+        bad = nonfinite_rows(x)
         if bad.size:
             raise ValueError(f"record {self.video_ids[bad[0]]!r} has non-finite features")
         self._consumed = True

@@ -33,6 +33,19 @@ class ConvergenceError(RuntimeError):
     """LAPACK's eigensolver failed to converge; the CLI maps it to exit 3."""
 
 
+def nonfinite_rows(a: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of the 2-D float array ``a`` that hold
+    a NaN or an infinity, found from N float64 row sums, not an (N, D) mask.
+
+    A row's sum is non-finite whenever the row is, and no float64 sum of
+    finite float32 values overflows. Rows whose sums are not finite are
+    checked value by value, which clears a float64 row whose sum overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.flatnonzero(~np.isfinite(a.sum(axis=1, dtype=np.float64)))
+    return rows[~np.isfinite(a[rows]).all(axis=1)] if rows.size else rows
+
+
 def mean_pool(frames) -> np.ndarray:
     """Mean of frame features over time: (T, D) -> (D,) in float64.
 

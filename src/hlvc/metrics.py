@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .features import BLOCK_ROWS
+from .features import BLOCK_ROWS, nonfinite_rows
 
 DEFAULT_TOP_K = 20
 
@@ -50,7 +50,7 @@ class PredictionSet:
         self.scores = scores.astype(np.promote_types(scores.dtype, np.float32), copy=False)
         if self.scores.ndim != 2 or 0 in self.scores.shape:
             raise ValueError(f"scores must be a non-empty (V, C) array, got {self.scores.shape}")
-        if not np.isfinite(self.scores).all():
+        if nonfinite_rows(self.scores).size:
             raise ValueError("scores contain non-finite values")
         csr = hasattr(positives, "indptr")
         sets = len(positives.indptr) - 1 if csr else len(positives)

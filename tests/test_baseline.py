@@ -89,6 +89,37 @@ class TestPredict:
         # mask would add a quarter of the scores.
         assert peak - start < n * c * 4 + n * c // 8
 
+    def test_input_check_allocates_no_feature_mask(self):
+        n, d, c = 5000, 1152, 25
+        rng = np.random.default_rng(4)
+        params = baseline.init_params(c, d, dtype=np.float32)
+        params.weights[:] = rng.normal(scale=0.01, size=params.weights.shape)
+        x = rng.normal(size=(n, d)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            baseline.predict(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The (N, C) float32 scores plus row sums; an (N, D) bool mask of the
+        # input would be eight times the margin.
+        assert peak - start < n * c * 4 + n * d // 8
+
+    def test_finite_float64_input_whose_row_sum_overflows_passes(self):
+        params = baseline.init_params(2, 3)
+        with np.errstate(over="ignore"):
+            out = baseline.predict(params, np.full((2, 3), 1e308))
+        np.testing.assert_array_equal(out, np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_nonfinite_float32_input_rejected(self, bad):
+        params = baseline.init_params(2, 3, dtype=np.float32)
+        x = np.zeros((5, 3), np.float32)
+        x[3, 1] = bad
+        with pytest.raises(NumericError, match="^non-finite input features$"):
+            baseline.predict(params, x)
+
 
 class TestLossGrad:
     def test_loss_matches_oracle(self):

@@ -246,6 +246,25 @@ class TestExitCodes:
             "entities labels in their verticals labels"
         ]
 
+    @pytest.mark.parametrize("chunk", [2, 60])
+    def test_record_missing_several_parents_counts_once(self, dataset, tmp_path, capsys,
+                                                         monkeypatch, chunk):
+        """Records with no coarse labels miss a parent of every fine label:
+        each repeats its row among the missing ones and counts once."""
+        records = list(read_shard(dataset / "val.shard"))
+        orphans = [r for r, rec in enumerate(records) if rec.labels[1].size >= 2][:4]
+        assert len(orphans) == 4
+        for row in orphans:
+            records[row].labels[0] = records[row].labels[0][:0]
+        path = tmp_path / "orphans.shard"
+        write_shard(path, records)
+        monkeypatch.setattr(cli, "_PARENT_CHECK_ROWS", chunk)
+        cli._warn_missing_parents(path, read_shard(path), load_vocabulary(dataset / "vocab.txt"))
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: shard {path}: 4 records miss a parent of their "
+            "entities labels in their verticals labels"
+        ]
+
     def test_train_evaluate_predict_build_no_video_records(self, dataset, tmp_path, monkeypatch, capsys):
         def refuse(self):
             raise AssertionError("VideoRecord built on the CLI path")

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 import hlvc.metrics
+from hlvc.data import CsrLabels
 from hlvc.features import BLOCK_ROWS
 from hlvc.metrics import (
     CLASS_GROUP,
@@ -403,6 +404,34 @@ class TestPredictionSet:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PredictionSet(np.ones((2, 2)), [[0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_nonfinite_float32_score_rejected(self, bad):
+        scores = np.full((4, 3), 0.5, np.float32)
+        scores[2, 1] = bad
+        with pytest.raises(ValueError, match="^scores contain non-finite values$"):
+            PredictionSet(scores, [[0]] * 4)
+
+    def test_finite_float64_scores_whose_row_sum_overflows_pass(self):
+        pred = PredictionSet(np.full((2, 3), 1e308), [[0], [1, 2]])
+        assert pred.num_positives.tolist() == [1, 2]
+
+    def test_check_allocates_no_score_mask(self):
+        v, c = 5000, 1000
+        rng = np.random.default_rng(5)
+        scores = rng.random((v, c), dtype=np.float32)
+        positives = np.sort(rng.integers(0, c, size=(v, 2)), axis=1)
+        csr = CsrLabels(np.arange(0, 2 * v + 1, 2), positives.reshape(-1))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            PredictionSet(scores, csr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The positives' int64 columns and V float64 row sums; a (V, C) bool
+        # mask of the scores would be four times this bound.
+        assert peak - start < v * c // 4
 
     def test_pos_mask(self):
         pred = PredictionSet(np.ones((2, 3)), [[0, 2], [1]])

@@ -15,7 +15,7 @@ def test_library_use_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace: dict = {}
     exec(compile(code, f"{README}:Library use", "exec"), namespace)
-    assert namespace["step"] == 300
+    assert namespace["state"].step == 300
     assert namespace["report"].mean_ap > 0.9
     assert "mean_ap" in capsys.readouterr().out
 
