@@ -354,13 +354,11 @@ def _check_training_set(path, shard, ckpt_path, config: dict) -> None:
         )
 
 
-def _check_records(shard, hierarchy) -> None:
+def _check_records(path, shard, hierarchy) -> None:
     sizes = hierarchy.sizes
-    wrong = np.flatnonzero(shard.layer_counts != len(sizes))
-    if wrong.size:
+    if len(shard.labels) != len(sizes):
         raise ValueError(
-            f"record {shard.video_ids[wrong[0]]!r} has {shard.layer_counts[wrong[0]]} "
-            f"label layers, vocabulary has {len(sizes)}"
+            f"shard {path} has {len(shard.labels)} label layers, vocabulary has {len(sizes)}"
         )
     for t, (layer, size) in enumerate(zip(shard.labels, sizes)):
         # Labels are read as u32, so only the upper bound can fail.
@@ -425,7 +423,7 @@ def _load_inputs(path, hierarchy, features: str, ckpt: Checkpoint | None = None)
     if ckpt is not None and ckpt.config.get("layer_sizes") != list(hierarchy.sizes):
         raise ValueError("checkpoint layer sizes do not match the vocabulary")
     shard = _read_nonempty(path)
-    _check_records(shard, hierarchy)
+    _check_records(path, shard, hierarchy)
     x = shard.features(include_audio=features == "rgb+audio")
     if ckpt is not None:
         if x.shape[1] != ckpt.config.get("feature_dim"):

@@ -1,23 +1,20 @@
 """Dataset records, binary shard and checkpoint files, batching, synthesis.
 
-Shard layout, version 2 (all integers little-endian)::
+Shard layout, version 3 (all integers little-endian)::
 
     magic   b"HLVS"
     version u16
     count N u64, feature dim D u32, audio dim Da u32, label layers L u32,
             zero bytes up to offset 64
     block   N * (D + Da) f32   (row-major, at offset 64)
-    kinds   N u8   (bit 0: frame features stored instead of pooled,
-                    bit 1: audio columns carried)
-    layers  N u8   (number of label layers of each record)
     per label layer: indptr (N + 1) u64, then indptr[N] * u32 indices
     id offsets (N + 1) u64, then the UTF-8 id bytes
-    frame offsets (N + 1) u64, then frame_offsets[N] * D f32 frames
     crc32   u32 over every byte after the 6-byte magic+version header
 
-Record i's labels in a layer, its id and its frames span its offsets i to
-i + 1 in those sections. ``read_shard`` reads the sections into the columns
-of a ``Shard``, which ``write_shard`` writes back section by section.
+Every record has the D feature columns, the Da audio columns and all L label
+layers. Record i's labels in a layer and its id span its offsets i to i + 1
+in those sections. ``read_shard`` reads the sections into the columns of a
+``Shard``, which ``write_shard`` writes back section by section.
 
 Checkpoints share the framing with magic b"HLVC": step u64, a JSON config
 blob, then a tensor directory of named float arrays (dtype byte 0 = f32,
@@ -37,16 +34,13 @@ import zlib
 import numpy as np
 
 from .atomic import atomic_open
-from .features import BLOCK_ROWS, NormalizerStats, mean_pool, nonfinite_rows
+from .features import BLOCK_ROWS, NormalizerStats, nonfinite_rows
 from .hierarchy import LabelHierarchy, ConceptLayer
 
 SHARD_MAGIC = b"HLVS"
-SHARD_VERSION = 2
+SHARD_VERSION = 3
 CHECKPOINT_MAGIC = b"HLVC"
 CHECKPOINT_VERSION = 1
-
-_KIND_FRAMES = 1
-_KIND_AUDIO = 2
 
 # A shard's count and dims after its magic and version; its feature block
 # starts at byte 64, after zero padding.
@@ -80,66 +74,51 @@ class CheckpointError(Exception):
 class VideoRecord:
     """One video: id, per-layer positive labels, and features.
 
-    Exactly one of ``pooled`` (D,) or ``frames`` (T, D) is set; ``audio``
-    (Da,) is optional. Feature arrays are float32, matching the shard
-    payload, so write/read round-trips are bit-exact.
+    ``pooled`` (D,) is the video-level feature vector; ``audio`` (Da,) is
+    optional. Feature arrays are float32, matching the shard payload, so
+    write/read round-trips are bit-exact.
     """
 
     video_id: str
     labels: list
-    pooled: np.ndarray | None = None
-    frames: np.ndarray | None = None
+    pooled: np.ndarray
     audio: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if (self.pooled is None) == (self.frames is None):
-            raise ValueError("exactly one of pooled or frames must be set")
         self.labels = [
             np.array(sorted(set(map(int, layer))), dtype=np.int64) for layer in self.labels
         ]
-        if self.pooled is not None:
-            self.pooled = np.ascontiguousarray(self.pooled, dtype=np.float32)
-            if self.pooled.ndim != 1:
-                raise ValueError("pooled features must be 1-D")
-        if self.frames is not None:
-            self.frames = np.ascontiguousarray(self.frames, dtype=np.float32)
-            if self.frames.ndim != 2 or self.frames.shape[0] == 0:
-                raise ValueError("frames must be a non-empty (T, D) array")
+        # asarray keeps a scalar or None 0-d, so the check below refuses it.
+        self.pooled = np.asarray(self.pooled, dtype=np.float32, order="C")
+        if self.pooled.ndim != 1:
+            raise ValueError("pooled features must be 1-D")
         if self.audio is not None:
-            self.audio = np.ascontiguousarray(self.audio, dtype=np.float32)
-            if self.audio.ndim != 1:
-                raise ValueError("audio features must be 1-D")
+            self.audio = np.asarray(self.audio, dtype=np.float32, order="C")
+            # A shard of audio dim 0 has no audio, so an empty vector is refused.
+            if self.audio.ndim != 1 or not self.audio.size:
+                raise ValueError("audio features must be a non-empty 1-D array")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VideoRecord):
             return NotImplemented
-
-        def same(a, b) -> bool:
-            if (a is None) != (b is None):
-                return False
-            return a is None or np.array_equal(a, b)
-
         return (
             self.video_id == other.video_id
             and len(self.labels) == len(other.labels)
             and all(np.array_equal(a, b) for a, b in zip(self.labels, other.labels))
-            and same(self.pooled, other.pooled)
-            and same(self.frames, other.frames)
-            and same(self.audio, other.audio)
+            and np.array_equal(self.pooled, other.pooled)
+            and (self.audio is None) == (other.audio is None)
+            and (self.audio is None or np.array_equal(self.audio, other.audio))
         )
 
 
 def video_feature(record: VideoRecord, include_audio: bool = False) -> np.ndarray:
-    """Video-level float32 feature vector: pooled (or the mean of frames,
-    rounded to float32), then audio. It equals the record's row of
-    ``Shard.features``."""
-    base = record.pooled if record.pooled is not None else mean_pool(record.frames)
-    base = base.astype(np.float32)
+    """Video-level float32 feature vector: pooled, then audio. It equals the
+    record's row of ``Shard.features``."""
     if include_audio:
         if record.audio is None:
             raise ValueError(f"record {record.video_id!r} has no audio features")
-        return np.concatenate([base, record.audio])
-    return base
+        return np.concatenate([record.pooled, record.audio])
+    return record.pooled.copy()
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -182,14 +161,9 @@ class Shard:
     Columns, one row per record in file order:
 
     - ``video_ids``: list of N strings;
-    - ``layer_counts``: (N,) number of label layers of each record;
-    - ``labels``: one CsrLabels per layer position;
+    - ``labels``: one CsrLabels per label layer;
     - ``block``: (N, D + Da) float32, the only copy of the features: the
-      ``dim`` = D pooled columns, then the Da audio columns. A frame
-      record's pooled columns hold its mean pool rounded to float32; its
-      frames are ``frames[row]``, kept only to build its record.
-      ``has_audio`` marks the rows that carry audio (the others' audio
-      columns are 0).
+      ``dim`` = D pooled columns, then the Da audio columns.
 
     ``crc32`` is the file's checksum, which names the data it holds; it is
     None for the columns ``write_shard`` gathers from a list of records.
@@ -205,12 +179,9 @@ class Shard:
     """
 
     video_ids: list
-    layer_counts: np.ndarray
     labels: list
     block: np.ndarray
     dim: int
-    frames: dict
-    has_audio: np.ndarray
     crc32: int | None
     _consumed: bool = dataclasses.field(default=False, init=False)
 
@@ -231,27 +202,23 @@ class Shard:
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def _record(self, r: int) -> VideoRecord:
-        frames = self.frames.get(r)
         return VideoRecord(
             self.video_ids[r],
-            [layer.row(r) for layer in self.labels[: self.layer_counts[r]]],
-            pooled=None if frames is not None else self.block[r, : self.dim].copy(),
-            frames=None if frames is None else frames.copy(),
-            audio=self.block[r, self.dim :].copy() if self.has_audio[r] else None,
+            [layer.row(r) for layer in self.labels],
+            pooled=self.block[r, : self.dim].copy(),
+            audio=self.block[r, self.dim :].copy() if self.block.shape[1] > self.dim else None,
         )
 
     def features(self, include_audio: bool = False) -> np.ndarray:
         """The float32 (N, D) feature columns of ``block``, then its Da audio
         columns when ``include_audio``, as a view that consumes the shard;
-        row i equals ``video_feature`` of record i. Every record must have
-        audio when it is included, and every row must be finite (checked by
+        row i equals ``video_feature`` of record i. The shard must have audio
+        when it is included, and every row must be finite (checked by
         ``features.nonfinite_rows``, from float64 row sums).
         """
         self._unconsumed()
-        if include_audio:
-            missing = np.flatnonzero(~self.has_audio)
-            if missing.size:
-                raise ValueError(f"record {self.video_ids[missing[0]]!r} has no audio features")
+        if include_audio and len(self) and self.block.shape[1] == self.dim:
+            raise ValueError(f"record {self.video_ids[0]!r} has no audio features")
         x = self.block if include_audio else self.block[:, : self.dim]
         bad = nonfinite_rows(x)
         if bad.size:
@@ -263,40 +230,47 @@ class Shard:
 def write_shard(path, records) -> None:
     """Write records (a list or a ``Shard``) to a shard file with a trailing
     checksum. A list is first gathered into ``Shard`` columns, so its records
-    must share one feature dim and one audio dim."""
+    must share the first one's feature dim, audio dim (or lack of audio) and
+    number of label layers."""
     shard = records if isinstance(records, Shard) else _to_columns(records)
     _write_file(path, SHARD_MAGIC, SHARD_VERSION, _shard_sections(shard))
 
 
+def _shape(rec: VideoRecord) -> tuple:
+    """A record's feature dim, audio dim (None without audio) and layer count."""
+    return rec.pooled.size, None if rec.audio is None else rec.audio.size, len(rec.labels)
+
+
+def _describe(shape: tuple) -> tuple:
+    """The words that name each part of a ``_shape`` in a refusal."""
+    dim, audio_dim, layers = shape
+    audio = "no audio" if audio_dim is None else f"audio dim {audio_dim}"
+    return f"feature dim {dim}", audio, f"{layers} label layers"
+
+
 def _to_columns(records) -> Shard:
-    """The records of a list as the columns of a ``Shard`` that no file holds yet."""
-    dims = {}
+    """The records of a list as the columns of a ``Shard`` that no file holds
+    yet; a record shaped unlike the first is refused by name."""
+    want = _shape(records[0]) if records else (0, None, 0)
     for rec in records:
-        features = rec.pooled if rec.frames is None else rec.frames[0]
-        for field, values in (("feature", features), ("audio", rec.audio)):
-            if values is not None and dims.setdefault(field, values.size) != values.size:
-                raise ValueError(f"record {rec.video_id!r} has {field} dim {values.size}, "
-                                 f"the records before it have {dims[field]}")
-        if len(rec.labels) > 0xFF:
-            raise ValueError(f"record {rec.video_id!r} has too many label layers: {len(rec.labels)}")
-    dim = dims.get("feature", 0)
-    block = np.zeros((len(records), dim + dims.get("audio", 0)), np.float32)
+        got = _shape(rec)
+        if got != want:
+            has, first = next(p for p in zip(_describe(got), _describe(want)) if p[0] != p[1])
+            raise ValueError(f"record {rec.video_id!r} has {has}, the records before it have {first}")
+    dim, audio_dim, layers = want
+    block = np.empty((len(records), dim + (audio_dim or 0)), np.float32)
     for row, rec in zip(block, records):
-        row[:dim] = rec.pooled if rec.frames is None else mean_pool(rec.frames)
-        if rec.audio is not None:
+        row[:dim] = rec.pooled
+        if audio_dim:
             row[dim:] = rec.audio
-    layer_counts = np.array([len(rec.labels) for rec in records], np.int64)
     labels = []
-    for t in range(int(layer_counts.max(initial=0))):
-        rows = [rec.labels[t] if t < len(rec.labels) else np.zeros(0, np.int64) for rec in records]
+    for t in range(layers):
+        rows = [rec.labels[t] for rec in records]
         indices = np.concatenate(rows)
         if indices.size and (indices.min() < 0 or indices.max() > 0xFFFFFFFF):
             raise ValueError(f"label index out of u32 range in layer {t}")
         labels.append(CsrLabels(_offsets([row.size for row in rows]), indices))
-    frames = {i: rec.frames for i, rec in enumerate(records) if rec.frames is not None}
-    has_audio = np.array([rec.audio is not None for rec in records], bool)
-    ids = [rec.video_id for rec in records]
-    return Shard(ids, layer_counts, labels, block, dim, frames, has_audio, crc32=None)
+    return Shard([rec.video_id for rec in records], labels, block, dim, crc32=None)
 
 
 def _shard_sections(shard: Shard):
@@ -308,11 +282,6 @@ def _shard_sections(shard: Shard):
     head = struct.pack(_SHARD_HEAD, n, shard.dim, width - shard.dim, len(shard.labels))
     yield head + bytes(_BLOCK_OFFSET - _HEADER - len(head))
     yield np.ascontiguousarray(shard.block, "<f4")
-    frame_rows = sorted(shard.frames)
-    kinds = shard.has_audio.astype(np.uint8) * _KIND_AUDIO
-    kinds[frame_rows] |= _KIND_FRAMES
-    yield kinds
-    yield shard.layer_counts.astype(np.uint8)
     for layer in shard.labels:
         yield np.ascontiguousarray(layer.indptr, "<i8")
         yield layer.indices.astype("<u4")
@@ -322,11 +291,6 @@ def _shard_sections(shard: Shard):
     yield _offsets(lengths)
     for lo in range(0, n, BLOCK_ROWS):
         yield "".join(shard.video_ids[lo : lo + BLOCK_ROWS]).encode("utf-8")
-    lengths = np.zeros(n, np.int64)
-    lengths[frame_rows] = [len(shard.frames[row]) for row in frame_rows]
-    yield _offsets(lengths)
-    for row in frame_rows:
-        yield np.ascontiguousarray(shard.frames[row], "<f4")
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -364,10 +328,6 @@ def read_shard(path) -> Shard:
         n, dim, audio_dim, layers = cur.unpack(_SHARD_HEAD)
         cur.take(_BLOCK_OFFSET - cur.off)
         block = cur.array(n * (dim + audio_dim), "<f4")
-        kinds = cur.array(n, np.uint8)
-        # Shaped only now: n is bounded by the file once its kinds are read.
-        block = block.reshape(n, dim + audio_dim)
-        layer_counts = cur.array(n, np.uint8).astype(np.int64)
         csr = []
         for _ in range(layers):
             indptr = cur.array(n + 1, "<u8")
@@ -377,36 +337,16 @@ def read_shard(path) -> Shard:
         _check_offsets(check, offsets, "video id")
         _decode_ids(video_ids, fail, blob, offsets)
         del blob
-        offsets = cur.array(n + 1, "<u8")
-        frames = cur.array(int(offsets[-1]) * dim, "<f4").reshape(int(offsets[-1]), dim)
         # At least 4 bytes follow the body, so this reads a full u32.
         (stored,) = struct.unpack("<I", fh.read(4))
 
-    check(kinds > 3, "has an unknown feature kind")
-    check(layer_counts > layers, f"has more label layers than the {layers} the shard stores")
     labels = []
     for t, (indptr, indices) in enumerate(csr):
         _check_offsets(check, indptr, f"layer {t} label")
-        check((layer_counts <= t) & (indptr[1:] > indptr[:-1]),
-              f"has labels in layer {t}, past its layer count")
         labels.append(_sorted_rows(indptr.view(np.int64), indices))
-    _check_offsets(check, offsets, "frame")
-    framed = (kinds & _KIND_FRAMES).astype(bool)
-    empty = offsets[1:] == offsets[:-1]
-    check(framed & empty, "has zero frames")
-    check(~framed & ~empty, "has frames but a pooled feature kind")
     _check_end(path, cur.off, cur.end, stored, cur.crc, ShardFormatError, ShardChecksumError)
-
-    # A frame row's features are its mean pool, whatever the block holds
-    # there, and a row without audio has zeros in the audio columns.
-    rows = np.flatnonzero(framed)
-    by_row = {}
-    for row, lo, hi in zip(rows.tolist(), offsets[rows].tolist(), offsets[rows + 1].tolist()):
-        by_row[row] = frames[lo:hi]
-        block[row, :dim] = mean_pool(by_row[row])
-    has_audio = (kinds & _KIND_AUDIO).astype(bool)
-    np.copyto(block[:, dim:], 0.0, where=~has_audio[:, None])
-    return Shard(video_ids, layer_counts, labels, block, dim, by_row, has_audio, stored)
+    # Shaped only now: n is bounded by the file once its id offsets are read.
+    return Shard(video_ids, labels, block.reshape(n, dim + audio_dim), dim, stored)
 
 
 def _check_offsets(check, offsets: np.ndarray, what: str) -> None:

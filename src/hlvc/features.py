@@ -1,12 +1,12 @@
-"""Video-level feature construction and normalization.
+"""Video-level feature normalization.
 
-Frame features are mean-pooled over time (at most MAX_FRAMES frames, one per
-second); ``data.video_feature`` appends the audio vector. The (N, D) feature
-matrix is then normalized with either per-dimension standardization ("znorm")
-or PCA whitening ("pca"), optionally followed by L2 normalization. Fitting
-sums ``BLOCK_ROWS``-row slices of the matrix, such as the float32 view
-``data.Shard.features`` returns, upcast to float64 and shifted by its first
-row.
+Features arrive pooled, one vector per video: a converter of frame-level
+data pools before it writes a shard, and ``data.video_feature`` appends the
+audio vector. The (N, D) feature matrix is normalized with either
+per-dimension standardization ("znorm") or PCA whitening ("pca"), optionally
+followed by L2 normalization. Fitting sums ``BLOCK_ROWS``-row slices of the
+matrix, such as the float32 view ``data.Shard.features`` returns, upcast to
+float64 and shifted by its first row.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import dataclasses
 
 import numpy as np
 
-MAX_FRAMES = 360
 DEFAULT_EPSILON = 1e-6
 
 # Norm floor below which a vector is considered degenerate and left unscaled.
@@ -44,17 +43,6 @@ def nonfinite_rows(a: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.flatnonzero(~np.isfinite(a.sum(axis=1, dtype=np.float64)))
     return rows[~np.isfinite(a[rows]).all(axis=1)] if rows.size else rows
-
-
-def mean_pool(frames) -> np.ndarray:
-    """Mean of frame features over time: (T, D) -> (D,) in float64.
-
-    Frames beyond MAX_FRAMES are dropped before pooling.
-    """
-    frames = np.asarray(frames)
-    if frames.ndim != 2 or frames.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (T, D) array, got shape {frames.shape}")
-    return frames[:MAX_FRAMES].mean(axis=0, dtype=np.float64)
 
 
 def l2_normalize(x) -> tuple[np.ndarray, np.ndarray]:

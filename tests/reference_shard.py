@@ -1,7 +1,7 @@
 """Reference shard reader, kept deliberately one field at a time.
 
 The independent route for the reader-equivalence tests: a bounds-checked
-cursor reads every integer of the version-2 layout with its own
+cursor reads every integer of the version-3 layout with its own
 ``struct.unpack``, every feature row with its own slice, and builds one
 ``VideoRecord`` per video, raising the same error types as
 ``hlvc.data.read_shard`` must. Slow but obviously correct.
@@ -68,16 +68,12 @@ def ref_read_shard(path) -> list:
     count, dim, audio_dim, layers = cur.unpack("<QIII")
     cur.take(64 - cur.off)
     rows = [cur.take(4 * (dim + audio_dim)) for _ in range(count)]
-    kinds = cur.ints(count, "B")
-    layer_counts = cur.ints(count, "B")
     label_layers = []
     for _ in range(layers):
         indptr = cur.ints(count + 1, "Q")
         label_layers.append((indptr, cur.ints(indptr[-1], "I")))
     id_offsets = cur.ints(count + 1, "Q")
     id_bytes = cur.take(id_offsets[-1])
-    frame_offsets = cur.ints(count + 1, "Q")
-    frame_bytes = cur.take(4 * dim * frame_offsets[-1])
 
     records = []
     for i in range(count):
@@ -86,32 +82,13 @@ def ref_read_shard(path) -> list:
             video_id = id_bytes[lo:hi].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ShardFormatError(f"{path}: record {i}: undecodable video id: {exc}") from None
-        kind = kinds[i]
-        if kind > 3:
-            raise ShardFormatError(f"{path}: record {video_id!r}: unknown feature kind {kind}")
-        if layer_counts[i] > layers:
-            raise ShardFormatError(f"{path}: record {video_id!r}: too many label layers")
         labels = []
-        for t, (indptr, indices) in enumerate(label_layers):
+        for indptr, indices in label_layers:
             lo, hi = _span(path, indptr, i)
-            if t < layer_counts[i]:
-                labels.append(indices[lo:hi])
-            elif hi > lo:
-                raise ShardFormatError(f"{path}: record {video_id!r}: labels past its layers")
-        lo, hi = _span(path, frame_offsets, i)
-        pooled = frames = audio = None
-        if kind & 1:
-            if hi == lo:
-                raise ShardFormatError(f"{path}: record {video_id!r} has zero frames")
-            frame_block = frame_bytes[4 * dim * lo : 4 * dim * hi]
-            frames = np.frombuffer(frame_block, dtype="<f4").reshape(hi - lo, dim).copy()
-        elif hi > lo:
-            raise ShardFormatError(f"{path}: record {video_id!r}: frames of a pooled record")
-        else:
-            pooled = np.frombuffer(rows[i][: 4 * dim], dtype="<f4").copy()
-        if kind & 2:
-            audio = np.frombuffer(rows[i][4 * dim :], dtype="<f4").copy()
-        records.append(VideoRecord(video_id, labels, pooled=pooled, frames=frames, audio=audio))
+            labels.append(indices[lo:hi])
+        pooled = np.frombuffer(rows[i][: 4 * dim], dtype="<f4").copy()
+        audio = np.frombuffer(rows[i][4 * dim :], dtype="<f4").copy() if audio_dim else None
+        records.append(VideoRecord(video_id, labels, pooled=pooled, audio=audio))
     if cur.off != cur.end:
         raise ShardFormatError(f"{path}: {cur.end - cur.off} trailing bytes")
     (stored,) = struct.unpack_from("<I", buf, cur.end)

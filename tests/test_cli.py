@@ -11,7 +11,7 @@ import pytest
 from hlvc import baseline, cli, data
 from hlvc.cli import RunConfig, UsageError, main
 from hlvc.data import Shard, load_checkpoint, read_shard, save_checkpoint, write_shard, VideoRecord
-from hlvc.features import BLOCK_ROWS, apply_normalizer, fit_znorm, mean_pool
+from hlvc.features import BLOCK_ROWS, apply_normalizer, fit_znorm
 from hlvc.hierarchy import ConceptLayer, LabelHierarchy, load_vocabulary, save_vocabulary
 from reference_predict import reference_predict
 
@@ -292,6 +292,35 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("fault", ["layers", "label"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_shard_unlike_the_vocabulary_is_data_error(self, dataset, tmp_path, capsys, command,
+                                                      fault):
+        """A shard with another number of label layers than the vocabulary,
+        or with a label past its layer's size, is a data error that names the
+        shard or the record and writes nothing."""
+        bad = tmp_path / "bad.shard"
+        records = list(read_shard(dataset / "train.shard"))
+        if fault == "layers":
+            records = [VideoRecord(r.video_id, r.labels[:1], pooled=r.pooled) for r in records]
+            want = f"data error: shard {bad} has 1 label layers, vocabulary has 2"
+        else:
+            records[3].labels[1] = np.array([20])  # the vocabulary has 20 entities
+            want = f"data error: record {records[3].video_id!r} labels out of range in layer 1"
+        write_shard(bad, records)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "5")) == 0
+        vocab = ["--vocab", str(dataset / "vocab.txt")]
+        out = {"train": tmp_path / "o.ckpt", "evaluate": tmp_path / "rep",
+               "predict": tmp_path / "p.tsv"}[command]
+        argv = (["train", *vocab, "--train", str(bad), "--out", str(out), "--iters", "5"]
+                if command == "train" else
+                [command, "--ckpt", str(ckpt), *vocab, "--shard", str(bad), "--out", str(out)])
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert want in capsys.readouterr().err.splitlines()
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "trained, stored", [("rgb", "flow"), ("rgb+audio", "flow"), ("rgb+audio", 5),
                             ("rgb+audio", None)],
@@ -351,8 +380,10 @@ class TestExitCodes:
 
 class TestSetup:
     def test_non_finite_frame_or_audio_names_video(self, tmp_path):
+        # Non-finite rgb or audio values of pooled rows name the video. Rows of
+        # 3e38s overflow a float32 sum, not the float64 one checked.
         records = [
-            VideoRecord(f"v{i}", [[0], [0]], frames=np.full((2, 4), 3e38, np.float32),
+            VideoRecord(f"v{i}", [[0], [0]], pooled=np.full(4, 3e38, np.float32),
                         audio=np.zeros(2, np.float32))
             for i in range(4)
         ]
@@ -362,7 +393,7 @@ class TestSetup:
         read_shard(path).features()  # audio is not read
         with pytest.raises(ValueError, match="'v2' has non-finite"):
             read_shard(path).features(include_audio=True)
-        records[1].frames[1, 2] = -np.inf
+        records[1].pooled[2] = -np.inf
         write_shard(path, records)
         for include_audio in (False, True):
             with pytest.raises(ValueError, match="'v1' has non-finite"):
@@ -372,11 +403,8 @@ class TestSetup:
     def test_setup_builds_no_float64_matrix(self, norm):
         n, d = 20000, 64
         rng = np.random.default_rng(0)
-        frames = {7: rng.normal(size=(3, d)).astype(np.float32)}
         pooled = rng.normal(size=(n, d)).astype(np.float32)
-        pooled[7] = frames[7].mean(axis=0, dtype=np.float64)
-        shard = Shard([f"v{i}" for i in range(n)], np.zeros(n, np.int64), [], pooled, d,
-                      frames, np.zeros(n, bool), 0)
+        shard = Shard([f"v{i}" for i in range(n)], [], pooled, d, 0)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -397,13 +425,10 @@ class TestSetup:
         # temporaries, well below the bound's n bytes per column at this n.
         n, d = 40000, 64
         rng = np.random.default_rng(1)
-        frames = {7: rng.normal(size=(3, d)).astype(np.float32)}
         block = rng.normal(size=(n, d + audio_dim)).astype(np.float32)
-        block[7, :d] = frames[7].mean(axis=0, dtype=np.float64)
 
         def shard():
-            return Shard([f"v{i}" for i in range(n)], np.zeros(n, np.int64), [], block.copy(),
-                         d, frames, np.full(n, audio_dim > 0), 0)
+            return Shard([f"v{i}" for i in range(n)], [], block.copy(), d, 0)
 
         # The reference is built the way it was before normalizing in place:
         # a new array filled in BLOCK_ROWS-row blocks.
@@ -442,8 +467,7 @@ class TestSetup:
         n, d = 20000, 64
         rng = np.random.default_rng(2)
         block = rng.normal(size=(n, d + audio_dim)).astype(np.float32)
-        fresh = Shard([f"v{i}" for i in range(n)], np.zeros(n, np.int64), [], block, d, {},
-                      np.full(n, audio_dim > 0), 0)
+        fresh = Shard([f"v{i}" for i in range(n)], [], block, d, 0)
         features = fresh.features(include_audio=mode == "rgb+audio")
         stats = cli._fit_normalizer(RunConfig(norm=norm), features)
         want = np.empty(features.shape, np.float32)
@@ -461,65 +485,6 @@ class TestSetup:
         assert np.array_equal(x, want)
         width = x.shape[1]
         assert peak - start < (blocks + 0.25) * BLOCK_ROWS * width * 8
-
-    @pytest.mark.parametrize(
-        "model, norm, features", [("binn", "znorm", "rgb"), ("logreg", "pca", "rgb+audio")]
-    )
-    def test_frame_records_score_as_their_float32_mean_pool(self, audio_dataset, tmp_path,
-                                                            capsys, model, norm, features):
-        """A shard whose frame records are replaced by pooled records of
-        their float32 mean pool trains, evaluates and predicts the same bytes."""
-        rng = np.random.default_rng(8)
-        twins = {"frames": tmp_path / "frames", "pooled": tmp_path / "pooled"}
-        for part in ("train", "val"):
-            shards = {kind: [] for kind in twins}
-            for i, rec in enumerate(read_shard(audio_dataset / f"{part}.shard")):
-                if i % 3:
-                    shards["frames"].append(rec)
-                    shards["pooled"].append(rec)
-                    continue
-                noise = rng.normal(0.0, 0.1, (1 + i % 5, rec.pooled.size))
-                frames = (rec.pooled + noise).astype(np.float32)
-                shards["frames"].append(
-                    VideoRecord(rec.video_id, rec.labels, frames=frames, audio=rec.audio)
-                )
-                shards["pooled"].append(
-                    VideoRecord(rec.video_id, rec.labels, audio=rec.audio,
-                                pooled=mean_pool(frames).astype(np.float32))
-                )
-            for kind, out in twins.items():
-                out.mkdir(exist_ok=True)
-                write_shard(out / f"{part}.shard", shards[kind])
-        outputs = {}
-        for kind, out in twins.items():
-            ckpt = out / "m.ckpt"
-            assert main(["train", "--vocab", str(audio_dataset / "vocab.txt"),
-                         "--train", str(out / "train.shard"), "--out", str(ckpt),
-                         "--log", str(out / "train.log"), "--model", model, "--norm", norm,
-                         "--features", features, "--iters", "30", "--batch-size", "64",
-                         "--log-every", "5"]) == 0
-            inputs = ["--ckpt", str(ckpt), "--vocab", str(audio_dataset / "vocab.txt"),
-                      "--shard", str(out / "val.shard")]
-            assert main(["evaluate", *inputs, "--out", str(out / "rep")]) == 0
-            assert main(["predict", *inputs, "--out", str(out / "p.tsv")]) == 0
-            loaded = load_checkpoint(ckpt)
-            # The checkpoint names its training shard by the shard's CRC32.
-            assert loaded.config.pop("train_crc32") == read_shard(out / "train.shard").crc32
-            outputs[kind] = (
-                loaded,
-                {p.name: p.read_bytes() for p in [out / "train.log", out / "p.tsv",
-                                                  *(out / "rep").iterdir()]},
-            )
-        capsys.readouterr()
-        (want, want_files), (got, got_files) = outputs["pooled"], outputs["frames"]
-        assert got_files == want_files and len(want_files) == 6
-        assert (got.step, got.config) == (want.step, want.config)
-        assert got.tensors.keys() == want.tensors.keys()
-        for name, arr in want.tensors.items():
-            np.testing.assert_array_equal(got.tensors[name], arr, strict=True)
-        for field in ("mean", "scale"):
-            np.testing.assert_array_equal(getattr(got.normalizer, field),
-                                          getattr(want.normalizer, field), strict=True)
 
 
 class TestSynth:

@@ -37,30 +37,21 @@ from reference_shard import ref_read_shard
 def sample_records():
     rng = np.random.default_rng(0)
     return [
-        VideoRecord("plain", [[0, 2], [5]], pooled=rng.normal(size=8).astype(np.float32)),
-        VideoRecord("framed", [[1], [0, 3]], frames=rng.normal(size=(12, 8)).astype(np.float32)),
-        VideoRecord(
-            "with_audio",
-            [[0], [1]],
-            pooled=rng.normal(size=8).astype(np.float32),
-            audio=rng.normal(size=3).astype(np.float32),
-        ),
-        VideoRecord(
-            "framed_audio",
-            [[2], [7]],
-            frames=rng.normal(size=(2, 8)).astype(np.float32),
-            audio=rng.normal(size=3).astype(np.float32),
-        ),
-        VideoRecord("unicode_é中", [[], []], pooled=np.zeros(8, np.float32)),
-    ]
+        VideoRecord(video_id, labels, pooled=rng.normal(size=8).astype(np.float32),
+                    audio=rng.normal(size=3).astype(np.float32))
+        for video_id, labels in [("plain", [[0, 2], [5]]), ("second", [[1], [0, 3]]),
+                                 ("third", [[0], [1]]), ("fourth", [[2], [7]])]
+    ] + [VideoRecord("unicode_é中", [[], []], pooled=np.zeros(8, np.float32),
+                     audio=np.zeros(3, np.float32))]
 
 
 class TestVideoRecord:
     def test_exactly_one_feature_form(self):
-        with pytest.raises(ValueError):
-            VideoRecord("x", [[0]], pooled=np.zeros(2, np.float32), frames=np.zeros((1, 2), np.float32))
-        with pytest.raises(ValueError):
+        # Pooled features are the one form a record holds, and it must have them.
+        with pytest.raises(TypeError):
             VideoRecord("x", [[0]])
+        with pytest.raises(TypeError):
+            VideoRecord("x", [[0]], pooled=np.zeros(2, np.float32), frames=np.zeros((1, 2), np.float32))
 
     def test_labels_deduped_and_sorted(self):
         rec = VideoRecord("x", [[3, 1, 3], []], pooled=np.zeros(2, np.float32))
@@ -75,11 +66,10 @@ class TestVideoRecord:
         with pytest.raises(ValueError):
             VideoRecord("x", [], pooled=np.zeros((2, 2), np.float32))
         with pytest.raises(ValueError):
-            VideoRecord("x", [], frames=np.zeros((0, 2), np.float32))
-        with pytest.raises(ValueError):
-            VideoRecord("x", [], frames=np.zeros(4, np.float32))
-        with pytest.raises(ValueError):
-            VideoRecord("x", [], pooled=np.zeros(2, np.float32), audio=np.zeros((1, 2), np.float32))
+            VideoRecord("x", [], pooled=None)
+        for audio in (np.zeros((1, 2), np.float32), np.zeros(0, np.float32)):
+            with pytest.raises(ValueError, match="audio features must be a non-empty 1-D array"):
+                VideoRecord("x", [], pooled=np.zeros(2, np.float32), audio=audio)
 
     def test_equality(self):
         a = VideoRecord("x", [[0]], pooled=np.ones(2, np.float32))
@@ -88,12 +78,11 @@ class TestVideoRecord:
         assert a == b and a != c
 
     def test_video_feature(self):
-        frames = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0]], np.float32)
-        rec = VideoRecord("x", [], frames=frames, audio=np.array([9.0], np.float32))
-        third = np.float32(1 / 3)  # the float64 mean pool rounded to float32
-        np.testing.assert_array_equal(
-            video_feature(rec), np.array([third, 4 / 3], np.float32), strict=True
-        )
+        rec = VideoRecord("x", [], pooled=[1 / 3, 4 / 3], audio=np.array([9.0], np.float32))
+        third = np.float32(1 / 3)
+        got = video_feature(rec)
+        np.testing.assert_array_equal(got, np.array([third, 4 / 3], np.float32), strict=True)
+        assert not np.shares_memory(got, rec.pooled)
         np.testing.assert_array_equal(
             video_feature(rec, include_audio=True),
             np.array([third, 4 / 3, 9.0], np.float32),
@@ -111,8 +100,7 @@ class TestShardRoundTrip:
         write_shard(path, records)
         back = list(read_shard(path))
         assert back == records
-        assert back[0].pooled.dtype == np.float32
-        np.testing.assert_array_equal(back[1].frames, records[1].frames)
+        assert back[0].pooled.dtype == back[0].audio.dtype == np.float32
 
     def test_empty_shard(self, tmp_path):
         path = tmp_path / "empty.shard"
@@ -174,7 +162,7 @@ class TestShardErrors:
         path = tmp_path / "corrupt.shard"
         write_shard(path, sample_records())
         raw = bytearray(path.read_bytes())
-        raw[-20] ^= 0xFF  # inside the last record's frames
+        raw[64 + 5] ^= 0xFF  # inside the first record's features
         path.write_bytes(bytes(raw))
         with pytest.raises(ShardChecksumError):
             read_shard(path)
@@ -184,25 +172,6 @@ class TestShardErrors:
         write_shard(path, sample_records())
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises((ShardFormatError, ShardTruncatedError)):
-            read_shard(path)
-
-    def test_unknown_kind_byte(self, tmp_path):
-        # structure is checked before the checksum, so a bad kind reports as
-        # a format problem even though the crc is also stale
-        path = tmp_path / "kind.shard"
-        write_shard(path, [VideoRecord("a", [], pooled=np.zeros(2, np.float32))])
-        raw = bytearray(path.read_bytes())
-        kind_off = 64 + 2 * 4  # after the block, one 2-d row from byte 64
-        assert raw[kind_off] == 0
-        raw[kind_off] = 7
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ShardFormatError, match="record 0 'a' has an unknown feature kind"):
-            read_shard(path)
-
-    def test_zero_frame_record_rejected(self, tmp_path):
-        path = tmp_path / "zero.shard"
-        path.write_bytes(_raw_shard(1, 2, kinds=[1]))  # frames, none stored
-        with pytest.raises(ShardFormatError, match="record 0 'r0' has zero frames"):
             read_shard(path)
 
 
@@ -223,30 +192,23 @@ def _csr(rows) -> tuple[list, list]:
     return [0, *itertools.accumulate(map(len, rows))], [label for row in rows for label in row]
 
 
-def _raw_shard(n, dim, audio_dim=0, *, block=None, kinds=None, layer_counts=None, labels=(),
-               layers=None, ids=None, id_offsets=None, frame_offsets=None, frames=()) -> bytes:
-    """A version-2 shard file, written one field at a time from its sections
+def _raw_shard(n, dim, audio_dim=0, *, block=None, labels=(), ids=None, id_offsets=None) -> bytes:
+    """A version-3 shard file, written one field at a time from its sections
     exactly as given, with the checksum of its body. Sections not given hold
-    ``n`` pooled rows of zero features, the ids r0, r1, ..., and no frames;
-    ``labels`` holds an (indptr, indices) pair per layer, and every record
-    has all of them unless ``layer_counts`` says otherwise."""
+    ``n`` rows of zero features and the ids r0, r1, ...; ``labels`` holds an
+    (indptr, indices) pair per layer."""
     block = np.zeros((n, dim + audio_dim)) if block is None else block
     ids = [f"r{i}".encode() for i in range(n)] if ids is None else ids
     if id_offsets is None:
         id_offsets = [0, *itertools.accumulate(map(len, ids))]
-    body = struct.pack("<QIII", n, dim, audio_dim, len(labels) if layers is None else layers)
+    body = struct.pack("<QIII", n, dim, audio_dim, len(labels))
     body += bytes(58 - len(body))
     body += np.asarray(block, "<f4").tobytes()
-    body += bytes([0] * n if kinds is None else kinds)
-    body += bytes([len(labels)] * n if layer_counts is None else layer_counts)
     for indptr, indices in labels:
         body += struct.pack(f"<{len(indptr)}Q", *indptr)
         body += struct.pack(f"<{len(indices)}I", *indices)
     body += struct.pack(f"<{len(id_offsets)}Q", *id_offsets) + b"".join(ids)
-    frame_offsets = [0] * (n + 1) if frame_offsets is None else frame_offsets
-    body += struct.pack(f"<{len(frame_offsets)}Q", *frame_offsets)
-    body += np.asarray(frames, "<f4").tobytes()
-    return SHARD_MAGIC + struct.pack("<H", 2) + body + struct.pack("<I", zlib.crc32(body))
+    return SHARD_MAGIC + struct.pack("<H", 3) + body + struct.pack("<I", zlib.crc32(body))
 
 
 class TestMalformedSections:
@@ -257,11 +219,14 @@ class TestMalformedSections:
     @staticmethod
     def assert_rejected(tmp_path, raw: bytes, match: str) -> None:
         path = tmp_path / "bad.shard"
-        path.write_bytes(raw)
-        with pytest.raises(ShardFormatError, match=match):
-            read_shard(path)
-        with pytest.raises(ShardFormatError):
-            ref_read_shard(path)
+        # Structure is checked before the checksum, so a stale CRC32 changes
+        # nothing.
+        for crc in (raw[-4:], bytes(b ^ 0xFF for b in raw[-4:])):
+            path.write_bytes(raw[:-4] + crc)
+            with pytest.raises(ShardFormatError, match=match):
+                read_shard(path)
+            with pytest.raises(ShardFormatError):
+                ref_read_shard(path)
 
     @pytest.mark.parametrize("indptr, first", [
         ([1, 1, 2, 3, 3], 0),  # does not start at 0
@@ -271,18 +236,6 @@ class TestMalformedSections:
     def test_bad_indptr(self, tmp_path, indptr, first):
         raw = _raw_shard(4, 2, labels=[(indptr, [0, 1, 2])])
         self.assert_rejected(tmp_path, raw, f"record {first} 'r{first}' has layer 0 label offsets")
-
-    def test_unknown_kind(self, tmp_path):
-        raw = _raw_shard(3, 2, kinds=[0, 2, 4])
-        self.assert_rejected(tmp_path, raw, "record 2 'r2' has an unknown feature kind")
-
-    def test_zero_frame_row(self, tmp_path):
-        raw = _raw_shard(3, 2, kinds=[1, 1, 3], frame_offsets=[0, 2, 2, 3], frames=np.ones((3, 2)))
-        self.assert_rejected(tmp_path, raw, "record 1 'r1' has zero frames")
-
-    def test_frames_of_a_pooled_row(self, tmp_path):
-        raw = _raw_shard(2, 2, kinds=[1, 0], frame_offsets=[0, 1, 2], frames=np.ones((2, 2)))
-        self.assert_rejected(tmp_path, raw, "record 1 'r1' has frames but a pooled feature kind")
 
     def test_undecodable_id(self, tmp_path):
         raw = _raw_shard(3, 2, ids=[b"ok", "é".encode()[:1], b"\xff"])
@@ -297,31 +250,40 @@ class TestMalformedSections:
         raw = _raw_shard(3, 2, ids=[b"abc"], id_offsets=[0, 2, 1, 3])
         self.assert_rejected(tmp_path, raw, "record 1 has video id offsets")
 
-    def test_layer_count_above_the_stored_layers(self, tmp_path):
-        raw = _raw_shard(3, 2, labels=[_csr([[0], [1], [2]])], layer_counts=[1, 0, 2])
-        self.assert_rejected(tmp_path, raw, "record 2 'r2' has more label layers than the 1")
-
-    def test_labels_past_the_layer_count(self, tmp_path):
-        raw = _raw_shard(3, 2, labels=[_csr([[0], [], [2]])], layer_counts=[1, 0, 0])
-        self.assert_rejected(tmp_path, raw, "record 2 'r2' has labels in layer 0, past its layer count")
-
-    def test_version_1_is_rejected(self, tmp_path, capsys):
-        # A version-1 file of one pooled record: id, no label layers, kind 0, dim 2.
-        body = struct.pack("<QH", 1, 1) + b"a" + struct.pack("<BBI2f", 0, 0, 2, 1.0, 2.0)
-        raw = SHARD_MAGIC + struct.pack("<H", 1) + body + struct.pack("<I", zlib.crc32(body))
+    @staticmethod
+    def assert_old_version_refused(tmp_path, capsys, version: int, body: bytes) -> None:
+        """A file of an older layout version fails to read, and ``train`` on
+        it is a data error that writes no checkpoint."""
+        raw = SHARD_MAGIC + struct.pack("<H", version) + body + struct.pack("<I", zlib.crc32(body))
         data_dir = tmp_path / "data"
         assert main(["synth", "--out", str(data_dir), "--num-train", "20", "--num-val", "5",
                      "--num-entities", "6", "--num-verticals", "3", "--dim", "2"]) == 0
         (data_dir / "train.shard").write_bytes(raw)
-        with pytest.raises(ShardFormatError, match="unsupported version 1, expected 2"):
+        message = f"unsupported version {version}, expected 3"
+        with pytest.raises(ShardFormatError, match=message):
             read_shard(data_dir / "train.shard")
         capsys.readouterr()
         assert main(["train", "--vocab", str(data_dir / "vocab.txt"),
                      "--train", str(data_dir / "train.shard"),
                      "--out", str(tmp_path / "m.ckpt"), "--iters", "1"]) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and "unsupported version 1, expected 2" in err
+        assert "data error" in err and message in err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_version_1_is_rejected(self, tmp_path, capsys):
+        # A version-1 file of one pooled record: id, no label layers, kind 0, dim 2.
+        body = struct.pack("<QH", 1, 1) + b"a" + struct.pack("<BBI2f", 0, 0, 2, 1.0, 2.0)
+        self.assert_old_version_refused(tmp_path, capsys, 1, body)
+
+    def test_version_2_is_rejected(self, tmp_path, capsys):
+        # The bytes the version-2 writer wrote for one pooled record "a" with
+        # features (1, 2), no audio and no label layers: the version-3
+        # sections with a kind byte and a layer count per record after the
+        # block, and (empty) frame offsets at the end.
+        head = struct.pack("<QIII", 1, 2, 0, 0)
+        body = (head + bytes(58 - len(head)) + struct.pack("<2f", 1.0, 2.0) + bytes([0, 0])
+                + struct.pack("<2Q", 0, 1) + b"a" + struct.pack("<2Q", 0, 0))
+        self.assert_old_version_refused(tmp_path, capsys, 2, body)
 
 
 def _dense_targets(records, layer: int, size: int) -> np.ndarray:
@@ -340,10 +302,6 @@ class TestColumnarDecode:
             VideoRecord(f"p{i}", [[i % 3], [i, i + 4]], pooled=rng.normal(size=6).astype(np.float32))
             for i in range(5)
         ]
-        frames = [
-            VideoRecord(f"f{i}", [[0], [i]], frames=rng.normal(size=(i + 1, 6)).astype(np.float32))
-            for i in range(4)
-        ]
         audio = [
             VideoRecord(f"a{i}", [[1], [2]], pooled=rng.normal(size=6).astype(np.float32),
                         audio=rng.normal(size=3).astype(np.float32))
@@ -352,19 +310,25 @@ class TestColumnarDecode:
         empty_layers = [
             VideoRecord("none", [[], []], pooled=np.ones(6, np.float32)),
             VideoRecord("fine_only", [[], [4]], pooled=np.ones(6, np.float32)),
-            VideoRecord("no_layers", [], pooled=np.zeros(6, np.float32)),
+            VideoRecord("coarse_only", [[0], []], pooled=np.zeros(6, np.float32)),
+        ]
+        no_layers = [VideoRecord(f"n{i}", [], pooled=np.full(6, i, np.float32)) for i in range(3)]
+        three_layers = [
             VideoRecord("three", [[0], [1], [2, 5]], pooled=np.zeros(6, np.float32)),
+            VideoRecord("three_more", [[1], [], [0]], pooled=np.ones(6, np.float32)),
         ]
         return {
             "pooled": pooled,
-            "frames": frames,
             "audio": audio,
             "mixed": sample_records(),
-            "mixed_audio": pooled[:2] + audio[:1] + frames[:2] + audio[1:],
             "empty_layers": empty_layers,
+            "no_layers": no_layers,
+            "three_layers": three_layers,
         }
 
-    @pytest.mark.parametrize("name", ["pooled", "frames", "audio", "mixed", "mixed_audio", "empty_layers"])
+    @pytest.mark.parametrize(
+        "name", ["pooled", "audio", "mixed", "empty_layers", "no_layers", "three_layers"]
+    )
     def test_equals_reference_reader(self, tmp_path, name):
         records = self.record_sets()[name]
         path = tmp_path / f"{name}.shard"
@@ -374,6 +338,7 @@ class TestColumnarDecode:
         assert len(shard) == len(records) and shard.block.dtype == np.float32
         assert list(shard) == records and records == shard
         assert read_shard(path) == shard
+        assert len(shard.labels) == len(records[0].labels)
         for layer in shard.labels:
             assert layer.indices.dtype == np.int64 and layer.indptr.shape == (len(records) + 1,)
 
@@ -409,25 +374,36 @@ class TestColumnarDecode:
         # One block holds every record's features, so a shard cannot store
         # two dims; writing them is refused and leaves no file.
         records = [
-            VideoRecord("first", [[0]], pooled=np.zeros(4, np.float32)),
-            VideoRecord("second", [[0]], frames=np.zeros((2, 4), np.float32), audio=np.zeros(2, np.float32)),
+            VideoRecord("first", [[0]], pooled=np.zeros(4, np.float32), audio=np.zeros(2, np.float32)),
+            VideoRecord("second", [[0]], pooled=np.ones(4, np.float32), audio=np.ones(2, np.float32)),
             VideoRecord("odd_one", [[0]],
                         pooled=np.zeros(4 if field == "audio_dim" else 5, np.float32),
                         audio=np.zeros(3 if field == "audio_dim" else 2, np.float32)),
         ]
         path = tmp_path / "mixed.shard"
-        want = "'odd_one' has audio dim 3, the records before it have 2" if field == "audio_dim" \
-            else "'odd_one' has feature dim 5, the records before it have 4"
+        want = "'odd_one' has audio dim 3, the records before it have audio dim 2" \
+            if field == "audio_dim" else "'odd_one' has feature dim 5, the records before it have feature dim 4"
         with pytest.raises(ValueError, match=want):
+            write_shard(path, records)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_mixed_layer_counts_name_the_record(self, tmp_path, layers):
+        # Every record has every label layer of the shard.
+        records = self.record_sets()["pooled"]
+        records.insert(2, VideoRecord("odd_one", [[0]] * layers, pooled=np.zeros(6, np.float32)))
+        path = tmp_path / "mixed.shard"
+        with pytest.raises(ValueError, match=f"'odd_one' has {layers} label layers, "
+                                             "the records before it have 2 label layers"):
             write_shard(path, records)
         assert not path.exists()
 
     def test_features_equal_video_feature_per_record(self, tmp_path):
         path = tmp_path / "s.shard"
-        records = self.record_sets()["mixed_audio"]
+        records = self.record_sets()["pooled"]
         write_shard(path, records)
         shard = read_shard(path)
-        with pytest.raises(ValueError, match="'p0' has no audio"):
+        with pytest.raises(ValueError, match="record 'p0' has no audio"):
             shard.features(include_audio=True)
         got = shard.features()
         assert np.shares_memory(got, shard.block)
@@ -437,7 +413,7 @@ class TestColumnarDecode:
         for read in (shard.features, lambda: iter(shard)):
             with pytest.raises(RuntimeError, match="overwritten in place"):
                 read()
-        records = [r for r in sample_records() if r.audio is not None]
+        records = sample_records()
         write_shard(path, records)
         np.testing.assert_array_equal(
             read_shard(path).features(include_audio=True),
@@ -457,8 +433,8 @@ class TestColumnarDecode:
         shard = read_shard(path)
         block = shard.block.copy()
         for rec in shard:
-            for array in (rec.pooled, rec.frames, rec.audio, *rec.labels):
-                if array is not None and array.size:
+            for array in (rec.pooled, rec.audio, *rec.labels):
+                if array.size:
                     array[...] = -7
         np.testing.assert_array_equal(shard.block, block, strict=True)
         assert shard == sample_records()
@@ -477,15 +453,17 @@ class TestColumnarDecode:
                 np.testing.assert_array_equal(got, dense[idx])
 
     def test_audio_after_the_first_record(self, tmp_path):
-        records = self.record_sets()["mixed_audio"]
-        assert records[0].audio is None and records[2].audio is not None
+        """A shard's records all have audio or all lack it: a list that
+        mixes them is refused, naming the first record unlike the first."""
+        sets = self.record_sets()
         path = tmp_path / "s.shard"
-        write_shard(path, records)
-        shard = read_shard(path)
-        assert shard == records and shard.block.shape == (len(records), 6 + 3)
-        np.testing.assert_array_equal(shard.has_audio, [r.audio is not None for r in records])
-        assert not shard.block[~shard.has_audio, shard.dim :].any()
-        assert np.shares_memory(shard.features(), shard.block)
+        for records, want in [
+            (sets["pooled"][:2] + sets["audio"], "'a0' has audio dim 3, the records before it have no audio"),
+            (sets["audio"][:2] + sets["pooled"], "'p0' has no audio, the records before it have audio dim 3"),
+        ]:
+            with pytest.raises(ValueError, match=want):
+                write_shard(path, records)
+            assert not path.exists()
 
 
 @pytest.mark.usefixtures("tiny_chunks")
@@ -494,16 +472,17 @@ class TestColumnarDecodeInTinyChunks(TestColumnarDecode):
 
 
 def random_records(rng, n: int) -> list:
-    """``n`` records mixing pooled and frame rows, audio on some rows only,
-    zero to three label layers, empty label rows and non-ASCII ids."""
+    """``n`` records of one shape drawn for the list (audio on every record
+    or on none, zero to three label layers), with empty label rows and
+    non-ASCII ids."""
+    audio, layers = rng.random() < 0.5, int(rng.integers(0, 4))
     records = []
     for i in range(n):
-        features = (dict(frames=rng.normal(size=(int(rng.integers(1, 5)), 5)).astype(np.float32))
-                    if rng.random() < 0.3 else dict(pooled=rng.normal(size=5).astype(np.float32)))
-        if rng.random() < 0.5:
+        features = dict(pooled=rng.normal(size=5).astype(np.float32))
+        if audio:
             features["audio"] = rng.normal(size=2).astype(np.float32)
         labels = [rng.choice(40, size=int(rng.integers(0, 4)), replace=False)
-                  for _ in range(int(rng.integers(0, 4)))]
+                  for _ in range(layers)]
         video_id = "".join(rng.choice(list("ab_7é中\u00ff"), size=int(rng.integers(0, 6))))
         records.append(VideoRecord(f"{video_id}{i}", labels, **features))
     return records
@@ -557,9 +536,9 @@ class TestReadMemory:
         shard, kept, peak = self.traced(lambda: read_shard(path))
         assert len(shard) == n and shard.block.shape == (n, d)
         # Beyond the shard it returns (kept: features, labels and ids), the
-        # read holds the id section while it decodes it, and besides it the
-        # kinds (a byte a record) and under 64 KiB of smaller objects.
-        assert peak - kept < id_section + n + (1 << 16)
+        # read holds the id section while it decodes it, and besides it under
+        # 64 KiB of smaller objects.
+        assert peak - kept < id_section + (1 << 16)
 
     @staticmethod
     def traced(op):
@@ -596,28 +575,16 @@ class TestFeatureRows:
 
     @classmethod
     def records(cls, kind: str) -> list:
+        """``N`` records, with audio when ``kind`` is "audio"."""
         rng = np.random.default_rng(21)
-
-        def record(i, frames, audio):
-            features = (
-                dict(frames=rng.normal(size=(1 + i % 3, 6)).astype(np.float32))
-                if frames
-                else dict(pooled=rng.normal(loc=3.0, size=6).astype(np.float32))
-            )
-            if audio:
-                features["audio"] = rng.normal(size=3).astype(np.float32)
-            return VideoRecord(f"v{i}", [[0], [i % 5]], **features)
-
-        # In the mixed shards every seventh record has frames.
         return [
-            record(i, kind == "frames" or (kind != "pooled" and i % 7 == 1), kind == "mixed_audio")
+            VideoRecord(f"v{i}", [[0], [i % 5]], pooled=rng.normal(loc=3.0, size=6).astype(np.float32),
+                        audio=rng.normal(size=3).astype(np.float32) if kind == "audio" else None)
             for i in range(cls.N)
         ]
 
     @pytest.mark.parametrize(
-        "kind, include_audio",
-        [("pooled", False), ("frames", False), ("mixed", False),
-         ("mixed_audio", False), ("mixed_audio", True)],
+        "kind, include_audio", [("pooled", False), ("audio", False), ("audio", True)]
     )
     def test_blocks_equal_video_feature_rows(self, tmp_path, kind, include_audio):
         """The features are a float32 view of the shard's block, equal to
@@ -632,7 +599,7 @@ class TestFeatureRows:
         np.testing.assert_array_equal(x, want, strict=True)
 
     @pytest.mark.parametrize("fit", [fit_znorm, fit_pca_whitening], ids=["znorm", "pca"])
-    @pytest.mark.parametrize("kind, include_audio", [("mixed", False), ("mixed_audio", True)])
+    @pytest.mark.parametrize("kind, include_audio", [("pooled", False), ("audio", True)])
     def test_fit_on_rows_equals_fit_on_matrix(self, tmp_path, fit, kind, include_audio):
         path = tmp_path / "s.shard"
         records = self.records(kind)
@@ -857,17 +824,11 @@ class TestStreamedWrites:
         """The streamed sections are the bytes of the layout written one
         field at a time."""
         records = sample_records()
-        frames = [r.frames for r in records if r.frames is not None]
         raw = _raw_shard(
             len(records), 8, 3,
-            block=[np.concatenate([video_feature(r), np.zeros(3) if r.audio is None else r.audio])
-                   for r in records],
-            kinds=[(r.frames is not None) + 2 * (r.audio is not None) for r in records],
+            block=[video_feature(r, include_audio=True) for r in records],
             labels=[_csr([r.labels[t] for r in records]) for t in range(2)],
             ids=[r.video_id.encode() for r in records],
-            frame_offsets=[0, *itertools.accumulate(0 if r.frames is None else len(r.frames)
-                                                    for r in records)],
-            frames=np.concatenate(frames),
         )
         path = tmp_path / "s.shard"
         write_shard(path, records)

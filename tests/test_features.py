@@ -9,7 +9,6 @@ from hlvc.features import (
     BLOCK_ROWS,
     DEFAULT_EPSILON,
     L2_FLOOR,
-    MAX_FRAMES,
     ConvergenceError,
     NormalizerStats,
     apply_normalizer,
@@ -17,37 +16,7 @@ from hlvc.features import (
     fit_znorm,
     jacobi_eigh,
     l2_normalize,
-    mean_pool,
 )
-
-
-class TestPooling:
-    def test_mean_pool_matches_fsum(self):
-        rng = np.random.default_rng(0)
-        frames = rng.normal(size=(47, 9))
-        got = mean_pool(frames)
-        want = np.array([math.fsum(frames[:, d]) / 47 for d in range(9)])
-        np.testing.assert_allclose(got, want, rtol=1e-15)
-
-    def test_mean_pool_truncates_long_videos(self):
-        rng = np.random.default_rng(1)
-        frames = rng.normal(size=(MAX_FRAMES + 100, 4))
-        got = mean_pool(frames)
-        np.testing.assert_allclose(got, frames[:MAX_FRAMES].mean(axis=0))
-
-    def test_mean_pool_single_frame(self):
-        frames = np.arange(6.0).reshape(1, 6)
-        np.testing.assert_allclose(mean_pool(frames), frames[0])
-
-    def test_mean_pool_rejects_empty_and_wrong_rank(self):
-        with pytest.raises(ValueError):
-            mean_pool(np.zeros((0, 4)))
-        with pytest.raises(ValueError):
-            mean_pool(np.zeros(4))
-
-    def test_mean_pool_output_is_float64(self):
-        frames = np.ones((3, 2), dtype=np.float32)
-        assert mean_pool(frames).dtype == np.float64
 
 
 class TestL2Normalize:

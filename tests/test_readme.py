@@ -5,7 +5,7 @@ import re
 import shlex
 
 import hlvc
-from hlvc import cli
+from hlvc import cli, data
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,3 +61,13 @@ def test_named_objects_exist():
             obj = getattr(obj, attr)
         checked.append(name)
     assert "data.video_feature" in checked and "Shard.features" in checked
+
+
+def test_shard_version_matches_the_code():
+    """The "Shards" section's layout table and its version-error example
+    both name ``data.SHARD_VERSION``."""
+    section = README.read_text(encoding="utf-8").split("### Shards", 1)[1].split("\n### ", 1)[0]
+    current = re.findall(r"format version, u16 \(currently (\d+)\)", section)
+    expected = re.findall(r"unsupported version \d+, expected (\d+)", section)
+    assert current and expected
+    assert {int(v) for v in current + expected} == {data.SHARD_VERSION}
