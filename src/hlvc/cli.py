@@ -605,18 +605,8 @@ _DECIMAL_PLACES = 10 ** np.arange(6, -1, -1, dtype=np.int32)
 
 # Longest video id, in UTF-8 bytes, for which predict writes a whole block
 # of videos at once. A block with a longer id is written in row slices, each
-# no larger than a whole block padded to this id length.
+# no larger than a whole block of lines with ids of this length.
 _ID_BYTES = 64
-
-
-def _utf8_table(encoded) -> tuple[np.ndarray, np.ndarray]:
-    """Each byte string as a row of a zero-padded uint8 table, with the mask
-    of its real bytes."""
-    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    table = np.zeros(keep.shape, np.uint8)
-    table[keep] = np.frombuffer(b"".join(encoded), np.uint8)
-    return table, keep
 
 
 def _score_text(scores: np.ndarray) -> np.ndarray:
@@ -640,45 +630,29 @@ def _score_text(scores: np.ndarray) -> np.ndarray:
     return text
 
 
-def _lines(ids, fields, field_keep, picked, score_text) -> np.ndarray:
-    """The TSV bytes of the videos ``ids`` (UTF-8), whose lines print the
-    field rows ``picked`` and the texts ``score_text`` (see ``cmd_predict``)."""
-    ids, id_keep = _utf8_table(ids)
-    id_shape = picked.shape + (ids.shape[1],)
-    text = np.concatenate(
-        [np.broadcast_to(ids[:, None], id_shape), fields[picked], score_text], axis=2
-    )
-    keep = np.concatenate(
-        [
-            np.broadcast_to(id_keep[:, None], id_shape),
-            field_keep[picked],
-            np.ones(score_text.shape, bool),
-        ],
-        axis=2,
-    )
-    return text[keep]
-
-
 def cmd_predict(args) -> int:
     """Write one ``video, layer, label, score`` line per top-k label, best
     first, ranked and written ``BLOCK_ROWS`` videos at a time.
 
-    A block's bytes are one (videos, lines per video, width) uint8 matrix:
-    the zero-padded video id, the padded "\\tlayer\\tlabel\\t" field of the
-    line's label and the 9-byte score text. The masked real bytes, in
-    row-major order, are the block's lines. A block whose longest id exceeds
-    ``_ID_BYTES`` builds that matrix for a slice of its videos at a time, so
-    one long id cannot inflate it beyond a block of ordinary ids.
+    A block's lines are one (videos, lines per video, 3) object array of
+    byte strings: the UTF-8 video id, the "\\tlayer\\tlabel\\t" field of the
+    line's label and the 9-byte score text. The join of a slice of its rows,
+    in row-major order, is written as it is. A block whose longest id
+    exceeds ``_ID_BYTES`` is joined a slice of its videos at a time, so one
+    long id cannot make the joined bytes larger than a block of ordinary
+    ids. A video id that holds a tab or a line break is a ValueError.
     """
     hierarchy, shard, scores = _prepare_eval(args)
+    bad = next((v for v in shard.video_ids if "\t" in v or "\n" in v or "\r" in v), None)
+    if bad is not None:
+        raise ValueError(f"record {bad!r}: a tab or line break in a video id breaks the TSV")
     scored = sorted(scores)
     layers = [hierarchy.layers[t] for t in scored]
-    # One field row per label of every scored layer; a layer's rows start at
+    # One field per label of every scored layer; a layer's fields start at
     # its offset.
-    fields, field_keep = _utf8_table(
-        [f"\t{layer.name}\t{label}\t".encode() for layer in layers for label in layer.labels]
-    )
-    line_bytes = fields.shape[1] + _SCORE_BYTES
+    fields = np.array([f"\t{layer.name}\t{label}\t".encode()
+                       for layer in layers for label in layer.labels], object)
+    line_bytes = max(map(len, fields)) + _SCORE_BYTES
     offsets = np.cumsum([0] + [layer.size for layer in layers[:-1]])
     count = 0
     with atomic_open(args.out, "wb") as fh:
@@ -691,13 +665,15 @@ def cmd_predict(args) -> int:
                 picked.append(top + offset)
                 best.append(np.take_along_axis(block, top, axis=1))
             picked = np.hstack(picked)
-            score_text = _score_text(np.hstack(best))
             ids = [video_id.encode() for video_id in shard.video_ids[rows]]
+            pieces = np.empty(picked.shape + (3,), object)
+            pieces[..., 0] = np.array(ids, object)[:, None]
+            pieces[..., 1] = fields[picked]
+            pieces[..., 2] = _score_text(np.hstack(best)).view(f"S{_SCORE_BYTES}")[..., 0]
             longest = max(map(len, ids))
             step = max(1, BLOCK_ROWS * (_ID_BYTES + line_bytes) // (longest + line_bytes))
             for i in range(0, len(ids), step):
-                fh.write(_lines(ids[i : i + step], fields, field_keep,
-                                picked[i : i + step], score_text[i : i + step]))
+                fh.write(b"".join(pieces[i : i + step].ravel().tolist()))
             count += picked.size
     print(f"wrote {count} predictions for {len(shard)} videos to {args.out}")
     return EXIT_OK

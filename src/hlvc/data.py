@@ -214,7 +214,7 @@ class Shard:
         columns when ``include_audio``, as a view that consumes the shard;
         row i equals ``video_feature`` of record i. The shard must have audio
         when it is included, and every row must be finite (checked by
-        ``features.nonfinite_rows``, from float64 row sums).
+        ``features.nonfinite_rows``, from row sums).
         """
         self._unconsumed()
         if include_audio and len(self) and self.block.shape[1] == self.dim:

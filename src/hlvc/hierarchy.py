@@ -36,7 +36,8 @@ from .atomic import atomic_open
 MIN_PARENTS = 1
 MAX_PARENTS = 3
 
-_FORBIDDEN_NAME_CHARS = ":,"
+# Reserved by the vocabulary file (":" and ",") and by predict's TSV.
+_FORBIDDEN_NAME_CHARS = ":,\t\n\r"
 
 
 class VocabularyError(ValueError):
@@ -46,7 +47,7 @@ class VocabularyError(ValueError):
 def _check_name(name: str, where: str) -> str:
     if not name or name != name.strip():
         raise VocabularyError(f"{where}: empty or padded label name {name!r}")
-    if any(c in name for c in _FORBIDDEN_NAME_CHARS) or "\n" in name:
+    if any(c in name for c in _FORBIDDEN_NAME_CHARS):
         raise VocabularyError(f"{where}: label name {name!r} contains a reserved character")
     return name
 

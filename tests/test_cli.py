@@ -1,9 +1,11 @@
+import contextlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -319,6 +321,37 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv) == 2
         assert want in capsys.readouterr().err.splitlines()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("video_id", ["id\twith\ttabs\nand newline", "cr\rid", "nl\n"])
+    def test_id_that_breaks_the_tsv_is_data_error(self, dataset, tmp_path, capsys, video_id):
+        """Predict refuses an id holding a tab or line break, names its record
+        and leaves no TSV; evaluate, which writes no ids, scores it."""
+        shard = tmp_path / "bad.shard"
+        records = list(read_shard(dataset / "val.shard"))
+        records[7].video_id = video_id
+        write_shard(shard, records)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(train_args(dataset, ckpt, "--model", "logreg", "--iters", "5")) == 0
+        inputs = ["--ckpt", str(ckpt), "--vocab", str(dataset / "vocab.txt"), "--shard", str(shard)]
+        assert main(["evaluate", *inputs, "--out", str(tmp_path / "rep")]) == 0
+        capsys.readouterr()
+        assert main(["predict", *inputs, "--out", str(tmp_path / "p.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"record {video_id!r}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.shard", "m.ckpt", "rep"]
+
+    def test_vocabulary_label_with_a_tab_is_data_error(self, dataset, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        text = (dataset / "vocab.txt").read_text()
+        first = load_vocabulary(dataset / "vocab.txt").layers[0].labels[0]
+        vocab.write_text(text.replace(f"\n{first}\n", f"\n{first}\tB\n", 1))
+        out = tmp_path / "m.ckpt"
+        argv = ["train", "--vocab", str(vocab), "--train", str(dataset / "train.shard"),
+                "--out", str(out), "--iters", "5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and repr(f"{first}\tB") in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1047,16 +1080,30 @@ class TestPredict:
 
     @staticmethod
     def count_slices(monkeypatch) -> list:
-        """The number of videos in each slice predict writes, once it runs."""
+        """The number of videos in each slice predict joins and writes, once
+        it runs: each write is one slice, counted by its distinct ids."""
         slices = []
-        lines = cli._lines
+        opened = cli.atomic_open
 
-        def counted(ids, *rest):
-            slices.append(len(ids))
-            return lines(ids, *rest)
+        @contextlib.contextmanager
+        def counted(*args, **kwargs):
+            with opened(*args, **kwargs) as fh:
+                def write(data):
+                    slices.append(len({line.split(b"\t", 1)[0] for line in data.splitlines()}))
+                    return fh.write(data)
 
-        monkeypatch.setattr(cli, "_lines", counted)
+                yield types.SimpleNamespace(write=write)
+
+        monkeypatch.setattr(cli, "atomic_open", counted)
         return slices
+
+    @staticmethod
+    def assert_bytes_of_one_list(argv, tmp_path, capsys):
+        """Predict with ``argv`` writes the bytes of ``reference_predict``."""
+        assert main(argv + [str(tmp_path / "got.tsv")]) == 0
+        capsys.readouterr()
+        reference_predict(cli.build_parser().parse_args(argv + [str(tmp_path / "want.tsv")]))
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
     def test_long_ids_write_the_bytes_of_one_list(self, dataset, tmp_path, capsys, monkeypatch):
         """A block with an id longer than ``_ID_BYTES`` is written in row
@@ -1078,6 +1125,25 @@ class TestPredict:
         capsys.readouterr()
         assert slices == [60]
 
+    @pytest.mark.parametrize("ids", [
+        {0: "nul\x00", 1: "\x00", 30: "two\x00\x00", 59: "\x00mid\x00dle"},
+        {0: "", 1: "é", 2: "", 3: "日本🎥", 4: "ü", 59: ""},
+    ], ids=["ending-in-nul", "empty-beside-non-ascii"])
+    def test_odd_ids_write_the_bytes_of_one_list(self, dataset, tmp_path, capsys, ids):
+        """A trailing NUL stays part of the id, and an empty id writes a
+        line that starts with the tab."""
+        argv = self.long_id_setup(dataset, tmp_path, ids)
+        self.assert_bytes_of_one_list(argv, tmp_path, capsys)
+        got = (tmp_path / "got.tsv").read_bytes().splitlines()
+        assert {line.split(b"\t", 1)[0] for line in got} >= {i.encode() for i in ids.values()}
+
+    def test_a_full_block_and_one_video(self, tmp_path, capsys):
+        dataset = _synth(tmp_path / "d", "--num-val", str(BLOCK_ROWS + 1))
+        argv = self.long_id_setup(dataset, tmp_path, {BLOCK_ROWS: "last"})
+        self.assert_bytes_of_one_list(argv, tmp_path, capsys)
+        # 6 vertical and 20 entity lines for the video past the first block.
+        assert (tmp_path / "got.tsv").read_bytes().count(b"\nlast\t") == 26
+
     def test_one_long_id_does_not_inflate_the_block(self, dataset, tmp_path, capsys):
         argv = self.long_id_setup(dataset, tmp_path, {0: "x" * 16000})
         tracemalloc.start()
@@ -1088,11 +1154,30 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        # Padding the 60 videos' 26 lines each to the long id would take
-        # 60 * 26 * 16000 bytes in the byte matrix and as much in its mask,
-        # 50 MB. A slice's matrix and mask stay within those of a whole block
-        # of ids of ``_ID_BYTES``, with lines of under 100 bytes here.
+        # Joining the 60 videos' 26 lines each at once would take
+        # 60 * 26 * 16000 bytes, 25 MB. A slice's joined bytes and pieces
+        # stay within those of a whole block of ids of ``_ID_BYTES``, with
+        # lines of under 100 bytes here.
         assert peak - start < 2 * BLOCK_ROWS * 26 * 100 + 1_000_000
+
+    def test_long_ids_throughout_a_block(self, dataset, tmp_path, capsys):
+        """Every id of the block is 16000 bytes: each slice stays within the
+        bound of one long id, and the bytes are those of the one-list writer."""
+        ids = {i: f"{i:02d}" + "x" * 15998 for i in range(60)}
+        argv = self.long_id_setup(dataset, tmp_path, ids)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            assert main(argv + [str(tmp_path / "got.tsv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        # Beside the bound above, three copies of the 60 ids: the shard's id
+        # section and its strings, and the block's UTF-8 ids. Joining the
+        # block at once would take 25 MB.
+        assert peak - start < 2 * BLOCK_ROWS * 26 * 100 + 1_000_000 + 3 * 60 * 16000
+        self.assert_bytes_of_one_list(argv, tmp_path, capsys)
 
     def test_top_k_capped_by_layer_size(self, perfect_setup, tmp_path, capsys):
         vocab, shard, ckpt = perfect_setup

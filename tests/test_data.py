@@ -598,6 +598,13 @@ class TestFeatureRows:
         want = np.stack([video_feature(r, include_audio) for r in records])
         np.testing.assert_array_equal(x, want, strict=True)
 
+    def test_finite_row_whose_float32_sum_overflows_passes(self, tmp_path):
+        path = tmp_path / "s.shard"
+        rows = np.array([[3e38, 3e38], [1.0, 2.0]], np.float32)
+        write_shard(path, [VideoRecord("v0", [[0], [0]], pooled=rows[0]),
+                           VideoRecord("v1", [[0], [1]], pooled=rows[1])])
+        np.testing.assert_array_equal(read_shard(path).features(), rows, strict=True)
+
     @pytest.mark.parametrize("fit", [fit_znorm, fit_pca_whitening], ids=["znorm", "pca"])
     @pytest.mark.parametrize("kind, include_audio", [("pooled", False), ("audio", True)])
     def test_fit_on_rows_equals_fit_on_matrix(self, tmp_path, fit, kind, include_audio):

@@ -16,6 +16,7 @@ from hlvc.features import (
     fit_znorm,
     jacobi_eigh,
     l2_normalize,
+    nonfinite_rows,
 )
 
 
@@ -43,6 +44,18 @@ class TestL2Normalize:
         out, degenerate = l2_normalize(np.array([0.0, 5.0]))
         np.testing.assert_allclose(out, [0.0, 1.0])
         assert degenerate.shape == ()
+
+
+class TestNonfiniteRows:
+    def test_rows_with_nan_or_infinity(self):
+        x = np.array([[0, 1], [np.inf, 0], [1, 1], [0, np.nan], [-np.inf, np.inf]], np.float32)
+        np.testing.assert_array_equal(nonfinite_rows(x), [1, 3, 4])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_row_whose_sum_overflows_passes(self, dtype):
+        big = np.finfo(dtype).max / 2 * 1.5
+        x = np.array([[big, big], [1.0, 2.0], [big, np.nan]], dtype)
+        np.testing.assert_array_equal(nonfinite_rows(x), [2])
 
 
 class TestZnorm:

@@ -40,6 +40,14 @@ class TestConceptLayer:
             with pytest.raises(VocabularyError):
                 ConceptLayer("verticals", (bad,))
 
+    @pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb"])
+    def test_tsv_breaking_characters_rejected(self, bad):
+        """Predict writes layer and label names into tab-separated lines."""
+        with pytest.raises(VocabularyError, match="reserved character"):
+            ConceptLayer("verticals", (bad,))
+        with pytest.raises(VocabularyError, match="reserved character"):
+            ConceptLayer(bad, ("a",))
+
     def test_spaces_allowed_in_names(self):
         layer = ConceptLayer("verticals", ("Arts & Entertainment", "Autos & Vehicles"))
         assert layer.index["Autos & Vehicles"] == 1

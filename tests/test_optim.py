@@ -317,6 +317,9 @@ class TestSlices:
             start, _ = tracemalloc.get_traced_memory()
             state = init_adam(tensors, 0.01, weight_decay=1e-8)
             held, _ = tracemalloc.get_traced_memory()
+            # The flat gradient array starts uninitialized; give it finite values.
+            for g in state.g.values():
+                g[...] = 0.5
             tracemalloc.reset_peak()
             adam_step(state, tensors, state.g)
             _, peak = tracemalloc.get_traced_memory()
