@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import os
+import re
 import sys
 import typing
 
@@ -365,7 +366,7 @@ def _check_records(path, shard, hierarchy) -> None:
         beyond = np.flatnonzero(layer.indices >= size)
         if beyond.size:
             row = np.searchsorted(layer.indptr, beyond[0], side="right") - 1
-            raise ValueError(f"record {shard.video_ids[row]!r} labels out of range in layer {t}")
+            raise ValueError(f"record {shard.video_id(row)!r} labels out of range in layer {t}")
 
 
 # Records per chunk of ``_warn_missing_parents``, whose temporaries grow
@@ -555,7 +556,7 @@ def _layer_scores(family, ckpt: Checkpoint, hierarchy, x: np.ndarray, labeled=No
             empty = np.flatnonzero(np.diff(labeled.labels[t].indptr) == 0)
             if empty.size:
                 name = hierarchy.layers[t].name
-                raise ValueError(f"record {labeled.video_ids[empty[0]]!r} has no {name} labels; "
+                raise ValueError(f"record {labeled.video_id(empty[0])!r} has no {name} labels; "
                                  "PERR is undefined")
     scores = {t: baseline.predict(baseline.LogRegParams(w), x) for t, w in weights.items()}
     for t in induced:
@@ -601,7 +602,6 @@ def cmd_evaluate(args) -> int:
 
 # Bytes of each score's text: one integer digit, '.', six decimals, '\n'.
 _SCORE_BYTES = 9
-_DECIMAL_PLACES = 10 ** np.arange(6, -1, -1, dtype=np.int32)
 
 # Longest video id, in UTF-8 bytes, for which predict writes a whole block
 # of videos at once. A block with a longer id is written in row slices, each
@@ -624,7 +624,9 @@ def _score_text(scores: np.ndarray) -> np.ndarray:
         raise ValueError("scores to be written must lie in [+0, 1]")
     micro = np.rint(scores.astype(np.float64) * 1e6).astype(np.int32)
     text = np.empty(scores.shape + (_SCORE_BYTES,), np.uint8)
-    text[..., [0, 2, 3, 4, 5, 6, 7]] = micro[..., None] // _DECIMAL_PLACES % 10 + ord("0")
+    # One scalar divisor per digit column: faster than an array of divisors.
+    for col, power in zip((0, 2, 3, 4, 5, 6, 7), range(6, -1, -1)):
+        text[..., col] = micro // 10**power % 10 + ord("0")
     text[..., 1] = ord(".")
     text[..., 8] = ord("\n")
     return text
@@ -635,16 +637,16 @@ def cmd_predict(args) -> int:
     first, ranked and written ``BLOCK_ROWS`` videos at a time.
 
     A block's lines are one (videos, lines per video, 3) object array of
-    byte strings: the UTF-8 video id, the "\\tlayer\\tlabel\\t" field of the
-    line's label and the 9-byte score text. The join of a slice of its rows,
-    in row-major order, is written as it is. A block whose longest id
-    exceeds ``_ID_BYTES`` is joined a slice of its videos at a time, so one
-    long id cannot make the joined bytes larger than a block of ordinary
-    ids. A video id that holds a tab or a line break is a ValueError.
+    byte strings: the id sliced from the shard's id section, the
+    "\\tlayer\\tlabel\\t" field of the line's label and the 9-byte score text.
+    The join of a slice of its rows, in row-major order, is written as it
+    is. A block whose longest id exceeds ``_ID_BYTES`` is joined a slice of
+    its videos at a time, so one long id cannot make the joined bytes larger
+    than a block of ordinary ids. A tab or line break in the ids is a ValueError.
     """
     hierarchy, shard, scores = _prepare_eval(args)
-    bad = next((v for v in shard.video_ids if "\t" in v or "\n" in v or "\r" in v), None)
-    if bad is not None:
+    if found := re.search(rb"[\t\n\r]", shard.ids):
+        bad = shard.video_id(np.searchsorted(shard.id_offsets, found.start(), "right") - 1)
         raise ValueError(f"record {bad!r}: a tab or line break in a video id breaks the TSV")
     scored = sorted(scores)
     layers = [hierarchy.layers[t] for t in scored]
@@ -665,12 +667,13 @@ def cmd_predict(args) -> int:
                 picked.append(top + offset)
                 best.append(np.take_along_axis(block, top, axis=1))
             picked = np.hstack(picked)
-            ids = [video_id.encode() for video_id in shard.video_ids[rows]]
+            bounds = shard.id_offsets[start : start + BLOCK_ROWS + 1]
+            ids = [shard.ids[a:b] for a, b in itertools.pairwise(bounds.tolist())]
             pieces = np.empty(picked.shape + (3,), object)
             pieces[..., 0] = np.array(ids, object)[:, None]
             pieces[..., 1] = fields[picked]
             pieces[..., 2] = _score_text(np.hstack(best)).view(f"S{_SCORE_BYTES}")[..., 0]
-            longest = max(map(len, ids))
+            longest = int(np.diff(bounds).max())
             step = max(1, BLOCK_ROWS * (_ID_BYTES + line_bytes) // (longest + line_bytes))
             for i in range(0, len(ids), step):
                 fh.write(b"".join(pieces[i : i + step].ravel().tolist()))

@@ -124,7 +124,7 @@ def video_feature(record: VideoRecord, include_audio: bool = False) -> np.ndarra
 @dataclasses.dataclass(frozen=True, eq=False)
 class CsrLabels:
     """One label layer of a shard as compressed sparse rows: record i's
-    sorted, unique int64 labels are ``indices[indptr[i] : indptr[i + 1]]``."""
+    sorted, unique uint32 labels are ``indices[indptr[i] : indptr[i + 1]]``."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -160,7 +160,7 @@ class Shard:
 
     Columns, one row per record in file order:
 
-    - ``video_ids``: list of N strings;
+    - ``ids``: the UTF-8 video ids end to end, split at the int64 (N + 1) ``id_offsets``;
     - ``labels``: one CsrLabels per label layer;
     - ``block``: (N, D + Da) float32, the only copy of the features: the
       ``dim`` = D pooled columns, then the Da audio columns.
@@ -178,7 +178,8 @@ class Shard:
     then on, and only the ids, labels and checksum remain readable.
     """
 
-    video_ids: list
+    ids: bytes
+    id_offsets: np.ndarray
     labels: list
     block: np.ndarray
     dim: int
@@ -190,7 +191,7 @@ class Shard:
             raise RuntimeError("the shard's features were handed out to be overwritten in place")
 
     def __len__(self) -> int:
-        return len(self.video_ids)
+        return len(self.id_offsets) - 1
 
     def __iter__(self):
         self._unconsumed()
@@ -201,9 +202,13 @@ class Shard:
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
+    def video_id(self, i: int) -> str:
+        """Record i's video id, ``ids[id_offsets[i] : id_offsets[i + 1]]`` decoded."""
+        return self.ids[self.id_offsets[i] : self.id_offsets[i + 1]].decode("utf-8")
+
     def _record(self, r: int) -> VideoRecord:
         return VideoRecord(
-            self.video_ids[r],
+            self.video_id(r),
             [layer.row(r) for layer in self.labels],
             pooled=self.block[r, : self.dim].copy(),
             audio=self.block[r, self.dim :].copy() if self.block.shape[1] > self.dim else None,
@@ -218,11 +223,11 @@ class Shard:
         """
         self._unconsumed()
         if include_audio and len(self) and self.block.shape[1] == self.dim:
-            raise ValueError(f"record {self.video_ids[0]!r} has no audio features")
+            raise ValueError(f"record {self.video_id(0)!r} has no audio features")
         x = self.block if include_audio else self.block[:, : self.dim]
         bad = nonfinite_rows(x)
         if bad.size:
-            raise ValueError(f"record {self.video_ids[bad[0]]!r} has non-finite features")
+            raise ValueError(f"record {self.video_id(bad[0])!r} has non-finite features")
         self._consumed = True
         return x
 
@@ -269,14 +274,14 @@ def _to_columns(records) -> Shard:
         indices = np.concatenate(rows)
         if indices.size and (indices.min() < 0 or indices.max() > 0xFFFFFFFF):
             raise ValueError(f"label index out of u32 range in layer {t}")
-        labels.append(CsrLabels(_offsets([row.size for row in rows]), indices))
-    return Shard([rec.video_id for rec in records], labels, block, dim, crc32=None)
+        labels.append(CsrLabels(_offsets([row.size for row in rows]), indices.astype(np.uint32)))
+    ids = [rec.video_id.encode("utf-8") for rec in records]
+    return Shard(b"".join(ids), _offsets(list(map(len, ids))), labels, block, dim, crc32=None)
 
 
 def _shard_sections(shard: Shard):
-    """A shard file's body as byte chunks, one section or block of ids at a
-    time. Offsets go out as int64 arrays: not negative, they have the bits
-    of the file's u64 values."""
+    """A shard file's body as byte chunks, one section at a time. The int64
+    offsets are not negative, so they have the bits of the file's u64 values."""
     shard._unconsumed()
     n, width = shard.block.shape
     head = struct.pack(_SHARD_HEAD, n, shard.dim, width - shard.dim, len(shard.labels))
@@ -284,13 +289,12 @@ def _shard_sections(shard: Shard):
     yield np.ascontiguousarray(shard.block, "<f4")
     for layer in shard.labels:
         yield np.ascontiguousarray(layer.indptr, "<i8")
-        yield layer.indices.astype("<u4")
-    lengths = np.fromiter(map(len, map(str.encode, shard.video_ids)), np.int64, n)
-    if lengths.max(initial=0) > 0xFFFF:
-        raise ValueError(f"video id too long: {lengths.max()} bytes")
-    yield _offsets(lengths)
-    for lo in range(0, n, BLOCK_ROWS):
-        yield "".join(shard.video_ids[lo : lo + BLOCK_ROWS]).encode("utf-8")
+        yield np.ascontiguousarray(layer.indices, "<u4")
+    longest = np.diff(shard.id_offsets).max(initial=0)
+    if longest > 0xFFFF:
+        raise ValueError(f"video id too long: {longest} bytes")
+    yield np.ascontiguousarray(shard.id_offsets, "<i8")
+    yield shard.ids
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -307,13 +311,13 @@ def read_shard(path) -> Shard:
     Each section is one bounded read into its own array: one that runs past
     the end of the file is truncation, raised before allocating. Sections
     are checked vectorized before the checksum, a malformed one being a
-    format error that names the first bad record. Beyond the columns, the
-    read holds at most the id section, while it decodes the ids.
+    format error that names the first bad record. The id bytes and u32 labels
+    are kept as read; beyond them, the read holds one decoded copy of the ids.
     """
-    video_ids = []
+    shard = None
 
     def fail(i: int, problem: str):
-        name = f" {video_ids[i]!r}" if i < len(video_ids) else ""
+        name = "" if shard is None else f" {shard.video_id(i)!r}"
         raise ShardFormatError(f"{path}: record {i}{name} {problem}")
 
     def check(bad: np.ndarray, problem: str) -> None:  # fail at the first bad row
@@ -331,22 +335,21 @@ def read_shard(path) -> Shard:
         csr = []
         for _ in range(layers):
             indptr = cur.array(n + 1, "<u8")
-            csr.append((indptr, cur.array(int(indptr[-1]), "<u4").astype(np.int64)))
+            csr.append((indptr, cur.array(int(indptr[-1]), "<u4")))
         offsets = cur.array(n + 1, "<u8")
-        blob = cur.take(int(offsets[-1]))
+        ids = cur.take(int(offsets[-1]))
         _check_offsets(check, offsets, "video id")
-        _decode_ids(video_ids, fail, blob, offsets)
-        del blob
+        _check_ids(fail, ids, offsets.view(np.int64))
         # At least 4 bytes follow the body, so this reads a full u32.
         (stored,) = struct.unpack("<I", fh.read(4))
 
-    labels = []
+    # Shaped only now: n is bounded by the file once its id offsets are read.
+    shard = Shard(ids, offsets.view(np.int64), [], block.reshape(n, dim + audio_dim), dim, stored)
     for t, (indptr, indices) in enumerate(csr):
         _check_offsets(check, indptr, f"layer {t} label")
-        labels.append(_sorted_rows(indptr.view(np.int64), indices))
+        shard.labels.append(_sorted_rows(indptr.view(np.int64), indices))
     _check_end(path, cur.off, cur.end, stored, cur.crc, ShardFormatError, ShardChecksumError)
-    # Shaped only now: n is bounded by the file once its id offsets are read.
-    return Shard(video_ids, labels, block.reshape(n, dim + audio_dim), dim, stored)
+    return shard
 
 
 def _check_offsets(check, offsets: np.ndarray, what: str) -> None:
@@ -358,15 +361,21 @@ def _check_offsets(check, offsets: np.ndarray, what: str) -> None:
           f"has {what} offsets that do not start at 0, run backward or end past the section")
 
 
-def _decode_ids(ids: list, fail, blob: bytes, offsets: np.ndarray) -> None:
-    """Append the UTF-8 video ids ``blob[offsets[i] : offsets[i + 1]]`` to
-    ``ids`` as strings, their offsets turned into Python ints ``BLOCK_ROWS``
-    at a time."""
+def _check_ids(fail, ids: bytes, offsets: np.ndarray) -> None:
+    """Fail at the first id that is not UTF-8 on its own. Every id is, exactly when the
+    section decodes and no non-empty id starts on a continuation byte (0b10xxxxxx)."""
+    starts = offsets[:-1][offsets[:-1] < offsets[1:]]
+    if not (np.frombuffer(ids, np.uint8)[starts] >> 6 == 2).any():
+        try:
+            ids.decode("utf-8")
+            return
+        except UnicodeDecodeError:
+            pass
     for lo in range(0, len(offsets) - 1, BLOCK_ROWS):
         bounds = offsets[lo : lo + BLOCK_ROWS + 1].tolist()
         for i, (start, end) in enumerate(zip(bounds, bounds[1:]), lo):
             try:
-                ids.append(blob[start:end].decode("utf-8"))
+                ids[start:end].decode("utf-8")
             except UnicodeDecodeError:
                 fail(i, "has an undecodable video id")
 
@@ -384,7 +393,7 @@ def _sorted_rows(indptr: np.ndarray, indices: np.ndarray) -> CsrLabels:
     counts = np.diff(indptr)
     keys = np.unique(np.repeat(np.arange(counts.size, dtype=np.int64), counts) << 32 | indices)
     counts = np.bincount(keys >> 32, minlength=counts.size)
-    return CsrLabels(_offsets(counts), keys & 0xFFFFFFFF)
+    return CsrLabels(_offsets(counts), (keys & 0xFFFFFFFF).astype(np.uint32))
 
 
 def _write_file(path, magic: bytes, version: int, chunks) -> None:

@@ -7,8 +7,8 @@ the top labels they read (``top_labels``), once per prediction set, and
 hit@1, PERR and the global pool all read that one ranking. Per-class
 rankings are never sorted at all: each positive's rank is counted from the
 class's sorted score values (``_ranks``), read from class-major copies of
-``CLASS_GROUP`` columns at a time. The pooled global ranking is one stable
-sort on negated scores.
+``CLASS_GROUP`` columns at a time. The pooled global ranking is one sort:
+of integer keys for float32 scores, else a stable one on negated scores.
 """
 
 from __future__ import annotations
@@ -260,7 +260,13 @@ def global_average_precision(pred: PredictionSet, top_k: int = DEFAULT_TOP_K) ->
     cols = pred.ranked_labels(top_k)
     pooled_scores = np.take_along_axis(pred.scores, cols, axis=1).ravel()
     rel = np.take_along_axis(pred.pos_mask, cols, axis=1).ravel()
-    rel = rel[np.argsort(-pooled_scores, kind="stable")]
+    if pooled_scores.dtype == np.float32 and pooled_scores.size < 1 << 32:
+        # int64 keys: score bits that fall as it rises (-0.0 made +0.0), then position.
+        bits = np.add(pooled_scores, 0, out=pooled_scores).view(np.int32)
+        bits ^= ~((bits >> 31) & 0x7FFFFFFF)
+        rel = rel[np.sort(bits.astype(np.int64) << 32 | np.arange(bits.size)) & 0xFFFFFFFF]
+    else:
+        rel = rel[np.argsort(-pooled_scores, kind="stable")]
     cum = np.cumsum(rel)
     ranks = np.arange(1, rel.size + 1, dtype=np.float64)
     return float((cum[rel] / ranks[rel]).sum() / total_pos)

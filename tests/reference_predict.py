@@ -20,7 +20,8 @@ def reference_predict(args) -> None:
         best = np.take_along_axis(scores[t], top, axis=1)
         ranked.append((hierarchy.layers[t], top.tolist(), best.tolist()))
     lines = []
-    for i, video_id in enumerate(shard.video_ids):
+    for i in range(len(shard)):
+        video_id = shard.video_id(i)
         for layer, top, best in ranked:
             for idx, score in zip(top[i], best[i]):
                 lines.append(

@@ -341,6 +341,25 @@ class TestExitCodes:
         assert err.startswith("data error: ") and f"record {video_id!r}" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.shard", "m.ckpt", "rep"]
 
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_break_in_the_last_id_names_it(self, tmp_path, capsys, char):
+        """The scan of the id section maps a break at the start of the last id of a
+        513-record shard, past the first 512-row block, to that record."""
+        data = _synth(tmp_path / "d", "--num-val", "513")
+        val = list(read_shard(data / "val.shard"))
+        assert len(val) == 513
+        val[-1].video_id = f"{char}last"
+        write_shard(data / "val.shard", val)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(train_args(data, ckpt, "--model", "logreg", "--iters", "5")) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.tsv"
+        assert main(["predict", "--ckpt", str(ckpt), "--vocab", str(data / "vocab.txt"),
+                     "--shard", str(data / "val.shard"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: record {f'{char}last'!r}: a tab or line break")
+        assert not out.exists()
+
     def test_vocabulary_label_with_a_tab_is_data_error(self, dataset, tmp_path, capsys):
         vocab = tmp_path / "vocab.txt"
         text = (dataset / "vocab.txt").read_text()
@@ -437,7 +456,7 @@ class TestSetup:
         n, d = 20000, 64
         rng = np.random.default_rng(0)
         pooled = rng.normal(size=(n, d)).astype(np.float32)
-        shard = Shard([f"v{i}" for i in range(n)], [], pooled, d, 0)
+        shard = Shard(b"", np.zeros(n + 1, np.int64), [], pooled, d, 0)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -461,7 +480,7 @@ class TestSetup:
         block = rng.normal(size=(n, d + audio_dim)).astype(np.float32)
 
         def shard():
-            return Shard([f"v{i}" for i in range(n)], [], block.copy(), d, 0)
+            return Shard(b"", np.zeros(n + 1, np.int64), [], block.copy(), d, 0)
 
         # The reference is built the way it was before normalizing in place:
         # a new array filled in BLOCK_ROWS-row blocks.
@@ -500,7 +519,7 @@ class TestSetup:
         n, d = 20000, 64
         rng = np.random.default_rng(2)
         block = rng.normal(size=(n, d + audio_dim)).astype(np.float32)
-        fresh = Shard([f"v{i}" for i in range(n)], [], block, d, 0)
+        fresh = Shard(b"", np.zeros(n + 1, np.int64), [], block, d, 0)
         features = fresh.features(include_audio=mode == "rgb+audio")
         stats = cli._fit_normalizer(RunConfig(norm=norm), features)
         want = np.empty(features.shape, np.float32)
@@ -1241,9 +1260,9 @@ class TestModelInterface:
             shard = read_shard(dataset / f"{part}.shard")
             labels = shard.labels[-1]
             write_shard(data / f"{part}.shard", [
-                VideoRecord(video_id, [labels.indices[labels.indptr[i] : labels.indptr[i + 1]]],
+                VideoRecord(shard.video_id(i), [labels.indices[labels.indptr[i] : labels.indptr[i + 1]]],
                             pooled=shard.block[i, : shard.dim])
-                for i, video_id in enumerate(shard.video_ids)
+                for i in range(len(shard))
             ])
         ckpt = str(tmp_path / "m.ckpt")
         assert main(train_args(data, ckpt, "--model", model, "--iters", "20")) == 0

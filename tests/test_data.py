@@ -113,6 +113,20 @@ class TestShardRoundTrip:
         write_shard(p2, read_shard(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_read_shard_writes_back_byte_identical(self, tmp_path):
+        """Ids are written back from the section as read: non-ASCII ids, an
+        empty one, one ending in a NUL and one of the 0xFFFF-byte limit."""
+        ids = ["vidéo_中", "", "nul\x00", "é" * (0xFFFF // 2) + "x", "🎥"]
+        records = [VideoRecord(video_id, [[i], []], pooled=np.full(2, i, np.float32))
+                   for i, video_id in enumerate(ids)]
+        p, q = tmp_path / "p.shard", tmp_path / "q.shard"
+        write_shard(p, records)
+        shard = read_shard(p)
+        assert [shard.video_id(i) for i in range(len(ids))] == ids
+        assert len(ids[3].encode()) == 0xFFFF
+        write_shard(q, shard)
+        assert q.read_bytes() == p.read_bytes()
+
     def test_video_id_length_limit(self, tmp_path):
         rec = VideoRecord("x" * 70000, [], pooled=np.zeros(1, np.float32))
         with pytest.raises(ValueError):
@@ -177,8 +191,9 @@ class TestShardErrors:
 
 @pytest.fixture
 def tiny_chunks(monkeypatch):
-    """Encode and decode video ids 2 rows at a time, so that every
-    multi-record case crosses the edges of those blocks."""
+    """Decode video ids one by one 2 rows at a time when naming an
+    undecodable one, so that every multi-record case crosses the edges of
+    those blocks."""
     monkeypatch.setattr(data, "BLOCK_ROWS", 2)
 
 
@@ -240,6 +255,22 @@ class TestMalformedSections:
     def test_undecodable_id(self, tmp_path):
         raw = _raw_shard(3, 2, ids=[b"ok", "é".encode()[:1], b"\xff"])
         self.assert_rejected(tmp_path, raw, "record 1 has an undecodable video id")
+
+    @pytest.mark.usefixtures("tiny_chunks")
+    @pytest.mark.parametrize("bad", range(5))
+    @pytest.mark.parametrize("split", [False, True], ids=["invalid-byte", "split-character"])
+    def test_first_undecodable_id_across_blocks(self, tmp_path, bad, split):
+        """The first id that does not decode on its own is named, wherever
+        it falls in the 2-row blocks; a character split between two ids
+        leaves the section decodable as a whole."""
+        ids = [f"r{i}é".encode() for i in range(6)]
+        if split:
+            ids[bad], ids[bad + 1] = ids[bad][:-1], ids[bad][-1:] + ids[bad + 1]
+        else:
+            ids[bad] += b"\xff"
+        ids.insert(bad, b"")  # an empty id before it moves no byte
+        raw = _raw_shard(7, 2, ids=ids)
+        self.assert_rejected(tmp_path, raw, f"record {bad + 1} has an undecodable video id")
 
     def test_id_split_inside_a_character(self, tmp_path):
         # The id bytes decode as a whole, but not at record 0's end.
@@ -340,7 +371,7 @@ class TestColumnarDecode:
         assert read_shard(path) == shard
         assert len(shard.labels) == len(records[0].labels)
         for layer in shard.labels:
-            assert layer.indices.dtype == np.int64 and layer.indptr.shape == (len(records) + 1,)
+            assert layer.indices.dtype == np.uint32 and layer.indptr.shape == (len(records) + 1,)
 
     def test_unsorted_and_duplicated_labels_match_reference(self, tmp_path):
         path = tmp_path / "raw.shard"
@@ -355,6 +386,7 @@ class TestColumnarDecode:
         np.testing.assert_array_equal(shard.labels[0].indptr, [0, 2, 4, 5, 5])
         np.testing.assert_array_equal(shard.labels[0].indices, [1, 4, 1, 4, 2])
         np.testing.assert_array_equal(shard.labels[1].indices, [0, 2, 9, 0, 2, 9, 3, 7])
+        assert shard.labels[0].indices.dtype == shard.labels[1].indices.dtype == np.uint32
 
     def test_truncation_at_every_offset_matches_reference(self, tmp_path):
         path = tmp_path / "full.shard"
@@ -522,14 +554,18 @@ def test_multi_hot_into_a_reused_buffer():
 
 
 class TestReadMemory:
-    def test_read_holds_the_id_section_beyond_its_result(self, tmp_path):
-        n, d = 20000, 64
+    @staticmethod
+    def big_records(n: int, d: int) -> list:
         rng = np.random.default_rng(4)
-        records = [
+        return [
             VideoRecord(f"video_{i:05d}", [[i % 25, 25 + i % 3], [i % 200]],
                         pooled=rng.normal(size=d).astype(np.float32))
             for i in range(n)
         ]
+
+    def test_read_holds_the_id_section_beyond_its_result(self, tmp_path):
+        n, d = 20000, 64
+        records = self.big_records(n, d)
         path = tmp_path / "big.shard"
         write_shard(path, records)
         id_section = 8 * (n + 1) + sum(len(r.video_id.encode()) for r in records)
@@ -539,6 +575,15 @@ class TestReadMemory:
         # read holds the id section while it decodes it, and besides it under
         # 64 KiB of smaller objects.
         assert peak - kept < id_section + (1 << 16)
+
+    def test_read_holds_the_file_and_no_more(self, tmp_path):
+        """The shard read keeps the file's sections as they are: no string
+        per id and no widened copy of the u32 labels."""
+        path = tmp_path / "big.shard"
+        write_shard(path, self.big_records(20000, 64))
+        shard, kept, _ = self.traced(lambda: read_shard(path))
+        assert len(shard) == 20000 and shard.labels[0].indices.dtype == np.uint32
+        assert kept <= path.stat().st_size + (1 << 16)
 
     @staticmethod
     def traced(op):

@@ -335,6 +335,25 @@ class TestGlobalAveragePrecision:
         got = global_average_precision(pred, top_k=2)
         assert got == pytest.approx((1.0 / 2.0 + 2.0 / 3.0) / 2.0, abs=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zeros_and_ties_match_reference(self, dtype):
+        """Quantized scores tie within and across videos, and -0.0 ties +0.0:
+        the pool ranks ties by (video, label) in both dtypes."""
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            v, c = int(rng.integers(2, 40)), int(rng.integers(2, 12))
+            scores = (np.round(rng.normal(size=(v, c)) * 2) / 2).astype(dtype)
+            scores[rng.random((v, c)) < 0.2] = -0.0
+            scores[rng.random((v, c)) < 0.2] = 0.0
+            positives = [rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False).tolist()
+                         for _ in range(v)]
+            pred = PredictionSet(scores, positives)
+            assert pred.scores.dtype == dtype and np.signbit(pred.scores).any()
+            for k in (1, 3, 20):
+                assert global_average_precision(pred, top_k=k) == pytest.approx(
+                    ref_global_average_precision(scores.tolist(), positives, k), abs=1e-12
+                )
+
     def test_k_larger_than_classes(self):
         pred = PredictionSet(np.array([[0.9, 0.1]]), [[0]])
         assert global_average_precision(pred, top_k=50) == 1.0
