@@ -28,6 +28,14 @@ parameter gradient into the arrays of a workspace dict, with ``matmul(...,
 out=)``, in-place ufuncs and ``sum(axis=0, out=)``. A training run passes
 one workspace to every step, so a warm step allocates none of them; without
 one, each call computes into a fresh workspace.
+
+``backward`` writes each chain gradient over an activation that is dead by
+then: the logits' gradient p - z over p, g_fwd over a (dead once the loss
+is summed), g_bwd over fwd (once every forward-chain parameter gradient,
+the only readers of fwd, is taken) and the gradient of x_t over x_t (once
+fwd_h's and bwd_h's gradients are taken). So the workspace holds six
+(B, n_t) arrays per layer, x_t, fwd, bwd, a, p and tmp, besides the
+parameter gradients.
 """
 
 from __future__ import annotations
@@ -326,20 +334,7 @@ def backward(
     loss_value = loss(acts, z)
     # p is needed no more: it becomes the logits' gradient p - z.
     g_a = [np.subtract(acts.p[t], z[t], out=acts.p[t]) for t in range(m)]
-    g_fwd = _layer_rows(params, work, "g_fwd", len(xb))
-    g_bwd = _layer_rows(params, work, "g_bwd", len(xb))
-    tmp = acts.tmp
-
-    # Chain gradients: forward chain feeds later layers, so walk it backward;
-    # the backward chain feeds earlier layers, so walk it forward.
-    for t in range(m - 1, -1, -1):
-        np.multiply(g_a[t], params.agg_fwd_u[t], out=g_fwd[t])
-        if t < m - 1:
-            g_fwd[t] += np.matmul(g_fwd[t + 1], params.fwd_v[t + 1], out=tmp[t])
-    for t in range(m):
-        np.multiply(g_a[t], params.agg_bwd_u[t], out=g_bwd[t])
-        if t > 0:
-            g_bwd[t] += np.matmul(g_bwd[t - 1], params.bwd_v[t - 1], out=tmp[t])
+    x_t, fwd, bwd, tmp = acts.x_t, acts.fwd, acts.bwd, acts.tmp
 
     grads = BinnParams(
         dim=params.dim,
@@ -353,20 +348,37 @@ def backward(
         grad = getattr(grads, field)[t] = _buffer(work, f"{field}.{t}", like.shape, like.dtype)
         return grad
 
-    for t in range(m):
-        np.multiply(g_a[t], acts.fwd[t], out=tmp[t]).sum(axis=0, out=out("agg_fwd_u", t))
-        np.multiply(g_a[t], acts.bwd[t], out=tmp[t]).sum(axis=0, out=out("agg_bwd_u", t))
-        g_a[t].sum(axis=0, out=out("agg_b", t))
-        if t > 0:
-            np.matmul(g_fwd[t].T, acts.fwd[t - 1], out=out("fwd_v", t))
-        np.matmul(g_fwd[t].T, acts.x_t[t], out=out("fwd_h", t))
-        g_fwd[t].sum(axis=0, out=out("fwd_b", t))
+    # The forward chain feeds later layers, so its gradient walks backward;
+    # a is needed no more after the loss, so it holds g_fwd.
+    g_fwd = acts.a
+    for t in range(m - 1, -1, -1):
+        np.multiply(g_a[t], params.agg_fwd_u[t], out=g_fwd[t])
         if t < m - 1:
-            np.matmul(g_bwd[t].T, acts.bwd[t + 1], out=out("bwd_v", t))
-        np.matmul(g_bwd[t].T, acts.x_t[t], out=out("bwd_h", t))
+            g_fwd[t] += np.matmul(g_fwd[t + 1], params.fwd_v[t + 1], out=tmp[t])
+    # The forward chain's parameter gradients are the last readers of fwd.
+    for t in range(m):
+        np.multiply(g_a[t], fwd[t], out=tmp[t]).sum(axis=0, out=out("agg_fwd_u", t))
+        if t > 0:
+            np.matmul(g_fwd[t].T, fwd[t - 1], out=out("fwd_v", t))
+        np.matmul(g_fwd[t].T, x_t[t], out=out("fwd_h", t))
+        g_fwd[t].sum(axis=0, out=out("fwd_b", t))
+    # The backward chain feeds earlier layers, so its gradient walks forward;
+    # fwd holds it.
+    g_bwd = fwd
+    for t in range(m):
+        np.multiply(g_a[t], params.agg_bwd_u[t], out=g_bwd[t])
+        if t > 0:
+            g_bwd[t] += np.matmul(g_bwd[t - 1], params.bwd_v[t - 1], out=tmp[t])
+    for t in range(m):
+        np.multiply(g_a[t], bwd[t], out=tmp[t]).sum(axis=0, out=out("agg_bwd_u", t))
+        g_a[t].sum(axis=0, out=out("agg_b", t))
+        if t < m - 1:
+            np.matmul(g_bwd[t].T, bwd[t + 1], out=out("bwd_v", t))
+        np.matmul(g_bwd[t].T, x_t[t], out=out("bwd_h", t))
         g_bwd[t].sum(axis=0, out=out("bwd_b", t))
-        # a is needed no more either: it holds the gradient of x_t.
-        g_x_t = np.matmul(g_fwd[t], params.fwd_h[t], out=acts.a[t])
+        # x_t[t] is needed no more once fwd_h and bwd_h have their gradients:
+        # it holds the gradient of x_t.
+        g_x_t = np.matmul(g_fwd[t], params.fwd_h[t], out=x_t[t])
         g_x_t += np.matmul(g_bwd[t], params.bwd_h[t], out=tmp[t])
         np.matmul(g_x_t.T, xb, out=out("proj_w", t))
         g_x_t.sum(axis=0, out=out("proj_b", t))

@@ -18,16 +18,17 @@ def fit(family, params, adam, x, labels, sizes, *, batch_size, seed, iters, log_
     features and ``labels`` one ``CsrLabels`` per layer, of ``sizes`` labels.
     Batches are ``data.batch_indices(N, batch_size, seed, epoch)``; a state
     stopped mid-epoch skips the batches its epoch has run, so a stopped and
-    continued run equals the straight one bit for bit. Steps reuse one
-    float32 target array per layer and a workspace holding the Adam
-    state's gradient arrays, so ``adam_step`` copies none. Every
-    ``log_every`` steps, ``log`` gets ``step=S loss=L lr=R`` after the
-    step's gradients, before its update. A non-finite loss raises
-    ``binn.NumericError``.
+    continued run equals the straight one bit for bit. Steps gather their
+    rows of ``x`` into one reused (batch_size, D) array, reuse one float32
+    target array per layer and a workspace holding the Adam state's
+    gradient arrays, so ``adam_step`` copies none. Every ``log_every``
+    steps, ``log`` gets ``step=S loss=L lr=R`` after the step's gradients,
+    before its update. A non-finite loss raises ``binn.NumericError``.
     """
     n = len(x)
     steps_per_epoch = math.ceil(n / batch_size)
     rows = min(batch_size, n)
+    x_buf = np.empty((rows, x.shape[1]), x.dtype)
     target_bufs = [np.empty((rows, size), np.float32) for size in sizes]
     work = dict(adam.g)
     tensors = params.tensors()
@@ -39,11 +40,14 @@ def fit(family, params, adam, x, labels, sizes, *, batch_size, seed, iters, log_
                 continue
             if step >= iters:
                 break
+            # Batch indices are in range; "clip" skips the buffer of ``out``'s
+            # size that the default mode copies through.
+            batch = np.take(x, idx, axis=0, out=x_buf[: len(idx)], mode="clip")
             targets = [
                 layer.multi_hot(idx, size, out=buf[: len(idx)])
                 for layer, size, buf in zip(labels, sizes, target_bufs)
             ]
-            loss_value, grad_tensors = family.train_grads(params, x[idx], targets, work)
+            loss_value, grad_tensors = family.train_grads(params, batch, targets, work)
             if not math.isfinite(loss_value):
                 raise binn.NumericError(f"non-finite loss at step {step}")
             if step % log_every == 0:

@@ -609,6 +609,27 @@ class TestWorkspace:
         for name, grad in grads.tensors().items():
             np.testing.assert_array_equal(grad, kept_grads[name])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sizes, batch", [((25, 200), 256), ((25, 200), 16), ((3, 40), 5)])
+    def test_warm_workspace_holds_six_activation_arrays_per_layer(self, sizes, batch, dtype):
+        # Each chain gradient overwrites an activation that is dead when it
+        # is written (g_fwd goes into a, g_bwd into fwd, g_x_t into x_t), so
+        # beside the gradients the workspace holds x_t, fwd, bwd, a, p and
+        # tmp only. The last two cases have a layer wider than the batch.
+        params = perturbed_params(sizes, 8, 37, dtype)
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(batch, 8)).astype(dtype)
+        zs = [z.astype(np.float32) for z in random_labels(rng, sizes, batch)]
+        work: dict = {}
+        for _ in range(2):
+            binn.backward(params, x, zs, work)
+        names = set(params.tensors())
+        acts = [a for key, a in work.items() if key not in names]
+        assert sorted(a.shape for a in acts) == sorted([(batch, n) for n in sizes] * 6)
+        assert {a.dtype for a in acts} == {np.dtype(dtype)}
+        itemsize = np.dtype(dtype).itemsize
+        assert sum(a.nbytes for a in acts) == 6 * batch * sum(sizes) * itemsize
+
     def test_backward_calls_forward_once_through_the_module(self, monkeypatch):
         calls = []
         real = binn.forward

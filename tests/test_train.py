@@ -1,5 +1,8 @@
 """``train.fit``, the step loop of ``hlvc train``, from the library."""
 
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
@@ -97,3 +100,28 @@ def test_float64_model_trains(data, family):
     assert {t.dtype for t in params.tensors().values()} == {np.dtype(np.float64)}
     losses = [float(line.split()[1].removeprefix("loss=")) for line, _ in lines]
     assert losses[-1] < losses[0]
+
+
+def test_warm_steps_gather_into_one_reused_array(data):
+    """Every step's batch is rows of one (B, D) array that ``fit`` reuses:
+    with each step's batch kept alive, the warm steps together hold less
+    new traced memory than one (B, D) array."""
+    hier, _, labels = data
+    x = np.random.default_rng(0).normal(size=(100, 2048)).astype(np.float32)
+    params = binn.init(hier, x.shape[1], seed=0)
+    seen = []
+
+    def train_grads(params, batch, targets, work):
+        seen.append((batch, tracemalloc.get_traced_memory()[0]))
+        return binn.train_grads(params, batch, targets, work)
+
+    adam = optim.init_adam(params.tensors(), 0.01)
+    tracemalloc.start()
+    try:
+        fit(types.SimpleNamespace(train_grads=train_grads), params, adam, x, labels,
+            hier.sizes, batch_size=BATCH, seed=7, iters=ITERS, log_every=1, log=[].append)
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == ITERS
+    assert all(np.shares_memory(batch, seen[0][0]) for batch, _ in seen)
+    assert seen[-1][1] - seen[2][1] < BATCH * x.shape[1] * x.itemsize
